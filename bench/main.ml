@@ -271,13 +271,7 @@ let cmd_fig5 ~full () =
       let s = Ctgauss.Sampler.of_enum (Lazy.force enum) in
       let rng = fresh_rng ("fig5-" ^ sigma) in
       let samples = Array.make total 0 in
-      let i = ref 0 in
-      while !i < total do
-        let batch = Ctgauss.Sampler.batch_signed s rng in
-        let take = min (Array.length batch) (total - !i) in
-        Array.blit batch 0 samples !i take;
-        i := !i + take
-      done;
+      Ctgauss.Sampler.fill s rng samples ~pos:0 ~len:total;
       let hist = Ctg_stats.Histogram.of_samples samples in
       printf "@.sigma = %s, %d samples: mean %+.4f, std %.4f@." sigma total
         (Ctg_stats.Histogram.mean hist)

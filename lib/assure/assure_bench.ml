@@ -18,14 +18,7 @@ let threshold_pct = 3.0
 let default_set = Ctg_engine.Obs_bench.default_set
 
 let fill_plain sampler out rng =
-  let n = Array.length out in
-  let filled = ref 0 in
-  while !filled < n do
-    let batch = Ctgauss.Sampler.batch_signed sampler rng in
-    let take = min (Array.length batch) (n - !filled) in
-    Array.blit batch 0 out !filled take;
-    filled := !filled + take
-  done
+  Ctgauss.Sampler.fill sampler rng out ~pos:0 ~len:(Array.length out)
 
 (* The monitored arm reproduces what the pool does once the drift monitor
    is attached: fill a chunk, then fold it into the monitor under its
@@ -38,13 +31,7 @@ let fill_monitored sampler drift out rng ~chunk_samples =
   while !pos < n do
     let count = min chunk_samples (n - !pos) in
     let out_pos = !pos in
-    let filled = ref 0 in
-    while !filled < count do
-      let batch = Ctgauss.Sampler.batch_signed sampler rng in
-      let take = min (Array.length batch) (count - !filled) in
-      Array.blit batch 0 out (out_pos + !filled) take;
-      filled := !filled + take
-    done;
+    Ctgauss.Sampler.fill sampler rng out ~pos:out_pos ~len:count;
     Drift.observe_sub drift out ~pos:out_pos ~len:count;
     pos := !pos + count
   done

@@ -24,7 +24,6 @@ type record = {
 let default_files =
   [
     "BENCH_gates.json";
-    "BENCH_engine.json";
     "BENCH_obs.json";
     "BENCH_fault.json";
     "BENCH_assure.json";

@@ -27,7 +27,7 @@ type record = {
   fp : fingerprint;
   metrics : (string * float) list;
       (** Keys like
-          ["BENCH_engine.json.results[sigma=2,domains=4].ns_per_sample"]. *)
+          ["BENCH_gates.json.entries[sigma=1,precision=16].gates"]. *)
 }
 
 val default_files : string list

@@ -75,15 +75,25 @@ let output (p : Gate.t) (s : scratch) i = s.regs.(p.Gate.outputs.(i))
 let valid_word (p : Gate.t) (s : scratch) =
   match p.Gate.valid with None -> all_ones | Some r -> s.regs.(r)
 
-let magnitudes (p : Gate.t) (s : scratch) =
-  let m = Array.length p.Gate.outputs in
+(* Lane-major: each lane's magnitude is gathered in a register from the
+   output words and stored once. *)
+let magnitudes_into (p : Gate.t) (s : scratch) dst off =
+  if off < 0 || off > Array.length dst - lanes then
+    invalid_arg "Bitslice.magnitudes_into";
+  let outputs = p.Gate.outputs and regs = s.regs in
+  let m = Array.length outputs in
+  for lane = 0 to lanes - 1 do
+    let mag = ref 0 in
+    for bit = 0 to m - 1 do
+      let w = regs.(Array.unsafe_get outputs bit) in
+      mag := !mag lor (((w lsr lane) land 1) lsl bit)
+    done;
+    Array.unsafe_set dst (off + lane) !mag
+  done
+
+let magnitudes p s =
   let out = Array.make lanes 0 in
-  for bit = 0 to m - 1 do
-    let w = s.regs.(p.Gate.outputs.(bit)) in
-    for lane = 0 to lanes - 1 do
-      out.(lane) <- out.(lane) lor (((w lsr lane) land 1) lsl bit)
-    done
-  done;
+  magnitudes_into p s out 0;
   out
 
 let eval_single (p : Gate.t) bits =

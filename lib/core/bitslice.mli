@@ -25,8 +25,13 @@ val valid_word : Gate.t -> scratch -> int
 (** Lane word of the termination flag ([all_ones] if the program carries
     no valid bit). *)
 
+val magnitudes_into : Gate.t -> scratch -> int array -> int -> unit
+(** [magnitudes_into p s dst off] transposes the output bits into 63
+    per-lane sample magnitudes at [dst.(off) .. dst.(off + 62)].
+    @raise Invalid_argument if the range does not fit in [dst]. *)
+
 val magnitudes : Gate.t -> scratch -> int array
-(** Transpose the output bits into 63 per-lane sample magnitudes. *)
+(** {!magnitudes_into} a fresh array. *)
 
 val eval_single : Gate.t -> bool array -> int * bool
 (** Single evaluation on one bit string: [(magnitude, valid)]. *)

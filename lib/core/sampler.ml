@@ -16,9 +16,9 @@ type t = {
   digest : int64;
       (* [Gate.digest program] taken at compile time; integrity monitors
          recompute and compare to catch later gate-table corruption *)
-  mutable buffer : int array; (* signed samples ready to hand out *)
-  mutable buffer_pos : int;
-  mutable buffer_mag : int array;
+  buffer : int array; (* one batch of signed samples, refilled in place *)
+  mutable buffer_pos : int; (* [Bitslice.lanes] when used up *)
+  buffer_mag : int array;
   mutable buffer_mag_pos : int;
   mutable resamples : int; (* lanes rescued by the scalar fallback walk *)
 }
@@ -47,10 +47,10 @@ let of_enum ?(method_ = Split_minimized) ?options (enum : Ctg_kyao.Leaf_enum.t) 
     sample_bits = max 1 (Ctg_util.Bits.bits_needed support);
     gates = Gate.gate_count program;
     digest = Gate.digest program;
-    buffer = [||];
-    buffer_pos = 0;
-    buffer_mag = [||];
-    buffer_mag_pos = 0;
+    buffer = Array.make Bitslice.lanes 0;
+    buffer_pos = Bitslice.lanes;
+    buffer_mag = Array.make Bitslice.lanes 0;
+    buffer_mag_pos = Bitslice.lanes;
     resamples = 0;
   }
 
@@ -59,10 +59,10 @@ let clone t =
     t with
     scratch = Bitslice.scratch t.program;
     inputs = Array.make t.program.Gate.num_vars 0;
-    buffer = [||];
-    buffer_pos = 0;
-    buffer_mag = [||];
-    buffer_mag_pos = 0;
+    buffer = Array.make Bitslice.lanes 0;
+    buffer_pos = Bitslice.lanes;
+    buffer_mag = Array.make Bitslice.lanes 0;
+    buffer_mag_pos = Bitslice.lanes;
     resamples = 0;
   }
 
@@ -79,32 +79,62 @@ let create ?method_ ?options ~sigma ~precision ~tail_cut () =
   in
   of_enum ?method_ ?options enum
 
-let batch_magnitude t rng =
+(* Magnitudes of one program run into [dst.(off .. off + 62)], fallback
+   lanes resampled with the reference walk in lane order. *)
+let magnitudes_into t rng dst off =
+  if off < 0 || off > Array.length dst - Bitslice.lanes then
+    invalid_arg "Sampler: batch range out of bounds";
   for i = 0 to Array.length t.inputs - 1 do
     t.inputs.(i) <- Bs.next_word rng
   done;
   Bitslice.eval t.program t.scratch ~inputs:t.inputs;
-  let mags = Bitslice.magnitudes t.program t.scratch in
+  Bitslice.magnitudes_into t.program t.scratch dst off;
   let valid = Bitslice.valid_word t.program t.scratch in
   if valid <> Bitslice.all_ones then
     for lane = 0 to Bitslice.lanes - 1 do
       if (valid lsr lane) land 1 = 0 then begin
-        mags.(lane) <- Ctg_kyao.Column_sampler.sample_magnitude t.matrix rng;
+        dst.(off + lane) <- Ctg_kyao.Column_sampler.sample_magnitude t.matrix rng;
         t.resamples <- t.resamples + 1
       end
-    done;
+    done
+
+let batch_magnitude t rng =
+  let mags = Array.make Bitslice.lanes 0 in
+  magnitudes_into t rng mags 0;
   mags
 
-let batch_signed t rng =
-  let mags = batch_magnitude t rng in
+(* The sign word is drawn after any fallback walk, and lane i's sign bit
+   negates it without a branch: (m lxor -s) + s is m for s = 0, -m for
+   s = 1. *)
+let batch_signed_into t rng dst off =
+  magnitudes_into t rng dst off;
   let signs = Bs.next_word rng in
-  Array.mapi
-    (fun lane m -> if (signs lsr lane) land 1 = 1 then -m else m)
-    mags
+  for lane = 0 to Bitslice.lanes - 1 do
+    let s = (signs lsr lane) land 1 in
+    let i = off + lane in
+    Array.unsafe_set dst i ((Array.unsafe_get dst i lxor (-s)) + s)
+  done
+
+let batch_signed t rng =
+  let out = Array.make Bitslice.lanes 0 in
+  batch_signed_into t rng out 0;
+  out
+
+let fill t rng dst ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length dst - len then
+    invalid_arg "Sampler.fill";
+  let stop = pos + len in
+  let i = ref pos in
+  while !i < stop do
+    let take = min Bitslice.lanes (stop - !i) in
+    if take = Bitslice.lanes then batch_signed_into t rng dst !i
+    else Array.blit (batch_signed t rng) 0 dst !i take;
+    i := !i + take
+  done
 
 let sample t rng =
-  if t.buffer_pos >= Array.length t.buffer then begin
-    t.buffer <- batch_signed t rng;
+  if t.buffer_pos >= Bitslice.lanes then begin
+    batch_signed_into t rng t.buffer 0;
     t.buffer_pos <- 0
   end;
   let s = t.buffer.(t.buffer_pos) in
@@ -112,8 +142,8 @@ let sample t rng =
   s
 
 let sample_magnitude t rng =
-  if t.buffer_mag_pos >= Array.length t.buffer_mag then begin
-    t.buffer_mag <- batch_magnitude t rng;
+  if t.buffer_mag_pos >= Bitslice.lanes then begin
+    magnitudes_into t rng t.buffer_mag 0;
     t.buffer_mag_pos <- 0
   end;
   let s = t.buffer_mag.(t.buffer_mag_pos) in

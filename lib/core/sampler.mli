@@ -44,8 +44,21 @@ val batch_magnitude : t -> Ctg_prng.Bitstream.t -> int array
     did not terminate within the precision (probability < 2^-117 at Falcon
     parameters) are resampled with the reference walk. *)
 
+val batch_signed_into : t -> Ctg_prng.Bitstream.t -> int array -> int -> unit
+(** [batch_signed_into t rng dst off] writes one batch of 63 signed
+    samples to [dst.(off) .. dst.(off + 62)] without allocating:
+    magnitudes as {!batch_magnitude}, then one word of sign bits.
+    @raise Invalid_argument if the range does not fit in [dst]. *)
+
 val batch_signed : t -> Ctg_prng.Bitstream.t -> int array
-(** Magnitudes combined with one word of sign bits. *)
+(** {!batch_signed_into} a fresh array. *)
+
+val fill : t -> Ctg_prng.Bitstream.t -> int array -> pos:int -> len:int -> unit
+(** [fill t rng dst ~pos ~len] writes [len] signed samples to
+    [dst.(pos) ..], one batch after another: the same samples as
+    concatenated {!batch_signed} calls truncated to [len], with whole
+    batches written in place.
+    @raise Invalid_argument if the range does not fit in [dst]. *)
 
 val sample : t -> Ctg_prng.Bitstream.t -> int
 (** Single signed sample from an internal buffer refilled per batch. *)

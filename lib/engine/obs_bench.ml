@@ -21,16 +21,9 @@ let threshold_pct = 2.0
 
 let default_set = [ ("1", 128); ("2", 128); ("6.15543", 128); ("215", 16) ]
 
-(* The pre-obs fill loop: draw a batch, blit it out, repeat. *)
+(* The pre-obs fill loop: batch after batch, straight into [out]. *)
 let run_plain sampler out rng =
-  let n = Array.length out in
-  let filled = ref 0 in
-  while !filled < n do
-    let batch = Ctgauss.Sampler.batch_signed sampler rng in
-    let take = min (Array.length batch) (n - !filled) in
-    Array.blit batch 0 out !filled take;
-    filled := !filled + take
-  done
+  Ctgauss.Sampler.fill sampler rng out ~pos:0 ~len:(Array.length out)
 
 (* The production loop of [Pool.run_chunk]: per-batch CT checks with
    field reads, registry traffic once per chunk. *)
@@ -50,16 +43,22 @@ let run_metered sampler out rng ~chunk_samples ~metrics ~ctmon =
       ~args:(fun () ->
         [ ("samples", string_of_int count); ("batches", string_of_int !batches) ])
       (fun () ->
+        let bits = ref bits_start and res = ref resamples0 in
+        let expected = ref 0 in
         while !filled < count do
-          let bits0 = Bs.bits_consumed rng in
-          let res0 = Ctgauss.Sampler.resamples sampler in
-          let batch = Ctgauss.Sampler.batch_signed sampler rng in
-          let dbits = Bs.bits_consumed rng - bits0 in
-          if Ctgauss.Sampler.resamples sampler > res0 then incr fallbacks
-          else if dbits <> Obs.Ctmon.learn ctmon dbits then incr deviations;
+          let take = min Ctgauss.Bitslice.lanes (count - !filled) in
+          Ctgauss.Sampler.fill sampler rng out ~pos:(out_pos + !filled) ~len:take;
+          let bits1 = Bs.bits_consumed rng in
+          let res1 = Ctgauss.Sampler.resamples sampler in
+          let dbits = bits1 - !bits in
+          if res1 > !res then incr fallbacks
+          else begin
+            if !expected = 0 then expected := Obs.Ctmon.learn ctmon dbits;
+            if dbits <> !expected then incr deviations
+          end;
+          bits := bits1;
+          res := res1;
           incr batches;
-          let take = min (Array.length batch) (count - !filled) in
-          Array.blit batch 0 out (out_pos + !filled) take;
           filled := !filled + take
         done);
     Metrics.observe_chunk_service metrics (Obs.Clock.now_ns () - t_fill);

@@ -305,19 +305,29 @@ let run_chunk t ~worker ~clone (j : job) c =
         (match j.flow with
         | Some id -> Trace.flow_step ~id "job"
         | None -> ());
+        (* One batch's end readings are the next one's start readings,
+           and the learned expectation never changes once set, so each
+           batch pays two counter reads and no monitor call. *)
+        let bits = ref (Bs.bits_consumed rng) and res = ref resamples0 in
+        let expected = ref 0 in
         while !filled < count do
-          let bits0 = Bs.bits_consumed rng in
-          let res0 = Ctgauss.Sampler.resamples clone in
-          let batch = Ctgauss.Sampler.batch_signed clone rng in
-          let dbits = Bs.bits_consumed rng - bits0 in
+          (* One batch, straight into the chunk's output slice. *)
+          let take = min Ctgauss.Bitslice.lanes (count - !filled) in
+          Ctgauss.Sampler.fill clone rng out ~pos:(out_pos + !filled) ~len:take;
+          let bits1 = Bs.bits_consumed rng in
+          let res1 = Ctgauss.Sampler.resamples clone in
+          let dbits = bits1 - !bits in
           (* Fallback batches never teach the monitor: at low precision the
              first batch can take the fallback path, and learning its
              data-dependent bit count would flag every normal batch. *)
-          if Ctgauss.Sampler.resamples clone > res0 then incr fallbacks
-          else if dbits <> Ctmon.learn t.ctmon dbits then incr deviations;
+          if res1 > !res then incr fallbacks
+          else begin
+            if !expected = 0 then expected := Ctmon.learn t.ctmon dbits;
+            if dbits <> !expected then incr deviations
+          end;
+          bits := bits1;
+          res := res1;
           incr batches;
-          let take = min (Array.length batch) (count - !filled) in
-          Array.blit batch 0 out (out_pos + !filled) take;
           filled := !filled + take
         done);
     Metrics.observe_chunk_service t.metrics (Clock.now_ns () - t_fill);
@@ -418,17 +428,19 @@ let rec worker_loop t worker =
    Past the budget the job is failed rather than silently under-manned. *)
 and handle_kill t ~worker (j : job) c =
   Mutex.lock t.mutex;
+  let respawn = (not t.stopped) && t.respawns < t.max_respawns in
+  (* Counted before the orphan is published: from then on another
+     domain can finish the job and its caller read the metrics. *)
+  if respawn then Metrics.add_worker_respawn t.metrics;
   (* Lock order is t.mutex -> wq.mutex, everywhere. *)
   Workq.orphan j.wq c;
-  let respawn = (not t.stopped) && t.respawns < t.max_respawns in
   if respawn then begin
     t.respawns <- t.respawns + 1;
     t.workers <- Domain.spawn (fun () -> worker_loop t worker) :: t.workers
   end;
   Condition.broadcast t.cond;
   Mutex.unlock t.mutex;
-  if respawn then Metrics.add_worker_respawn t.metrics
-  else
+  if not respawn then
     abort_job j (Chunk_failed { chunk = c; attempts = 0; error = Kill_worker })
 
 (* The watchdog exists because OCaml's [Condition] has no timed wait: it

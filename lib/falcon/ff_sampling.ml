@@ -9,9 +9,13 @@ type workspace = {
   z_out : (Fftc.t * Fftc.t) array;
 }
 
-let workspace_cache : (int, workspace) Hashtbl.t = Hashtbl.create 8
+(* One cache per domain: a walk mutates its workspace throughout, so two
+   domains signing at once must never share one. *)
+let workspace_cache : (int, workspace) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
 let workspace n =
+  let workspace_cache = Domain.DLS.get workspace_cache in
   match Hashtbl.find_opt workspace_cache n with
   | Some w -> w
   | None ->

@@ -15,9 +15,13 @@ type tables = {
   split_im : float array;
 }
 
-let table_cache : (int, tables) Hashtbl.t = Hashtbl.create 16
+(* Per domain, so concurrent signers never insert into one table at
+   once; the tables themselves are immutable once built. *)
+let table_cache : (int, tables) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
 
 let tables n =
+  let table_cache = Domain.DLS.get table_cache in
   match Hashtbl.find_opt table_cache n with
   | Some t -> t
   | None ->

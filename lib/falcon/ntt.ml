@@ -17,7 +17,12 @@
    product rides on the latency of every signing call and has to fit the
    <3% defense-overhead budget of `bench fault`. *)
 
-let q = Zq.q
+(* A literal rather than [Zq.q], so that ocamlopt folds it into
+   immediates (q, 2q, q - 1 and the products by q in every butterfly):
+   cross-module constants are not propagated when libraries are compiled
+   [-opaque], as dune's default profile does.  ~15% off each transform. *)
+let q = 12289
+let () = assert (q = Zq.q)
 
 type plan = {
   n : int;
@@ -34,9 +39,13 @@ type plan = {
    intermediates fit the 63-bit native int: a·wsh < 2^27 · 2^32. *)
 let shoup w = (w lsl 32) / q
 
-let shoup_mul a w wsh =
-  let r = (a * w) - ((a * wsh) lsr 32 * q) in
-  if r >= q then r - q else r
+(* Conditional subtract of q, from [0, 2q) to [0, q), without a branch:
+   verify-after-sign runs these over fresh, effectively random values
+   once per signature, where a data-dependent branch mispredicts about
+   half the time. *)
+let[@inline] csub r = r - (q land ((q - 1 - r) asr 62))
+
+let shoup_mul a w wsh = csub ((a * w) - ((a * wsh) lsr 32 * q))
 
 let build n =
   if n < 2 || n > 2048 || n land (n - 1) <> 0 then invalid_arg "Ntt.plan: n";
@@ -93,9 +102,8 @@ let plan n =
    of a reduction is a no-op range check; small centered values (signature
    coefficients) lift with one add, and only wild values pay a division. *)
 let reduce_fast x =
-  if x >= 0 && x < q then x
-  else if x < 0 && x >= -q then x + q
-  else Zq.reduce x
+  let r = x + (q land (x asr 62)) in
+  if r >= 0 && r < q then r else Zq.reduce x
 
 (* Barrett estimate for r < 2^39: with m = floor(2^40 / q) the quotient
    guess floor(r·m / 2^40) is off by at most one step, leaving a single
@@ -105,8 +113,7 @@ let barrett_m = (1 lsl 40) / q
 
 let mul_red a b =
   let r = a * b in
-  let r = r - ((r * barrett_m) lsr 40 * q) in
-  if r >= q then r - q else r
+  csub (r - ((r * barrett_m) lsr 40 * q))
 
 (* In-place Cooley-Tukey pass, input natural order, output bit-reversed.
    Lazy bounds: the Shoup product v is in [0, 2q) without correction, so
@@ -215,7 +222,7 @@ let forward p coeffs =
   for i = 0 to p.n - 1 do
     let r = Array.unsafe_get a i in
     let r = r - ((r * barrett_m) lsr 40 * q) in
-    Array.unsafe_set a i (if r >= q then r - q else r)
+    Array.unsafe_set a i (csub r)
   done;
   a
 

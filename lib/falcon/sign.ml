@@ -108,17 +108,20 @@ let consistent_with_public_key ~params ~h ~c ~s1 ~s2 =
     (* s2's small centered coefficients lift inside the transform's copy
        pass; one allocation for the whole product. *)
     let s2h = Ntt.mul_with_forward plan s2 (h_forward plan h) in
-    let ok = ref true in
+    (* c and s2h are both in [0, q): the centered difference and the
+       comparison run without branches (fresh data every signature would
+       mispredict them) and without the divisions of the generic Zq
+       helpers; [q / 2] is hoisted, as ocamlopt does not fold it here. *)
     let q = Zq.q in
+    let half_q = q / 2 in
+    let diff = ref 0 in
     for i = 0 to n - 1 do
-      (* c and s2h are both in [0, q): centered difference without the
-         divisions of the generic Zq helpers. *)
       let d = Array.unsafe_get c i - Array.unsafe_get s2h i in
-      let d = if d < 0 then d + q else d in
-      let d = if d > q / 2 then d - q else d in
-      if d <> Array.unsafe_get s1 i then ok := false
+      let d = d + (q land (d asr 62)) in
+      let d = d - (q land ((half_q - d) asr 62)) in
+      diff := !diff lor (d lxor Array.unsafe_get s1 i)
     done;
-    !ok
+    !diff = 0
   end
 
 let sign ?fault_hook ?(check = true) kp base rng ~msg =

@@ -18,14 +18,7 @@ let threshold_pct = 3.0
 let default_set = Engine.Obs_bench.default_set
 
 let fill sampler out rng =
-  let n = Array.length out in
-  let filled = ref 0 in
-  while !filled < n do
-    let batch = Ctgauss.Sampler.batch_signed sampler rng in
-    let take = min (Array.length batch) (n - !filled) in
-    Array.blit batch 0 out !filled take;
-    filled := !filled + take
-  done
+  Ctgauss.Sampler.fill sampler rng out ~pos:0 ~len:(Array.length out)
 
 (* Minimum over repeated paired estimates, as in Obs_bench.measure: host
    noise is additive on the true defense cost, so the minimum is a sound

@@ -9,8 +9,10 @@ type t = {
   backend : backend;
   mutable cur : int; (* bit buffer, bits served from the LSB up *)
   mutable cur_bits : int; (* bits remaining in [cur] *)
-  mutable block : bytes; (* byte buffer refilled in bulk from the backend *)
-  mutable block_pos : int;
+  block : bytes;
+      (* the current backend block, refilled in place; empty for the
+         Fixed and Byte_fn backends, which never use it *)
+  mutable block_pos : int; (* [block_size] when the block is used up *)
   mutable consumed : int;
   mutable fixed_pos : int;
   mutable health : Health.t option;
@@ -21,12 +23,17 @@ type t = {
 let block_size = 64
 
 let make backend =
+  let block =
+    match backend with
+    | Chacha _ | Shake _ | Splitmix _ -> Bytes.create block_size
+    | Fixed _ | Byte_fn _ -> Bytes.empty
+  in
   {
     backend;
     cur = 0;
     cur_bits = 0;
-    block = Bytes.create 0;
-    block_pos = 0;
+    block;
+    block_pos = block_size;
     consumed = 0;
     fixed_pos = 0;
     health = None;
@@ -41,8 +48,21 @@ let of_byte_fn f = make (Byte_fn f)
 let attach_health t h = t.health <- Some h
 let health t = t.health
 
-(* Next raw byte from the backend, buffered a block at a time.  A fresh
-   block is health-scanned in full before its first byte is served. *)
+(* Overwrite [t.block] with the backend's next block.  A fresh block is
+   health-scanned in full before its first byte is served. *)
+let refill_block t =
+  (match t.backend with
+  | Chacha c -> Chacha20.next_bytes_into c t.block 0 block_size
+  | Shake x -> Keccak.squeeze_into x t.block
+  | Splitmix s ->
+    for i = 0 to (block_size / 8) - 1 do
+      Bytes.set_int64_le t.block (8 * i) (Splitmix64.next s)
+    done
+  | Fixed _ | Byte_fn _ -> assert false);
+  (match t.health with Some h -> Health.scan_block h t.block | None -> ());
+  t.block_pos <- 0
+
+(* Next raw byte from the backend, buffered a block at a time. *)
 let raw_byte t =
   match t.backend with
   | Byte_fn f ->
@@ -50,25 +70,8 @@ let raw_byte t =
     (match t.health with Some h -> Health.check_byte h v | None -> ());
     v
   | Chacha _ | Shake _ | Splitmix _ | Fixed _ ->
-    if t.block_pos >= Bytes.length t.block then begin
-      (match t.backend with
-      | Chacha c -> t.block <- Chacha20.next_bytes c block_size
-      | Shake x -> t.block <- Keccak.squeeze x block_size
-      | Splitmix s ->
-        let b = Bytes.create block_size in
-        for i = 0 to (block_size / 8) - 1 do
-          let v = ref (Splitmix64.next s) in
-          for j = 0 to 7 do
-            Bytes.set b ((8 * i) + j) (Char.chr (Int64.to_int !v land 0xff));
-            v := Int64.shift_right_logical !v 8
-          done
-        done;
-        t.block <- b
-      | Fixed _ | Byte_fn _ -> assert false);
-      (match t.health with Some h -> Health.scan_block h t.block | None -> ());
-      t.block_pos <- 0
-    end;
-    let v = Char.code (Bytes.get t.block t.block_pos) in
+    if t.block_pos >= block_size then refill_block t;
+    let v = Char.code (Bytes.unsafe_get t.block t.block_pos) in
     t.block_pos <- t.block_pos + 1;
     v
 
@@ -106,9 +109,22 @@ let next_bits t k =
   t.consumed <- t.consumed + k;
   v
 
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+(* Unaligned native-endian 64-bit load; the int64 stays unboxed because
+   [Int64.to_int] consumes it immediately. *)
+
+let word_of_bytes t =
+  let acc = ref 0 in
+  for i = 0 to 7 do
+    acc := !acc lor (raw_byte t lsl (8 * i))
+  done;
+  !acc
+
 (* Hot path of the bitsliced sampler: one 63-bit lane word per variable.
-   Real backends serve whole bytes (the 64th bit is dropped but counted);
-   the Fixed backend keeps exact bit order for the equivalence tests. *)
+   Real backends serve whole bytes, little-endian (the 64th bit is dropped
+   but counted); a word that fits in the current block is one 8-byte
+   load, one that straddles two blocks goes byte by byte.  The Fixed
+   backend keeps exact bit order for the equivalence tests. *)
 let next_word t =
   match t.backend with
   | Fixed _ ->
@@ -116,13 +132,22 @@ let next_word t =
     let mid = next_bits t 31 in
     let hi = next_bit t in
     lo lor (mid lsl 31) lor (hi lsl 62)
-  | Chacha _ | Shake _ | Splitmix _ | Byte_fn _ ->
-    let acc = ref 0 in
-    for i = 0 to 7 do
-      acc := !acc lor (raw_byte t lsl (8 * i))
-    done;
+  | Byte_fn _ ->
+    let w = word_of_bytes t in
     t.consumed <- t.consumed + 64;
-    !acc
+    w
+  | Chacha _ | Shake _ | Splitmix _ ->
+    if t.block_pos >= block_size then refill_block t;
+    let pos = t.block_pos in
+    let w =
+      if pos <= block_size - 8 && not Sys.big_endian then begin
+        t.block_pos <- pos + 8;
+        Int64.to_int (get64u t.block pos)
+      end
+      else word_of_bytes t
+    in
+    t.consumed <- t.consumed + 64;
+    w
 
 let next_byte t = next_bits t 8
 let bits_consumed t = t.consumed

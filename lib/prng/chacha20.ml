@@ -2,11 +2,13 @@
 
 let mask32 = 0xFFFF_FFFF
 
+let block_size = 64
+
 type t = {
   state : int array; (* 16 words: constants, key, counter, nonce *)
   mutable counter : int;
-  mutable buf : bytes;
-  mutable buf_pos : int;
+  buf : bytes; (* keystream left over from a partial [next_bytes] *)
+  mutable buf_pos : int; (* [block_size] when nothing is buffered *)
   mutable blocks : int;
 }
 
@@ -37,7 +39,13 @@ let create ~key ~nonce =
   for i = 0 to 2 do
     state.(13 + i) <- word_of_le nonce (4 * i)
   done;
-  { state; counter = 0; buf = Bytes.create 0; buf_pos = 0; blocks = 0 }
+  {
+    state;
+    counter = 0;
+    buf = Bytes.create block_size;
+    buf_pos = block_size;
+    blocks = 0;
+  }
 
 (* Simple deterministic expansion of an arbitrary string into key||nonce;
    not a KDF, only for reproducible tests and benchmarks. *)
@@ -63,51 +71,113 @@ let key_of_seed seed = Bytes.sub (material_of_seed seed) 0 32
 
 let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask32
 
-let quarter_round st a b c d =
-  st.(a) <- (st.(a) + st.(b)) land mask32;
-  st.(d) <- rotl (st.(d) lxor st.(a)) 16;
-  st.(c) <- (st.(c) + st.(d)) land mask32;
-  st.(b) <- rotl (st.(b) lxor st.(c)) 12;
-  st.(a) <- (st.(a) + st.(b)) land mask32;
-  st.(d) <- rotl (st.(d) lxor st.(a)) 8;
-  st.(c) <- (st.(c) + st.(d)) land mask32;
-  st.(b) <- rotl (st.(b) lxor st.(c)) 7
+external set32u : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+(* Little-endian store of a 32-bit word; the int32 stays unboxed because
+   the primitive consumes it directly. *)
+let store dst off w =
+  if Sys.big_endian then le_of_word dst off w
+  else set32u dst off (Int32.of_int w)
+
+(* The block function on 16 local refs, which ocamlopt keeps in registers
+   (or stack slots) because none escapes: no state copy, no allocation. *)
+let block_into t counter dst off =
+  if off < 0 || off > Bytes.length dst - block_size then
+    invalid_arg "Chacha20.block_into";
+  let s = t.state in
+  let x0 = ref s.(0) and x1 = ref s.(1) and x2 = ref s.(2) and x3 = ref s.(3) in
+  let x4 = ref s.(4) and x5 = ref s.(5) and x6 = ref s.(6) and x7 = ref s.(7) in
+  let x8 = ref s.(8) and x9 = ref s.(9) and x10 = ref s.(10) and x11 = ref s.(11) in
+  let c = counter land mask32 in
+  let x12 = ref c in
+  let x13 = ref s.(13) and x14 = ref s.(14) and x15 = ref s.(15) in
+  for _ = 1 to 10 do
+    (* column round *)
+    x0 := (!x0 + !x4) land mask32; x12 := rotl (!x12 lxor !x0) 16;
+    x8 := (!x8 + !x12) land mask32; x4 := rotl (!x4 lxor !x8) 12;
+    x0 := (!x0 + !x4) land mask32; x12 := rotl (!x12 lxor !x0) 8;
+    x8 := (!x8 + !x12) land mask32; x4 := rotl (!x4 lxor !x8) 7;
+    x1 := (!x1 + !x5) land mask32; x13 := rotl (!x13 lxor !x1) 16;
+    x9 := (!x9 + !x13) land mask32; x5 := rotl (!x5 lxor !x9) 12;
+    x1 := (!x1 + !x5) land mask32; x13 := rotl (!x13 lxor !x1) 8;
+    x9 := (!x9 + !x13) land mask32; x5 := rotl (!x5 lxor !x9) 7;
+    x2 := (!x2 + !x6) land mask32; x14 := rotl (!x14 lxor !x2) 16;
+    x10 := (!x10 + !x14) land mask32; x6 := rotl (!x6 lxor !x10) 12;
+    x2 := (!x2 + !x6) land mask32; x14 := rotl (!x14 lxor !x2) 8;
+    x10 := (!x10 + !x14) land mask32; x6 := rotl (!x6 lxor !x10) 7;
+    x3 := (!x3 + !x7) land mask32; x15 := rotl (!x15 lxor !x3) 16;
+    x11 := (!x11 + !x15) land mask32; x7 := rotl (!x7 lxor !x11) 12;
+    x3 := (!x3 + !x7) land mask32; x15 := rotl (!x15 lxor !x3) 8;
+    x11 := (!x11 + !x15) land mask32; x7 := rotl (!x7 lxor !x11) 7;
+    (* diagonal round *)
+    x0 := (!x0 + !x5) land mask32; x15 := rotl (!x15 lxor !x0) 16;
+    x10 := (!x10 + !x15) land mask32; x5 := rotl (!x5 lxor !x10) 12;
+    x0 := (!x0 + !x5) land mask32; x15 := rotl (!x15 lxor !x0) 8;
+    x10 := (!x10 + !x15) land mask32; x5 := rotl (!x5 lxor !x10) 7;
+    x1 := (!x1 + !x6) land mask32; x12 := rotl (!x12 lxor !x1) 16;
+    x11 := (!x11 + !x12) land mask32; x6 := rotl (!x6 lxor !x11) 12;
+    x1 := (!x1 + !x6) land mask32; x12 := rotl (!x12 lxor !x1) 8;
+    x11 := (!x11 + !x12) land mask32; x6 := rotl (!x6 lxor !x11) 7;
+    x2 := (!x2 + !x7) land mask32; x13 := rotl (!x13 lxor !x2) 16;
+    x8 := (!x8 + !x13) land mask32; x7 := rotl (!x7 lxor !x8) 12;
+    x2 := (!x2 + !x7) land mask32; x13 := rotl (!x13 lxor !x2) 8;
+    x8 := (!x8 + !x13) land mask32; x7 := rotl (!x7 lxor !x8) 7;
+    x3 := (!x3 + !x4) land mask32; x14 := rotl (!x14 lxor !x3) 16;
+    x9 := (!x9 + !x14) land mask32; x4 := rotl (!x4 lxor !x9) 12;
+    x3 := (!x3 + !x4) land mask32; x14 := rotl (!x14 lxor !x3) 8;
+    x9 := (!x9 + !x14) land mask32; x4 := rotl (!x4 lxor !x9) 7
+  done;
+  store dst off ((!x0 + s.(0)) land mask32);
+  store dst (off + 4) ((!x1 + s.(1)) land mask32);
+  store dst (off + 8) ((!x2 + s.(2)) land mask32);
+  store dst (off + 12) ((!x3 + s.(3)) land mask32);
+  store dst (off + 16) ((!x4 + s.(4)) land mask32);
+  store dst (off + 20) ((!x5 + s.(5)) land mask32);
+  store dst (off + 24) ((!x6 + s.(6)) land mask32);
+  store dst (off + 28) ((!x7 + s.(7)) land mask32);
+  store dst (off + 32) ((!x8 + s.(8)) land mask32);
+  store dst (off + 36) ((!x9 + s.(9)) land mask32);
+  store dst (off + 40) ((!x10 + s.(10)) land mask32);
+  store dst (off + 44) ((!x11 + s.(11)) land mask32);
+  store dst (off + 48) ((!x12 + c) land mask32);
+  store dst (off + 52) ((!x13 + s.(13)) land mask32);
+  store dst (off + 56) ((!x14 + s.(14)) land mask32);
+  store dst (off + 60) ((!x15 + s.(15)) land mask32);
+  t.blocks <- t.blocks + 1
 
 let block t counter =
-  let init = Array.copy t.state in
-  init.(12) <- counter land mask32;
-  let st = Array.copy init in
-  for _ = 1 to 10 do
-    quarter_round st 0 4 8 12;
-    quarter_round st 1 5 9 13;
-    quarter_round st 2 6 10 14;
-    quarter_round st 3 7 11 15;
-    quarter_round st 0 5 10 15;
-    quarter_round st 1 6 11 12;
-    quarter_round st 2 7 8 13;
-    quarter_round st 3 4 9 14
-  done;
-  let out = Bytes.create 64 in
-  for i = 0 to 15 do
-    le_of_word out (4 * i) ((st.(i) + init.(i)) land mask32)
-  done;
-  t.blocks <- t.blocks + 1;
+  let out = Bytes.create block_size in
+  block_into t counter out 0;
   out
+
+(* Whole blocks go straight into [dst] while nothing is buffered; only a
+   ragged head or tail passes through [t.buf]. *)
+let next_bytes_into t dst off n =
+  if off < 0 || n < 0 || off > Bytes.length dst - n then
+    invalid_arg "Chacha20.next_bytes_into";
+  let pos = ref 0 in
+  while !pos < n do
+    if t.buf_pos >= block_size && n - !pos >= block_size then begin
+      block_into t t.counter dst (off + !pos);
+      t.counter <- t.counter + 1;
+      pos := !pos + block_size
+    end
+    else begin
+      if t.buf_pos >= block_size then begin
+        block_into t t.counter t.buf 0;
+        t.counter <- t.counter + 1;
+        t.buf_pos <- 0
+      end;
+      let take = min (n - !pos) (block_size - t.buf_pos) in
+      Bytes.blit t.buf t.buf_pos dst (off + !pos) take;
+      t.buf_pos <- t.buf_pos + take;
+      pos := !pos + take
+    end
+  done
 
 let next_bytes t n =
   let out = Bytes.create n in
-  let pos = ref 0 in
-  while !pos < n do
-    if t.buf_pos >= Bytes.length t.buf then begin
-      t.buf <- block t t.counter;
-      t.counter <- t.counter + 1;
-      t.buf_pos <- 0
-    end;
-    let take = min (n - !pos) (Bytes.length t.buf - t.buf_pos) in
-    Bytes.blit t.buf t.buf_pos out !pos take;
-    t.buf_pos <- t.buf_pos + take;
-    pos := !pos + take
-  done;
+  next_bytes_into t out 0 n;
   out
 
 let blocks_generated t = t.blocks

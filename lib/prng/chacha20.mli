@@ -17,8 +17,22 @@ val key_of_seed : string -> bytes
     (the engine's stream forking) pair one master key with per-worker
     nonces so that parallel lanes draw disjoint keystreams. *)
 
+val block_size : int
+(** 64 bytes. *)
+
+val block_into : t -> int -> bytes -> int -> unit
+(** [block_into t counter dst off] writes the raw keystream block for
+    [counter] to [dst.[off .. off + 63]] without allocating.
+    @raise Invalid_argument if the range does not fit in [dst]. *)
+
 val block : t -> int -> bytes
-(** [block t counter] is the raw 64-byte keystream block. *)
+(** [block t counter] is the raw 64-byte keystream block ({!block_into}
+    into a fresh buffer). *)
+
+val next_bytes_into : t -> bytes -> int -> int -> unit
+(** [next_bytes_into t dst off n] writes the next [n] keystream bytes to
+    [dst.[off .. off + n - 1]].  Whole blocks are generated in place.
+    @raise Invalid_argument if the range does not fit in [dst]. *)
 
 val next_bytes : t -> int -> bytes
 (** Stateful: return the next [n] keystream bytes. *)

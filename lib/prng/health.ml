@@ -44,6 +44,9 @@ let ones_slack = 1196
    one [land] instead of a dedicated counter per test — this halves the
    mutable-field traffic on the per-unit hot path. *)
 let () =
+  (* ... and all of them at least 16 units, so windows open and close
+     only on 64-byte block edges, which [scan64] relies on *)
+  assert (apt_window >= 16 && stuck_window >= 4 && ones_window_units >= 4);
   assert (apt_window land (apt_window - 1) = 0);
   assert (stuck_window land (stuck_window - 1) = 0);
   assert (ones_window_units land (ones_window_units - 1) = 0)
@@ -180,22 +183,28 @@ let check_byte t b =
     check_unit t u
   end
 
-(* Block scan — the production hot path: every backend block is
-   scanned before a byte of it is served.  The fast loop below handles
-   the statistically overwhelming case (nothing repeats, no window
-   rolls over) with the state in the argument registers of a
-   tail-recursive quad loop: four unaligned 32-bit loads, seven
-   equality compares, and one SWAR popcount of the quad's sampled
-   unit.  It can never raise; the moment anything looks interesting —
-   two equal consecutive units (a repetition run starting), a unit
-   colliding with the APT reference, or any window boundary inside the
-   block — it writes the state back and replays the rest of the block
-   through [check_unit], the exact path.  Blocks are misaligned with
-   the unit counter only under mixed byte/block feeding, which also
-   takes the exact path. *)
+(* Block scan — the production hot path: every 64-byte backend block is
+   scanned before a byte of it is served.  The fast path handles the
+   statistically overwhelming case (nothing repeats, no window fails):
+   one loop over the block's eight 64-bit words compares each unit with
+   its predecessor and the APT reference, then the four sampled units
+   feed the stuck-bit accumulators and one shared SWAR popcount.  It
+   allocates nothing, keeps the units in registers (a straight-line
+   version spilled all sixteen to the stack), and touches the state
+   record once on each side.  Window boundaries stay on the fast path —
+   with the unit counter at a multiple of 16, an APT window can only
+   open on the block's first unit and the sampled windows can only
+   close on its last, where a passing window just resets its
+   accumulator.  The moment anything looks interesting — two equal
+   consecutive units (a repetition run starting), a unit colliding with
+   the APT reference, or a closing window that would fail — nothing has
+   been written yet, and the whole block is replayed through
+   [check_unit], the exact path, which raises where it should.  Blocks
+   of other sizes or misaligned with the unit counter (mixed byte/block
+   feeding) take the exact path too. *)
 
-external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
-(* Compiler primitive: unaligned native-endian 32-bit load; ocamlopt
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+(* Compiler primitive: unaligned native-endian 64-bit load; ocamlopt
    keeps the result unboxed when it is consumed immediately. *)
 
 let unit_le buf base =
@@ -204,64 +213,98 @@ let unit_le buf base =
   lor (Char.code (Bytes.unsafe_get buf (base + 2)) lsl 16)
   lor (Char.code (Bytes.unsafe_get buf (base + 3)) lsl 24)
 
-let exact t buf i full =
-  for k = i to full - 1 do
+let exact t buf =
+  for k = 0 to (Bytes.length buf / 4) - 1 do
     check_unit t (unit_le buf (4 * k))
   done
 
-let scan_block t buf =
-  let full = Bytes.length buf / 4 in
-  (* Trailing bytes (blocks are 64 bytes in practice, so none) are
-     ignored. *)
-  let count0 = t.units in
-  let apt_phase = count0 land (apt_window - 1) in
+(* The two units of a little-endian 64-bit word: unit 2k and 2k + 1 of
+   a block are [lo] and [hi] of its k-th word. *)
+let[@inline] lo w = Int64.to_int w land 0xFFFFFFFF
+let[@inline] hi w = Int64.to_int (Int64.shift_right_logical w 32)
+let[@inline] word buf k = get64u buf (8 * k)
+
+(* Ones in the four sampled units 3, 7, 11 and 15 — the high halves of
+   words 1, 3, 5 and 7 — two units per 64-bit SWAR popcount, with one
+   shared multiply for the final byte sum. *)
+let[@inline] byte_counts64 x =
+  let open Int64 in
+  let x = sub x (logand (shift_right_logical x 1) 0x5555555555555555L) in
+  let x =
+    add (logand x 0x3333333333333333L)
+      (logand (shift_right_logical x 2) 0x3333333333333333L)
+  in
+  logand (add x (shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL
+
+(* The high units of words [k] and [k + 2] side by side. *)
+let[@inline] high_pair buf k =
+  Int64.logor
+    (Int64.shift_right_logical (word buf k) 32)
+    (Int64.logand (word buf (k + 2)) 0xFFFFFFFF00000000L)
+
+let sampled_ones buf =
+  let open Int64 in
+  let counts =
+    add (byte_counts64 (high_pair buf 1)) (byte_counts64 (high_pair buf 5))
+  in
+  to_int (shift_right_logical (mul counts 0x0101010101010101L) 56)
+
+(* No unit of words [k..7] equals its predecessor ([prev] precedes word
+   [k]) or the APT reference [aref]. *)
+let rec fresh_words buf k prev aref =
+  k = 8
+  ||
+  let w = word buf k in
+  let a = lo w and b = hi w in
+  a <> prev && a <> aref && b <> a && b <> aref && fresh_words buf (k + 1) b aref
+
+let scan64 t buf =
+  let count = t.units in
+  let w0 = word buf 0 in
+  let u0 = lo w0 and u1 = hi w0 in
+  (* u0 opens an APT window when its index is a window multiple; it is
+     then the new reference and is not compared with the old one *)
+  let opening = count land (apt_window - 1) = 0 in
+  let aref = if opening then u0 else t.apt_ref in
   if
-    Sys.big_endian (* get32u is native-endian; stay byte-exact *)
-    || full land 3 <> 0
-    || count0 land 3 <> 0
-    || apt_phase = 0
-    || apt_phase + full > apt_window
-    || (count0 land ((4 * stuck_window) - 1)) + full >= 4 * stuck_window
-  then exact t buf 0 full
+    not
+      (u0 <> t.last
+      && (opening || u0 <> aref)
+      && u1 <> u0 && u1 <> aref
+      && fresh_words buf 1 u1 aref)
+  then exact t buf
   else begin
-    let aref = t.apt_ref in
-    let rec go i count last run and_acc or_acc ones =
-      if i >= full then begin
-        t.units <- count;
-        t.last <- last;
-        t.run <- run;
-        t.and_acc <- and_acc;
-        t.or_acc <- or_acc;
-        t.ones <- ones
-      end
-      else begin
-        let base = 4 * i in
-        let u0 = Int32.to_int (get32u buf base) land 0xFFFFFFFF in
-        let u1 = Int32.to_int (get32u buf (base + 4)) land 0xFFFFFFFF in
-        let u2 = Int32.to_int (get32u buf (base + 8)) land 0xFFFFFFFF in
-        let u3 = Int32.to_int (get32u buf (base + 12)) land 0xFFFFFFFF in
-        if
-          u0 = last || u1 = u0 || u2 = u1 || u3 = u2 || u0 = aref
-          || u1 = aref || u2 = aref || u3 = aref
-        then begin
-          t.units <- count;
-          t.last <- last;
-          t.run <- run;
-          t.and_acc <- and_acc;
-          t.or_acc <- or_acc;
-          t.ones <- ones;
-          exact t buf i full
-        end
-        else begin
-          (* count ≡ 0 (mod 4) here, so the sampled indices land on the
-             u3 of every quad *)
-          let x = u3 - ((u3 lsr 1) land 0x55555555) in
-          let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
-          let x = (x + (x lsr 4)) land 0x0F0F0F0F in
-          go (i + 4) (count + 4) u3 1 (and_acc land u3) (or_acc lor u3)
-            (ones + ((x * 0x01010101) lsr 24 land 0xFF))
-        end
-      end
-    in
-    go 0 count0 t.last t.run t.and_acc t.or_acc t.ones
+    (* the sampled units 3, 7, 11 and 15 *)
+    let next = count + 16 in
+    let s3 = hi (word buf 1) and s7 = hi (word buf 3) in
+    let s11 = hi (word buf 5) and s15 = hi (word buf 7) in
+    let and_acc = t.and_acc land s3 land s7 land s11 land s15 in
+    let or_acc = t.or_acc lor s3 lor s7 lor s11 lor s15 in
+    let ones = t.ones + sampled_ones buf in
+    let stuck_end = next land ((4 * stuck_window) - 1) = 0 in
+    let ones_end = next land ((4 * ones_window_units) - 1) = 0 in
+    if
+      (stuck_end && (and_acc <> 0 || or_acc <> 0xFFFFFFFF))
+      || (ones_end && abs (ones - (16 * ones_window_units)) > ones_slack)
+    then exact t buf
+    else begin
+      t.units <- next;
+      t.last <- s15;
+      t.run <- 1;
+      if opening then begin
+        t.apt_ref <- aref;
+        t.apt_count <- 1
+      end;
+      t.and_acc <- (if stuck_end then 0xFFFFFFFF else and_acc);
+      t.or_acc <- (if stuck_end then 0 else or_acc);
+      t.ones <- (if ones_end then 0 else ones)
+    end
   end
+
+let scan_block t buf =
+  if
+    Sys.big_endian (* get64u is native-endian; stay byte-exact *)
+    || Bytes.length buf <> 64
+    || t.units land 15 <> 0
+  then exact t buf
+  else scan64 t buf

@@ -100,9 +100,8 @@ let absorb ~rate ~suffix msg =
 let shake128 msg = absorb ~rate:168 ~suffix:0x1f msg
 let shake256 msg = absorb ~rate:136 ~suffix:0x1f msg
 
-let squeeze t n =
-  let out = Bytes.create n in
-  for i = 0 to n - 1 do
+let squeeze_into t out =
+  for i = 0 to Bytes.length out - 1 do
     if t.pos = t.rate then begin
       keccak_f t.state;
       t.perms <- t.perms + 1;
@@ -110,7 +109,11 @@ let squeeze t n =
     end;
     Bytes.set out i (Char.chr (byte_of_state t.state t.pos));
     t.pos <- t.pos + 1
-  done;
+  done
+
+let squeeze t n =
+  let out = Bytes.create n in
+  squeeze_into t out;
   out
 
 let permutations t = t.perms

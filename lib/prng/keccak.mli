@@ -13,6 +13,10 @@ val shake256 : bytes -> xof
 val squeeze : xof -> int -> bytes
 (** Produce the next [n] output bytes; may be called repeatedly. *)
 
+val squeeze_into : xof -> bytes -> unit
+(** Overwrite the whole buffer with the next output bytes ([squeeze]
+    without the allocation). *)
+
 val permutations : xof -> int
 (** Number of Keccak-f[1600] permutations run so far (cost accounting). *)
 

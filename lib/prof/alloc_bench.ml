@@ -39,14 +39,7 @@ let threshold_pct = 3.0
 let default_set = [ ("1", 128); ("2", 128); ("6.15543", 128); ("215", 16) ]
 
 let run_fill sampler out rng =
-  let n = Array.length out in
-  let filled = ref 0 in
-  while !filled < n do
-    let batch = Ctgauss.Sampler.batch_signed sampler rng in
-    let take = min (Array.length batch) (n - !filled) in
-    Array.blit batch 0 out !filled take;
-    filled := !filled + take
-  done
+  Ctgauss.Sampler.fill sampler rng out ~pos:0 ~len:(Array.length out)
 
 (* Words allocated on this domain by [f]: minor + major direct, minus the
    promoted words that both counters saw.  [Gc.full_major] first so

@@ -310,6 +310,64 @@ let pool_tests =
               (reassemble (List.sort compare !chunks))));
   ]
 
+(* The sampling hot path allocates nothing: a regression (a fresh array
+   per batch, a copied PRNG block) shows up as words per sample.  Gc
+   counters are per domain, so pool work is measured on the worker from
+   its fault hook, which runs at the start of every chunk. *)
+let sampler_64 =
+  lazy (Ctgauss.Sampler.create ~sigma:"2" ~precision:64 ~tail_cut:13 ())
+
+(* Words allocated on this domain by [f], minor and major. *)
+let alloc_words f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+let alloc_tests =
+  [
+    Alcotest.test_case "Sampler.sample allocates nothing after warm-up" `Quick
+      (fun () ->
+        let s = Ctgauss.Sampler.clone (Lazy.force sampler_64) in
+        (* A forked lane carries the entropy health tests, as in the pool. *)
+        let rng = E.Stream_fork.bitstream ~seed:"alloc" ~lane:0 () in
+        for _ = 1 to 1000 do
+          ignore (Ctgauss.Sampler.sample s rng)
+        done;
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 10_000 do
+          ignore (Sys.opaque_identity (Ctgauss.Sampler.sample s rng))
+        done;
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check (float 0.0)) "words per sample" 0.0 (words /. 10_000.));
+    Alcotest.test_case "one-domain batch_parallel: only per-call bookkeeping"
+      `Quick (fun () ->
+        let pool =
+          E.Pool.create ~domains:1 ~seed:"alloc" (Lazy.force sampler_64)
+        in
+        Fun.protect ~finally:(fun () -> E.Pool.shutdown pool) (fun () ->
+            let chunks = 6 in
+            let n = chunks * E.Pool.chunk_samples pool in
+            ignore (E.Pool.batch_parallel pool ~n);
+            let marks = Array.make chunks 0.0 in
+            E.Pool.set_fault_hook pool
+              (Some (fun ~chunk ~lane:_ ~attempt:_ -> marks.(chunk) <- Gc.minor_words ()));
+            let caller = alloc_words (fun () -> ignore (E.Pool.batch_parallel pool ~n)) in
+            (* Caller: the returned array (n words and a header, allocated
+               directly in the major heap) plus the job's records. *)
+            let caller_extra = caller -. float_of_int (n + 1) in
+            if caller_extra > 512.0 then
+              Alcotest.failf "caller allocated %.0f words beyond the result" caller_extra;
+            (* Worker: from one chunk's start to the next, a chunk of 1008
+               samples plus its completion may allocate a bounded number of
+               words for spans and metrics, far below one per sample. *)
+            for c = 0 to chunks - 2 do
+              let words = marks.(c + 1) -. marks.(c) in
+              if words > 256.0 then
+                Alcotest.failf "chunk %d allocated %.0f words on the worker" c words
+            done));
+  ]
+
 let sign_many_tests =
   [
     Alcotest.test_case "identical signatures for 1 and 3 domains" `Quick
@@ -361,4 +419,5 @@ let () =
       ("registry", registry_tests);
       ("pool", pool_tests);
       ("sign_many", sign_many_tests);
+      ("alloc", alloc_tests);
     ]

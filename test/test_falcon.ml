@@ -477,6 +477,42 @@ let keypair_codec_tests =
           (F.Codec.decode_keypair truncated = None));
   ]
 
+(* Signing on several domains at once must not share mutable scratch
+   state: each message's signature depends only on its lane. *)
+let multi_domain_tests =
+  [
+    Alcotest.test_case "Falcon-512 sign_many: 2 domains = 1 domain" `Quick
+      (fun () ->
+        let params = F.Params.level2 in
+        let kp = F.Keygen.generate params (rng ()) in
+        let sampler =
+          Ctgauss.Sampler.create ~sigma:"2" ~precision:64 ~tail_cut:13 ()
+        in
+        let make_base () =
+          F.Base_sampler.of_instance
+            (Ctg_samplers.Sampler_sig.of_bitsliced (Ctgauss.Sampler.clone sampler))
+        in
+        let msgs =
+          Array.init 16 (fun i -> Bytes.of_string (Printf.sprintf "batch message %d" i))
+        in
+        let sign domains =
+          F.Sign.sign_many ~domains ~check:true kp ~make_base ~seed:"two-domain"
+            ~msgs
+        in
+        let one = sign 1 and two = sign 2 in
+        let bound_sq = F.Sign.norm_bound_sq params in
+        Array.iteri
+          (fun i (s : F.Sign.signature) ->
+            let r = one.(i) in
+            Alcotest.(check string) "salt" (Bytes.to_string r.F.Sign.salt)
+              (Bytes.to_string s.F.Sign.salt);
+            Alcotest.(check (array int)) "s2" r.F.Sign.s2 s.F.Sign.s2;
+            Alcotest.(check bool) "verifies" true
+              (F.Verify.verify ~params ~h:kp.F.Keygen.h ~bound_sq ~msg:msgs.(i)
+                 ~salt:s.F.Sign.salt ~s2:s.F.Sign.s2))
+          two);
+  ]
+
 let () =
   Alcotest.run "falcon"
     [
@@ -490,4 +526,5 @@ let () =
       ("codec", codec_tests);
       ("keypair-codec", keypair_codec_tests);
       ("ffsampling", ffsampling_tests);
+      ("multi-domain", multi_domain_tests);
     ]

@@ -53,6 +53,41 @@ let chacha_tests =
         let c = Chacha.of_seed "count" in
         ignore (Chacha.next_bytes c 129);
         Alcotest.(check int) "3 blocks for 129 bytes" 3 (Chacha.blocks_generated c));
+    Alcotest.test_case "RFC 7539 block vector through block_into" `Quick
+      (fun () ->
+        let key =
+          Hex.decode
+            "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+        in
+        let nonce = Hex.decode "000000090000004a00000000" in
+        let c = Chacha.create ~key ~nonce in
+        (* Written at an unaligned offset of a larger buffer, whose
+           surrounding bytes must stay untouched. *)
+        let buf = Bytes.make 80 '\xee' in
+        Chacha.block_into c 1 buf 7;
+        hex "block 1"
+          ("10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+         ^ "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e")
+          (Hex.encode (Bytes.sub buf 7 64));
+        hex "head untouched" "ee" (Hex.encode (Bytes.sub buf 6 1));
+        hex "tail untouched" "ee" (Hex.encode (Bytes.sub buf 71 1));
+        Alcotest.check_raises "range checked"
+          (Invalid_argument "Chacha20.block_into") (fun () ->
+            Chacha.block_into c 1 buf 17));
+    Alcotest.test_case "next_bytes_into = next_bytes" `Quick (fun () ->
+        let c1 = Chacha.of_seed "into" and c2 = Chacha.of_seed "into" in
+        let a = Chacha.next_bytes c1 300 in
+        let b = Bytes.create 310 in
+        (* A ragged head, two whole blocks in place, a ragged tail. *)
+        List.fold_left
+          (fun off n ->
+            Chacha.next_bytes_into c2 b off n;
+            off + n)
+          5 [ 3; 128; 100; 69 ]
+        |> ignore;
+        hex "same keystream" (Hex.encode a) (Hex.encode (Bytes.sub b 5 300));
+        Alcotest.(check int) "same blocks" (Chacha.blocks_generated c1)
+          (Chacha.blocks_generated c2));
   ]
 
 let keccak_tests =
@@ -235,6 +270,65 @@ let prop_tests =
           !ok);
     ]
 
+(* The block backend's word path (8-byte loads, block straddles, bulk
+   refills) against the plain byte path over the same keystream: a
+   byte-function stream fed one ChaCha20 byte at a time must serve the
+   same values under any interleaving of the read operations. *)
+type op = Word | Bit | Bits of int | Byte | Bytes_into of int
+
+let show_op = function
+  | Word -> "word"
+  | Bit -> "bit"
+  | Bits k -> Printf.sprintf "bits %d" k
+  | Byte -> "byte"
+  | Bytes_into n -> Printf.sprintf "bytes_into %d" n
+
+let ops_arb =
+  let open QCheck in
+  let op =
+    Gen.frequency
+      [
+        (4, Gen.return Word);
+        (1, Gen.return Bit);
+        (2, Gen.map (fun k -> Bits k) (Gen.int_bound 54));
+        (1, Gen.return Byte);
+        (1, Gen.map (fun n -> Bytes_into n) (Gen.int_bound 150));
+      ]
+  in
+  make
+    ~print:(fun (seed, ops) ->
+      Printf.sprintf "seed %d: %s" seed (String.concat "; " (List.map show_op ops)))
+    Gen.(pair small_nat (list_size (int_range 1 120) op))
+
+let run_op bs = function
+  | Word -> [ Bs.next_word bs ]
+  | Bit -> [ Bs.next_bit bs ]
+  | Bits k -> [ Bs.next_bits bs k ]
+  | Byte -> [ Bs.next_byte bs ]
+  | Bytes_into n ->
+    let b = Bytes.create n in
+    Bs.next_bytes_into bs b;
+    List.init n (fun i -> Char.code (Bytes.get b i))
+
+let word_path_tests =
+  List.map QCheck_alcotest.to_alcotest
+    [
+      QCheck.Test.make ~name:"chacha block path = byte-function path" ~count:300
+        ops_arb (fun (seed, ops) ->
+          let key = Printf.sprintf "equiv-%d" seed in
+          let fast = Bs.of_chacha (Chacha.of_seed key) in
+          let src = Chacha.of_seed key in
+          let slow =
+            Bs.of_byte_fn (fun () -> Char.code (Bytes.get (Chacha.next_bytes src 1) 0))
+          in
+          List.for_all
+            (fun op ->
+              run_op fast op = run_op slow op
+              && Bs.bits_consumed fast = Bs.bits_consumed slow
+              && Bs.prng_work fast = Chacha.blocks_generated src)
+            ops);
+    ]
+
 (* SP 800-90B-style health tests: each defect class must trip its matching
    test, and a fair source must sail through every window. *)
 module Health = Ctg_prng.Health
@@ -318,6 +412,70 @@ let health_tests =
           Alcotest.(check string) "lane label" "lane-test" f.Health.label);
   ]
 
+(* Block scans take a register fast path that falls back to the per-unit
+   checks; both must reach the same verdict, on the same test and with
+   the same report, at every window boundary.  Each case streams enough
+   blocks to close several ones-proportion windows, and from a random
+   block on applies one defect: a stuck bit, a biased source, repeated
+   units at random positions or across block edges, or recurrences of
+   the current APT window's first unit at random positions. *)
+let scan_equivalence =
+  let open QCheck in
+  let defect_arb =
+    make
+      ~print:(fun (seed, kind, start) ->
+        Printf.sprintf "seed %d, defect %d from block %d" seed kind start)
+      Gen.(triple small_nat (int_bound 4) (int_bound 700))
+  in
+  Test.make ~name:"scan_block = check_unit per unit" ~count:100 defect_arb
+    (fun (seed, kind, start) ->
+      let sm = Ctg_prng.Splitmix64.create (Int64.of_int seed) in
+      let blocks = 800 and units = 16 in
+      let prev = ref 0 and window_first = ref 0 in
+      let unit_at b i =
+        let index = (b * units) + i in
+        let u = unit32 sm in
+        let u =
+          if b < start then u
+          else
+            match kind with
+            | 0 -> u lor 0x100
+            | 1 -> u lor unit32 sm
+            | 2 when u land 31 = 0 -> !prev
+            | 3 when u land 31 = 0 && index mod Health.apt_window <> 0 ->
+              !window_first
+            | 4 when (i = 0 || i = units - 1) && u land 7 = 0 -> !prev
+            | _ -> u
+        in
+        if index mod Health.apt_window = 0 then window_first := u;
+        prev := u;
+        u
+      in
+      let stream =
+        Array.init blocks (fun b ->
+            let buf = Bytes.create (4 * units) in
+            for i = 0 to units - 1 do
+              Bytes.set_int32_le buf (4 * i) (Int32.of_int (unit_at b i))
+            done;
+            buf)
+      in
+      let verdict feed =
+        let h = Health.create () in
+        match Array.iter (feed h) stream with
+        | () -> (None, Health.units_checked h)
+        | exception Health.Entropy_failure e ->
+          (Some (Health.test_name e.Health.test, e.Health.detail), Health.units_checked h)
+      in
+      let fast = verdict Health.scan_block in
+      let exact =
+        verdict (fun h buf ->
+            for k = 0 to units - 1 do
+              Health.check_unit h
+                (Int32.to_int (Bytes.get_int32_le buf (4 * k)) land 0xFFFFFFFF)
+            done)
+      in
+      fast = exact)
+
 let () =
   Alcotest.run "prng"
     [
@@ -325,6 +483,7 @@ let () =
       ("keccak", keccak_tests);
       ("bitstream", bitstream_tests);
       ("accounting", accounting_tests);
-      ("health", health_tests);
+      ("health", health_tests @ [ QCheck_alcotest.to_alcotest scan_equivalence ]);
       ("properties", prop_tests);
+      ("word-path", word_path_tests);
     ]
