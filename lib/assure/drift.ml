@@ -51,6 +51,12 @@ type t = {
          the statistic — which is the alarm we want for impossible
          magnitudes. *)
   residual : float;  (* tail + rounding mass beyond the support *)
+  log_q : float array;
+  q_pow : float array;
+      (* [log q] and [q ** (1 - renyi_alpha)] of the conditional law
+         [q = p_v / (1 - residual)] (0 where [p_v = 0]): fixed per
+         monitor, so window evaluations only take logs and powers of the
+         empirical frequencies. *)
   mutex : Mutex.t;
   window : Sketch.t;
   cumulative : Sketch.t;
@@ -78,11 +84,16 @@ let create ?(config = default_config) ?(registry = Registry.default)
   let exact = Distance.exact_probabilities matrix in
   let support = matrix.Ctg_kyao.Matrix.support in
   let expected_freq, residual = expected_model ~matrix in
+  let q_map f =
+    Array.map (fun p -> if p > 0.0 then f (p /. (1.0 -. residual)) else 0.0) exact
+  in
   {
     config;
     exact;
     expected_freq;
     residual;
+    log_q = q_map log;
+    q_pow = q_map (fun q -> q ** (1.0 -. config.renyi_alpha));
     mutex = Mutex.create ();
     window = Sketch.create ~support;
     cumulative = Sketch.create ~support;
@@ -111,20 +122,18 @@ let alpha_at ~alpha k = alpha /. (float_of_int k *. float_of_int (k + 1))
    noise, while real extra mass (overflow or impossible magnitudes) is the
    chi-square's job via the zero-expectation overflow bin. *)
 let divergences t ~emp =
-  let mass = 1.0 -. t.residual in
   let max_log = ref 0.0 in
   let renyi_sum = ref 0.0 and renyi_mass = ref false in
   let a = t.config.renyi_alpha in
-  Array.iteri
-    (fun i e ->
-      if e > 0.0 && t.exact.(i) > 0.0 then begin
-        let q = t.exact.(i) /. mass in
-        let d = abs_float (log e -. log q) in
-        if d > !max_log then max_log := d;
-        renyi_sum := !renyi_sum +. ((e ** a) *. (q ** (1.0 -. a)));
-        renyi_mass := true
-      end)
-    emp;
+  for i = 0 to Array.length emp - 1 do
+    let e = emp.(i) in
+    if e > 0.0 && t.exact.(i) > 0.0 then begin
+      let d = abs_float (log e -. t.log_q.(i)) in
+      if d > !max_log then max_log := d;
+      renyi_sum := !renyi_sum +. ((e ** a) *. t.q_pow.(i));
+      renyi_mass := true
+    end
+  done;
   let renyi =
     if !renyi_mass then Float.max 0.0 (log !renyi_sum /. (a -. 1.0)) else 0.0
   in
@@ -183,12 +192,19 @@ let locked t f =
    [evaluate_window]), keeping the per-sample cost inside the <3% budget
    that BENCH_assure.json gates. *)
 let observe_sub t samples ~pos ~len =
-  locked t (fun () ->
-      Sketch.add_sub t.window samples ~pos ~len;
-      Registry.add t.c_samples len;
-      while Sketch.total t.window >= t.config.window do
-        ignore (evaluate_window t)
-      done)
+  (* [locked] without its per-call closure and [Fun.protect] frame. *)
+  Mutex.lock t.mutex;
+  match
+    Sketch.add_sub t.window samples ~pos ~len;
+    Registry.add t.c_samples len;
+    while Sketch.total t.window >= t.config.window do
+      ignore (evaluate_window t)
+    done
+  with
+  | () -> Mutex.unlock t.mutex
+  | exception e ->
+    Mutex.unlock t.mutex;
+    raise e
 
 let observe t samples = observe_sub t samples ~pos:0 ~len:(Array.length samples)
 

@@ -16,6 +16,13 @@ let add t v =
   else t.overflow <- t.overflow + 1;
   t.total <- t.total + 1
 
+(* [Stdlib.abs] branches on the sign, and a Gaussian sample's sign is a
+   coin flip, so it mispredicts every other sample; the mask form costs
+   three ALU ops.  Equal to [abs] on every int ([min_int] included). *)
+let[@inline] magnitude v =
+  let s = v asr (Sys.int_size - 1) in
+  (v lxor s) - s
+
 (* The always-on hot loop (every engine chunk flows through here): one
    bounds test and one increment per sample, totals folded in once at the
    end.  [pos/len] are validated up front and [m < support+1] guards the
@@ -27,7 +34,7 @@ let add_sub t a ~pos ~len =
   let bins = Array.length counts in
   let ov = ref 0 in
   for i = pos to pos + len - 1 do
-    let m = abs (Array.unsafe_get a i) in
+    let m = magnitude (Array.unsafe_get a i) in
     if m < bins then
       Array.unsafe_set counts m (Array.unsafe_get counts m + 1)
     else incr ov

@@ -125,11 +125,12 @@ let fill t rng dst ~pos ~len =
     invalid_arg "Sampler.fill";
   let stop = pos + len in
   let i = ref pos in
+  (* [Stdlib.min] is polymorphic: a C compare call per batch. *)
   while !i < stop do
-    let take = min Bitslice.lanes (stop - !i) in
-    if take = Bitslice.lanes then batch_signed_into t rng dst !i
-    else Array.blit (batch_signed t rng) 0 dst !i take;
-    i := !i + take
+    let rest = stop - !i in
+    if rest >= Bitslice.lanes then batch_signed_into t rng dst !i
+    else Array.blit (batch_signed t rng) 0 dst !i rest;
+    i := !i + Bitslice.lanes
   done
 
 let sample t rng =

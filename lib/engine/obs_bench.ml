@@ -25,52 +25,24 @@ let default_set = [ ("1", 128); ("2", 128); ("6.15543", 128); ("215", 16) ]
 let run_plain sampler out rng =
   Ctgauss.Sampler.fill sampler rng out ~pos:0 ~len:(Array.length out)
 
-(* The production loop of [Pool.run_chunk]: per-batch CT checks with
-   field reads, registry traffic once per chunk. *)
+(* The production loop of [Pool.run_chunk]: {!Pool.fill_chunk} per chunk,
+   inside the chunk span (a no-op unless the traced arm enables it). *)
 let run_metered sampler out rng ~chunk_samples ~metrics ~ctmon =
   let n = Array.length out in
+  let gate_count = Ctgauss.Sampler.gate_count sampler in
   let pos = ref 0 in
   while !pos < n do
-    let count = min chunk_samples (n - !pos) in
-    let out_pos = !pos in
-    let filled = ref 0 in
-    let batches = ref 0 in
-    let deviations = ref 0 and fallbacks = ref 0 in
-    let bits_start = Bs.bits_consumed rng in
-    let resamples0 = Ctgauss.Sampler.resamples sampler in
-    let t_fill = Obs.Clock.now_ns () in
-    Obs.Trace.with_span "chunk" ~cat:"engine"
-      ~args:(fun () ->
-        [ ("samples", string_of_int count); ("batches", string_of_int !batches) ])
-      (fun () ->
-        let bits = ref bits_start and res = ref resamples0 in
-        let expected = ref 0 in
-        while !filled < count do
-          let take = min Ctgauss.Bitslice.lanes (count - !filled) in
-          Ctgauss.Sampler.fill sampler rng out ~pos:(out_pos + !filled) ~len:take;
-          let bits1 = Bs.bits_consumed rng in
-          let res1 = Ctgauss.Sampler.resamples sampler in
-          let dbits = bits1 - !bits in
-          if res1 > !res then incr fallbacks
-          else begin
-            if !expected = 0 then expected := Obs.Ctmon.learn ctmon dbits;
-            if dbits <> !expected then incr deviations
-          end;
-          bits := bits1;
-          res := res1;
-          incr batches;
-          filled := !filled + take
-        done);
-    Metrics.observe_chunk_service metrics (Obs.Clock.now_ns () - t_fill);
-    Metrics.record metrics ~domain:0 ~samples:count ~batches:!batches
-      ~bits:(Bs.bits_consumed rng - bits_start)
-      ~work:(Bs.prng_work rng)
-      ~gates:(!batches * Ctgauss.Sampler.gate_count sampler);
-    Metrics.add_fallback metrics (Ctgauss.Sampler.resamples sampler - resamples0);
-    Obs.Ctmon.record_chunk ctmon ~batches:!batches
-      ~bits:(Bs.bits_consumed rng - bits_start)
-      ~samples:count ~deviations:!deviations ~fallbacks:!fallbacks;
-    pos := !pos + count
+    let len = if n - !pos < chunk_samples then n - !pos else chunk_samples in
+    let fill () =
+      Pool.fill_chunk ~metrics ~ctmon ~domain:0 ~gate_count sampler rng out
+        ~pos:!pos ~len
+    in
+    if not (Obs.Trace.is_enabled ()) then fill ()
+    else
+      Obs.Trace.with_span "chunk" ~cat:"engine"
+        ~args:(fun () -> [ ("samples", string_of_int len) ])
+        fill;
+    pos := !pos + len
   done
 
 let median a =

@@ -241,6 +241,56 @@ let abort_job (j : job) err =
   Workq.fail j.wq err;
   match j.sink with Queue_sink q -> Chunkq.wake q | Array_sink _ -> ()
 
+let batches_of len = (len + Ctgauss.Bitslice.lanes - 1) / Ctgauss.Bitslice.lanes
+
+(* The bitsliced chunk body, shared with {!Obs_bench} so the overhead
+   benchmark times the production loop.  Batches go straight into the
+   output slice.  CT check: every batch of a constant-time program draws
+   the same number of bits, so each batch is classified with plain field
+   reads — one batch's end readings are the next one's start readings,
+   and the learned expectation never changes once set.  Fallback batches
+   (the sampler's declared escape) never teach the monitor: at low
+   precision the first batch can take the fallback path, and learning its
+   data-dependent bit count would flag every normal batch.  The registry
+   is touched once per chunk, not per batch.  Full batches call
+   [batch_signed_into] directly: [Sampler.fill]'s range check and
+   [Stdlib.min] (a polymorphic C compare) would cost more per batch than
+   the classification itself. *)
+let fill_chunk ~metrics ~ctmon ~domain ~gate_count sampler rng out ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length out - len then
+    invalid_arg "Pool.fill_chunk";
+  let t_fill = Clock.now_ns () in
+  let lanes = Ctgauss.Bitslice.lanes in
+  let bits0 = Bs.bits_consumed rng and work0 = Bs.prng_work rng in
+  let resamples0 = Ctgauss.Sampler.resamples sampler in
+  let bits = ref bits0 and res = ref resamples0 in
+  let expected = ref 0 and deviations = ref 0 and fallbacks = ref 0 in
+  let stop = pos + len in
+  let i = ref pos in
+  while !i < stop do
+    let rest = stop - !i in
+    if rest >= lanes then Ctgauss.Sampler.batch_signed_into sampler rng out !i
+    else Ctgauss.Sampler.fill sampler rng out ~pos:!i ~len:rest;
+    let bits1 = Bs.bits_consumed rng in
+    let res1 = Ctgauss.Sampler.resamples sampler in
+    let dbits = bits1 - !bits in
+    if res1 > !res then incr fallbacks
+    else begin
+      if !expected = 0 then expected := Ctmon.learn ctmon dbits;
+      if dbits <> !expected then incr deviations
+    end;
+    bits := bits1;
+    res := res1;
+    i := !i + lanes
+  done;
+  let batches = batches_of len and bits = !bits - bits0 in
+  Metrics.observe_chunk_service metrics (Clock.now_ns () - t_fill);
+  Metrics.record metrics ~domain ~samples:len ~batches ~bits
+    ~work:(Bs.prng_work rng - work0) ~gates:(batches * gate_count);
+  Metrics.add_fallback metrics (!res - resamples0);
+  Ctmon.record_chunk ctmon ~batches ~bits ~samples:len ~deviations:!deviations
+    ~fallbacks:!fallbacks
+
 (* Fill [count] samples of chunk [c] from the chunk's own forked lane.
    Everything here depends only on (seed, lane, sampler program, count):
    no worker or domain-count input, which is the determinism guarantee —
@@ -256,9 +306,9 @@ let run_chunk t ~worker ~clone (j : job) c =
     | Array_sink a -> (a, offset)
     | Queue_sink _ -> (Array.make count 0, 0)
   in
-  let t_fill = Clock.now_ns () in
   (match t.mode with
   | Degraded inst ->
+    let t_fill = Clock.now_ns () in
     (* One scalar CT-CDT draw per sample.  Every "batch" is one declared
        fallback, so the monitor accounts the whole chunk on the fallback
        side and its learned bitsliced expectation is never consulted or
@@ -285,59 +335,25 @@ let run_chunk t ~worker ~clone (j : job) c =
       ~samples:count ~deviations:0 ~fallbacks:count
   | Bitsliced ->
     let clone = Lazy.force clone in
-    let filled = ref 0 in
-    let batches = ref 0 in
-    (* CT check: every batch of a constant-time program draws the same
-       number of bits.  Deviations are classified per batch (fallback lanes
-       are the declared escape) with plain field reads; the registry is
-       touched once per chunk, not per batch. *)
-    let deviations = ref 0 and fallbacks = ref 0 in
-    let resamples0 = Ctgauss.Sampler.resamples clone in
-    Trace.with_span "chunk" ~cat:"engine"
-      ~args:(fun () ->
-        [
-          ("chunk", string_of_int c);
-          ("lane", string_of_int lane);
-          ("samples", string_of_int count);
-          ("batches", string_of_int !batches);
-        ])
-      (fun () ->
-        (match j.flow with
-        | Some id -> Trace.flow_step ~id "job"
-        | None -> ());
-        (* One batch's end readings are the next one's start readings,
-           and the learned expectation never changes once set, so each
-           batch pays two counter reads and no monitor call. *)
-        let bits = ref (Bs.bits_consumed rng) and res = ref resamples0 in
-        let expected = ref 0 in
-        while !filled < count do
-          (* One batch, straight into the chunk's output slice. *)
-          let take = min Ctgauss.Bitslice.lanes (count - !filled) in
-          Ctgauss.Sampler.fill clone rng out ~pos:(out_pos + !filled) ~len:take;
-          let bits1 = Bs.bits_consumed rng in
-          let res1 = Ctgauss.Sampler.resamples clone in
-          let dbits = bits1 - !bits in
-          (* Fallback batches never teach the monitor: at low precision the
-             first batch can take the fallback path, and learning its
-             data-dependent bit count would flag every normal batch. *)
-          if res1 > !res then incr fallbacks
-          else begin
-            if !expected = 0 then expected := Ctmon.learn t.ctmon dbits;
-            if dbits <> !expected then incr deviations
-          end;
-          bits := bits1;
-          res := res1;
-          incr batches;
-          filled := !filled + take
-        done);
-    Metrics.observe_chunk_service t.metrics (Clock.now_ns () - t_fill);
-    Metrics.record t.metrics ~domain:worker ~samples:count ~batches:!batches
-      ~bits:(Bs.bits_consumed rng) ~work:(Bs.prng_work rng)
-      ~gates:(!batches * t.gate_count);
-    Metrics.add_fallback t.metrics
-      (Ctgauss.Sampler.resamples clone - resamples0);
-    Ctmon.record_chunk t.ctmon ~batches:!batches ~bits:(Bs.bits_consumed rng)
-      ~samples:count ~deviations:!deviations ~fallbacks:!fallbacks);
+    let fill () =
+      fill_chunk ~metrics:t.metrics ~ctmon:t.ctmon ~domain:worker
+        ~gate_count:t.gate_count clone rng out ~pos:out_pos ~len:count
+    in
+    if not (Trace.is_enabled ()) then fill ()
+    else
+      Trace.with_span "chunk" ~cat:"engine"
+        ~args:(fun () ->
+          [
+            ("chunk", string_of_int c);
+            ("lane", string_of_int lane);
+            ("samples", string_of_int count);
+            ("batches", string_of_int (batches_of count));
+          ])
+        (fun () ->
+          (match j.flow with
+          | Some id -> Trace.flow_step ~id "job"
+          | None -> ());
+          fill ()));
   (* Observers see each completed chunk exactly once (a retried chunk only
      reaches this point on its successful attempt), on the worker domain
      that filled it. *)

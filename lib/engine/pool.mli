@@ -189,6 +189,25 @@ val add_chunk_observer : t -> chunk_observer -> unit
 (** Append an observer.  Like {!set_fault_hook}, set while the pool is
     idle. *)
 
+val fill_chunk :
+  metrics:Metrics.t ->
+  ctmon:Ctg_obs.Ctmon.t ->
+  domain:int ->
+  gate_count:int ->
+  Ctgauss.Sampler.t ->
+  Ctg_prng.Bitstream.t ->
+  int array ->
+  pos:int ->
+  len:int ->
+  unit
+(** One bitsliced chunk as the workers run it: [len] samples into the
+    array from index [pos], batch by batch, each batch classified for
+    the CT check (a deviation from the learned bit count, or a declared
+    fallback), then the chunk's service time, counters and CT tallies
+    recorded once in [metrics] and [ctmon] (counted for [domain]).
+    Exposed so {!Obs_bench} times the production loop.
+    @raise Invalid_argument if the range does not fit in the array. *)
+
 val batch_parallel : ?flow:int -> t -> n:int -> int array
 (** [n] signed samples, produced in parallel, deterministic in the master
     seed and the sequence of calls (each call consumes fresh lanes).

@@ -15,38 +15,47 @@ type tables = {
   split_im : float array;
 }
 
-(* Per domain, so concurrent signers never insert into one table at
-   once; the tables themselves are immutable once built. *)
-let table_cache : (int, tables) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+let build_tables n =
+  let root_re = Array.make n 0.0 and root_im = Array.make n 0.0 in
+  for k = 0 to n - 1 do
+    let ang = 2.0 *. pi *. float_of_int k /. float_of_int n in
+    root_re.(k) <- cos ang;
+    root_im.(k) <- sin ang
+  done;
+  let twist_re = Array.make n 0.0 and twist_im = Array.make n 0.0 in
+  for j = 0 to n - 1 do
+    let ang = pi *. float_of_int j /. float_of_int n in
+    twist_re.(j) <- cos ang;
+    twist_im.(j) <- sin ang
+  done;
+  let h = max 1 (n / 2) in
+  let split_re = Array.make h 0.0 and split_im = Array.make h 0.0 in
+  for k = 0 to h - 1 do
+    let ang = pi *. float_of_int ((2 * k) + 1) /. float_of_int n in
+    split_re.(k) <- cos ang;
+    split_im.(k) <- sin ang
+  done;
+  { root_re; root_im; twist_re; twist_im; split_re; split_im }
+
+(* Shared by all domains: the tables are immutable once built, so only
+   publishing a new size needs care.  Lock-free, as {!Ntt.plan}: a losing
+   racer's duplicate is dropped. *)
+let table_cache : (int * tables) list Atomic.t = Atomic.make []
 
 let tables n =
-  let table_cache = Domain.DLS.get table_cache in
-  match Hashtbl.find_opt table_cache n with
+  match List.assq_opt n (Atomic.get table_cache) with
   | Some t -> t
   | None ->
-    let root_re = Array.make n 0.0 and root_im = Array.make n 0.0 in
-    for k = 0 to n - 1 do
-      let ang = 2.0 *. pi *. float_of_int k /. float_of_int n in
-      root_re.(k) <- cos ang;
-      root_im.(k) <- sin ang
-    done;
-    let twist_re = Array.make n 0.0 and twist_im = Array.make n 0.0 in
-    for j = 0 to n - 1 do
-      let ang = pi *. float_of_int j /. float_of_int n in
-      twist_re.(j) <- cos ang;
-      twist_im.(j) <- sin ang
-    done;
-    let h = max 1 (n / 2) in
-    let split_re = Array.make h 0.0 and split_im = Array.make h 0.0 in
-    for k = 0 to h - 1 do
-      let ang = pi *. float_of_int ((2 * k) + 1) /. float_of_int n in
-      split_re.(k) <- cos ang;
-      split_im.(k) <- sin ang
-    done;
-    let t = { root_re; root_im; twist_re; twist_im; split_re; split_im } in
-    Hashtbl.replace table_cache n t;
-    t
+    let t = build_tables n in
+    let rec publish () =
+      let cur = Atomic.get table_cache in
+      match List.assq_opt n cur with
+      | Some t' -> t'
+      | None ->
+        if Atomic.compare_and_set table_cache cur ((n, t) :: cur) then t
+        else publish ()
+    in
+    publish ()
 
 let bit_reverse re im =
   let n = Array.length re in

@@ -71,13 +71,22 @@ let key_of_seed seed = Bytes.sub (material_of_seed seed) 0 32
 
 let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask32
 
-external set32u : bytes -> int -> int32 -> unit = "%caml_bytes_set32u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-(* Little-endian store of a 32-bit word; the int32 stays unboxed because
-   the primitive consumes it directly. *)
-let store dst off w =
-  if Sys.big_endian then le_of_word dst off w
-  else set32u dst off (Int32.of_int w)
+(* Little-endian store of two 32-bit words [lo], [hi] as one 64-bit
+   store; the int64 stays unboxed because the primitive consumes it
+   directly.  Readers of a fresh block ([Health.scan_block],
+   [Bitstream.next_word]) load it in 64-bit words, and a CPU forwards a
+   load only from one store that covers it: after two 32-bit stores
+   each such load stalls until both have reached the cache. *)
+let store2 dst off lo hi =
+  if Sys.big_endian then begin
+    le_of_word dst off lo;
+    le_of_word dst (off + 4) hi
+  end
+  else
+    set64u dst off
+      (Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32))
 
 (* The block function on 16 local refs, which ocamlopt keeps in registers
    (or stack slots) because none escapes: no state copy, no allocation. *)
@@ -127,22 +136,30 @@ let block_into t counter dst off =
     x3 := (!x3 + !x4) land mask32; x14 := rotl (!x14 lxor !x3) 8;
     x9 := (!x9 + !x14) land mask32; x4 := rotl (!x4 lxor !x9) 7
   done;
-  store dst off ((!x0 + s.(0)) land mask32);
-  store dst (off + 4) ((!x1 + s.(1)) land mask32);
-  store dst (off + 8) ((!x2 + s.(2)) land mask32);
-  store dst (off + 12) ((!x3 + s.(3)) land mask32);
-  store dst (off + 16) ((!x4 + s.(4)) land mask32);
-  store dst (off + 20) ((!x5 + s.(5)) land mask32);
-  store dst (off + 24) ((!x6 + s.(6)) land mask32);
-  store dst (off + 28) ((!x7 + s.(7)) land mask32);
-  store dst (off + 32) ((!x8 + s.(8)) land mask32);
-  store dst (off + 36) ((!x9 + s.(9)) land mask32);
-  store dst (off + 40) ((!x10 + s.(10)) land mask32);
-  store dst (off + 44) ((!x11 + s.(11)) land mask32);
-  store dst (off + 48) ((!x12 + c) land mask32);
-  store dst (off + 52) ((!x13 + s.(13)) land mask32);
-  store dst (off + 56) ((!x14 + s.(14)) land mask32);
-  store dst (off + 60) ((!x15 + s.(15)) land mask32);
+  store2 dst off
+    ((!x0 + s.(0)) land mask32)
+    ((!x1 + s.(1)) land mask32);
+  store2 dst (off + 8)
+    ((!x2 + s.(2)) land mask32)
+    ((!x3 + s.(3)) land mask32);
+  store2 dst (off + 16)
+    ((!x4 + s.(4)) land mask32)
+    ((!x5 + s.(5)) land mask32);
+  store2 dst (off + 24)
+    ((!x6 + s.(6)) land mask32)
+    ((!x7 + s.(7)) land mask32);
+  store2 dst (off + 32)
+    ((!x8 + s.(8)) land mask32)
+    ((!x9 + s.(9)) land mask32);
+  store2 dst (off + 40)
+    ((!x10 + s.(10)) land mask32)
+    ((!x11 + s.(11)) land mask32);
+  store2 dst (off + 48)
+    ((!x12 + c) land mask32)
+    ((!x13 + s.(13)) land mask32);
+  store2 dst (off + 56)
+    ((!x14 + s.(14)) land mask32)
+    ((!x15 + s.(15)) land mask32);
   t.blocks <- t.blocks + 1
 
 let block t counter =

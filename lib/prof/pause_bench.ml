@@ -3,10 +3,17 @@
    Per (sigma, precision) the committed numbers are real pause-duration
    quantiles for the single-domain fill workload: the fill loop repeats
    (fresh fork lane each rep) until at least [min_pauses] pauses landed
-   in the window, then one [Gc.compact] guarantees a deterministic
-   stop-the-world pause even for allocation-light σ.  Quantiles come
-   from a local histogram fed by [Rtev.set_pause_observer] so each σ
-   window is independent of the registry's cumulative series.
+   in the window or [max_reps] reps ran, then one [Gc.compact]
+   guarantees a deterministic stop-the-world pause.  Quantiles come from
+   a local histogram fed by [Rtev.set_pause_observer] so each σ window
+   is independent of the registry's cumulative series.
+
+   The bitsliced fill loop allocates nothing, so at σ ∈ {1, 2, 6.15543}
+   the window reaches [max_reps] with no pause of its own: the one
+   recorded pause is the forced compaction, and [pause_p50_ns] =
+   [pause_p99_ns] is that compaction's duration, not a fill-loop pause
+   quantile.  Only σ = 215 (whose scalar fallback walk still allocates)
+   records organic minor pauses.
 
    The acceptance gate reuses the paired-pass median-of-ratios estimator
    ([Ctg_engine.Obs_bench.paired_ns]): one arm runs the fill with ring
