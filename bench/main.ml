@@ -70,7 +70,12 @@ let enum_sigma6 =
        (Ctg_kyao.Matrix.create ~sigma:"6.15543" ~precision:falcon_precision
           ~tail_cut))
 
-let bitsliced_sigma2 = lazy (Ctgauss.Sampler.of_enum (Lazy.force enum_sigma2))
+(* The paper's sampler as the registry serves it: bound to its generated
+   kernel, so Table 1, X2 and X3 measure the code that runs. *)
+let bitsliced_sigma2 =
+  lazy
+    (Ctg_engine.Registry.lookup Ctg_engine.Registry.global ~sigma:"2"
+       ~precision:falcon_precision ~tail_cut ())
 
 let cdt_table_sigma2 =
   lazy
@@ -161,7 +166,7 @@ let cmd_table1 ?(min_time = 0.4) () =
 (* Table 2: sampler kernel, ours vs simple minimization                  *)
 (* -------------------------------------------------------------------- *)
 
-let batch_kernel program =
+let batch_kernel ?kernel program =
   (* PRNG excluded, exactly like the paper's Table 2 footnote: inputs are
      pre-drawn, we time only the bitsliced evaluation of one batch. *)
   let scratch = Ctgauss.Bitslice.scratch program in
@@ -169,7 +174,9 @@ let batch_kernel program =
   let inputs =
     Array.init program.Ctgauss.Gate.num_vars (fun _ -> Bs.next_word rng)
   in
-  fun () -> Ctgauss.Bitslice.eval program scratch ~inputs
+  match kernel with
+  | Some k -> fun () -> Ctgauss.Bitslice.eval_kernel k scratch ~inputs
+  | None -> fun () -> Ctgauss.Bitslice.eval program scratch ~inputs
 
 let cmd_table2 () =
   section "Table 2: constant-time sampler, this work vs simple minimization";
@@ -202,7 +209,28 @@ let cmd_table2 () =
         (t_simple *. 2.6) (t_ours *. 2.6);
       printf "%-10s %10.0f paper-cycles %13.0f paper-cycles %8.1f%% (paper)@.@."
         "" paper_simple paper_ours paper_impr)
-    [ ("2", enum_sigma2); ("6.15543", enum_sigma6) ]
+    [ ("2", enum_sigma2); ("6.15543", enum_sigma6) ];
+  (* The registry's program (valid flag included) is the one with a
+     build-time straight-line kernel: this is the code that serves. *)
+  printf "generated straight-line kernel vs the interpreter, same program:@.";
+  List.iter
+    (fun (sigma, _, paper_ours) ->
+      let s =
+        Ctg_engine.Registry.lookup Ctg_engine.Registry.global ~sigma
+          ~precision:falcon_precision ~tail_cut ()
+      in
+      let program = Ctgauss.Sampler.program s in
+      let gates = float_of_int (Ctgauss.Gate.gate_count program) in
+      let kernel = Ctg_kernels.Kernels.find (Ctgauss.Sampler.digest s) in
+      let t_interp = ns_per_call (batch_kernel program) in
+      let t_gen = ns_per_call (batch_kernel ?kernel program) in
+      printf
+        "%-10s interpreted %7.0f ns %5.2f ns/gate   generated %7.0f ns %5.2f \
+         ns/gate %6.0f pseudo-cycles (paper %.0f)%s@."
+        sigma t_interp (t_interp /. gates) t_gen (t_gen /. gates) (t_gen *. 2.6)
+        paper_ours
+        (if Option.is_none kernel then "  [no kernel: both interpreted]" else ""))
+    paper
 
 (* -------------------------------------------------------------------- *)
 (* Figures                                                               *)
@@ -322,7 +350,11 @@ let cmd_delta () =
 let cmd_prng_overhead () =
   section "X2 (Sec. 7): share of sampling time spent in the PRNG";
   let s = Lazy.force bitsliced_sigma2 in
-  let kernel = batch_kernel (Ctgauss.Sampler.program s) in
+  let kernel =
+    batch_kernel
+      ?kernel:(Ctg_kernels.Kernels.find (Ctgauss.Sampler.digest s))
+      (Ctgauss.Sampler.program s)
+  in
   let t_kernel = ns_per_call kernel in
   let with_prng make_rng name =
     let rng = make_rng () in
@@ -678,7 +710,7 @@ let cmd_obs ?(smoke = false) () =
      else "Obs: instrumentation overhead on the batch-sampling hot path");
   let set =
     if smoke then [ ("2", 16); ("215", 16) ]
-    else Ctg_engine.Obs_bench.default_set
+    else Ctgauss.Sampler.paper_keys
   in
   let samples = if smoke then 63 * 400 else 63 * 1000 in
   let rounds = if smoke then 3 else 5 in
@@ -707,7 +739,7 @@ let cmd_alloc ?(smoke = false) () =
      else "Alloc: words/sample, words/signature, ctg_prof overhead gate");
   let set =
     if smoke then [ ("2", 16); ("215", 16) ]
-    else Ctg_prof.Alloc_bench.default_set
+    else Ctgauss.Sampler.paper_keys
   in
   let samples = if smoke then 63 * 400 else 63 * 1000 in
   let msgs = if smoke then 8 else 16 in
@@ -739,7 +771,7 @@ let cmd_fault ?(smoke = false) () =
      else "Fault: always-on defense overhead (entropy health, verify-after-sign)");
   let set =
     if smoke then [ ("2", 16); ("215", 16) ]
-    else Ctg_fault.Fault_bench.default_set
+    else Ctgauss.Sampler.paper_keys
   in
   let samples = if smoke then 63 * 400 else 63 * 1000 in
   let rounds = if smoke then 3 else 5 in
@@ -772,7 +804,7 @@ let cmd_assure ?(smoke = false) () =
        relative to the budget, and is not a configuration the committed
        baseline gates. *)
     if smoke then [ ("2", 128); ("215", 16) ]
-    else Ctg_assure.Assure_bench.default_set
+    else Ctgauss.Sampler.paper_keys
   in
   let samples = if smoke then 63 * 400 else 63 * 1000 in
   let rounds = if smoke then 3 else 5 in
@@ -930,7 +962,7 @@ let cmd_pauses ?(smoke = false) () =
        "Pauses: real GC pause baselines per sigma + rtev always-on overhead");
   let set =
     if smoke then [ ("2", 128); ("215", 16) ]
-    else Ctg_prof.Pause_bench.default_set
+    else Ctgauss.Sampler.paper_keys
   in
   let samples = if smoke then 63 * 400 else 63 * 1000 in
   let min_pauses = if smoke then 5 else 30 in

@@ -15,7 +15,6 @@
 open Cmdliner
 module Chaos = Ctg_fault.Chaos
 
-let default_set = [ ("1", 128); ("2", 128); ("6.15543", 128); ("215", 16) ]
 let smoke_set = [ ("2", 16); ("215", 16) ]
 
 let run_matrix seed domains smoke sigma precision tail_cut json_out =
@@ -29,7 +28,7 @@ let run_matrix seed domains smoke sigma precision tail_cut json_out =
   let set =
     match sigma with
     | Some s -> [ (s, precision) ]
-    | None -> if smoke then smoke_set else default_set
+    | None -> if smoke then smoke_set else Ctgauss.Sampler.paper_keys
   in
   Format.printf "chaos matrix, master seed 0x%Lx (pass --seed to reproduce)@.@."
     seed;

@@ -24,7 +24,7 @@ module F = Ctg_falcon
 
 let overhead smoke samples rounds output =
   let set =
-    if smoke then [ ("2", 16); ("215", 16) ] else Ctg_engine.Obs_bench.default_set
+    if smoke then [ ("2", 16); ("215", 16) ] else Ctgauss.Sampler.paper_keys
   in
   let samples =
     match samples with Some s -> s | None -> if smoke then 63 * 400 else 63 * 1000
@@ -854,8 +854,7 @@ let saga smoke samples seed json_out =
       with _ -> failwith (Printf.sprintf "unparseable seed %S" s))
   in
   let set =
-    if smoke then [ ("2", 16); ("215", 16) ]
-    else [ ("1", 128); ("2", 128); ("6.15543", 128); ("215", 16) ]
+    if smoke then [ ("2", 16); ("215", 16) ] else Ctgauss.Sampler.paper_keys
   in
   let config =
     match samples with

@@ -15,8 +15,6 @@ type entry = {
 
 let threshold_pct = 3.0
 
-let default_set = Ctg_engine.Obs_bench.default_set
-
 let fill_plain sampler out rng =
   Ctgauss.Sampler.fill sampler rng out ~pos:0 ~len:(Array.length out)
 
@@ -93,7 +91,7 @@ let measure ?(samples = 63 * 1000) ?(rounds = 5) ?(min_time = 0.4) ~sigma
     alarms = Drift.alarms drift;
   }
 
-let run ?samples ?rounds ?min_time ?(set = default_set) () =
+let run ?samples ?rounds ?min_time ?(set = Ctgauss.Sampler.paper_keys) () =
   List.map
     (fun (sigma, precision) ->
       measure ?samples ?rounds ?min_time ~sigma ~precision ~tail_cut:13 ())

@@ -26,9 +26,6 @@ val threshold_pct : float
     ceiling; looser than the obs layer's 2% because the monitor adds a
     mutexed per-chunk fold on top). *)
 
-val default_set : (string * int) list
-(** Same Table-2 σ set as {!Ctg_engine.Obs_bench.default_set}. *)
-
 val measure :
   ?samples:int -> ?rounds:int -> ?min_time:float -> sigma:string ->
   precision:int -> tail_cut:int -> unit -> entry

@@ -51,12 +51,12 @@ type t = {
          the statistic — which is the alarm we want for impossible
          magnitudes. *)
   residual : float;  (* tail + rounding mass beyond the support *)
-  log_q : float array;
-  q_pow : float array;
-      (* [log q] and [q ** (1 - renyi_alpha)] of the conditional law
-         [q = p_v / (1 - residual)] (0 where [p_v = 0]): fixed per
-         monitor, so window evaluations only take logs and powers of the
-         empirical frequencies. *)
+  observed : int array; (* the window's counts, refilled per evaluation *)
+  expected : float array; (* [expected_freq] times the window size *)
+  mutable plan : (int * Chi_square.plan) option;
+      (* chi-square grouping for a window of this many samples, rebuilt
+         only when the size changes (windows close on chunk boundaries,
+         so their sizes vary by up to one chunk) *)
   mutex : Mutex.t;
   window : Sketch.t;
   cumulative : Sketch.t;
@@ -84,16 +84,14 @@ let create ?(config = default_config) ?(registry = Registry.default)
   let exact = Distance.exact_probabilities matrix in
   let support = matrix.Ctg_kyao.Matrix.support in
   let expected_freq, residual = expected_model ~matrix in
-  let q_map f =
-    Array.map (fun p -> if p > 0.0 then f (p /. (1.0 -. residual)) else 0.0) exact
-  in
   {
     config;
     exact;
     expected_freq;
     residual;
-    log_q = q_map log;
-    q_pow = q_map (fun q -> q ** (1.0 -. config.renyi_alpha));
+    observed = Array.make (support + 2) 0;
+    expected = Array.make (support + 2) 0.0;
+    plan = None;
     mutex = Mutex.create ();
     window = Sketch.create ~support;
     cumulative = Sketch.create ~support;
@@ -120,36 +118,57 @@ let alpha_at ~alpha k = alpha /. (float_of_int k *. float_of_int (k + 1))
 (* Max-log and Rényi drift on the window, restricted to the magnitudes
    observed in it: unseen tail magnitudes would contribute log 0 = -inf
    noise, while real extra mass (overflow or impossible magnitudes) is the
-   chi-square's job via the zero-expectation overflow bin. *)
-let divergences t ~emp =
-  let max_log = ref 0.0 in
+   chi-square's job via the zero-expectation overflow bin.
+
+   Both are taken through the ratio r = e/q of empirical to model
+   frequency: max |log e - log q| is the larger of log (max r) and
+   -log (min r), and e^a q^(1-a) = e r^(a-1), which is e r at the default
+   order 2.  That is two logs per window and no per-bin log or power:
+   at σ=215 (~700 occupied bins) those cost ~50 µs a window. *)
+let divergences t ~n =
+  let q = t.expected_freq in
+  let r_max = ref 0.0 and r_min = ref infinity in
   let renyi_sum = ref 0.0 and renyi_mass = ref false in
   let a = t.config.renyi_alpha in
-  for i = 0 to Array.length emp - 1 do
-    let e = emp.(i) in
-    if e > 0.0 && t.exact.(i) > 0.0 then begin
-      let d = abs_float (log e -. t.log_q.(i)) in
-      if d > !max_log then max_log := d;
-      renyi_sum := !renyi_sum +. ((e ** a) *. t.q_pow.(i));
+  for i = 0 to Array.length t.exact - 1 do
+    let c = t.observed.(i) in
+    if c > 0 && q.(i) > 0.0 then begin
+      let e = float_of_int c /. n in
+      let r = e /. q.(i) in
+      if r > !r_max then r_max := r;
+      if r < !r_min then r_min := r;
+      renyi_sum := !renyi_sum +. (e *. if a = 2.0 then r else r ** (a -. 1.0));
       renyi_mass := true
     end
   done;
-  let renyi =
-    if !renyi_mass then Float.max 0.0 (log !renyi_sum /. (a -. 1.0)) else 0.0
-  in
-  (!max_log, renyi)
+  if !renyi_mass then
+    ( Float.max (log !r_max) (-.log !r_min),
+      Float.max 0.0 (log !renyi_sum /. (a -. 1.0)) )
+  else (0.0, 0.0)
 
-(* Caller holds the mutex. *)
+(* Caller holds the mutex.  Allocates no bin-sized array: at σ=215 the
+   window has ~2.8k bins, and fresh arrays of that size go to the major
+   heap at several µs each. *)
 let evaluate_window t =
   let n = Sketch.total t.window in
-  let observed = Sketch.observed t.window in
   let fn = float_of_int n in
-  let expected = Array.map (fun p -> p *. fn) t.expected_freq in
-  let r = Chi_square.test ~observed ~expected in
+  let plan =
+    match t.plan with
+    | Some (n', p) when n' = n -> p
+    | _ ->
+      for i = 0 to Array.length t.expected - 1 do
+        t.expected.(i) <- t.expected_freq.(i) *. fn
+      done;
+      let p = Chi_square.plan ~expected:t.expected in
+      t.plan <- Some (n, p);
+      p
+  in
+  Sketch.observed_into t.window t.observed;
+  let r = Chi_square.test_planned plan ~observed:t.observed in
   t.windows <- t.windows + 1;
   let alpha_k = alpha_at ~alpha:t.config.alpha t.windows in
   let alarm = r.Chi_square.p_value < alpha_k in
-  let max_log, renyi = divergences t ~emp:(Sketch.empirical t.window) in
+  let max_log, renyi = divergences t ~n:fn in
   let result =
     {
       index = t.windows;

@@ -79,7 +79,20 @@ let reset t =
 
 (* Observed counts with the overflow tail as a final extra bin — the shape
    the chi-square evaluation consumes. *)
-let observed t = Array.append t.counts [| t.overflow |]
+let observed_into t dst =
+  let bins = Array.length t.counts in
+  if Array.length dst <> bins + 1 then invalid_arg "Sketch.observed_into";
+  (* A loop, not [Array.blit]: blitting into a major-heap array takes the
+     write barrier per element. *)
+  for i = 0 to bins - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get t.counts i)
+  done;
+  dst.(bins) <- t.overflow
+
+let observed t =
+  let dst = Array.make (Array.length t.counts + 1) 0 in
+  observed_into t dst;
+  dst
 
 let empirical t =
   if t.total = 0 then Array.make (Array.length t.counts) 0.0

@@ -60,6 +60,10 @@ val observed : t -> int array
 (** Counts over [0..support] with the overflow bin appended — the
     observed vector handed to {!Ctg_stats.Chi_square.test}. *)
 
+val observed_into : t -> int array -> unit
+(** {!observed} into an array of length [support + 2], without allocating.
+    @raise Invalid_argument on any other length. *)
+
 val empirical : t -> float array
 (** Relative frequencies over [0..support] (overflow excluded); zeros when
     empty. *)

@@ -16,6 +16,7 @@ type scratch = {
   m1 : int array;
   m2 : int array;
   regs : int array;
+  outs : int array; (* output words, consumed by [magnitudes_into] *)
   num_vars : int;
   ones_reg : int;
 }
@@ -55,7 +56,8 @@ let scratch (p : Gate.t) =
     p.Gate.instrs;
   let regs = Array.make (ones_reg + 1) 0 in
   regs.(ones_reg) <- all_ones;
-  { xs; ys; m1; m2; regs; num_vars = nv; ones_reg }
+  let outs = Array.make (Array.length p.Gate.outputs) 0 in
+  { xs; ys; m1; m2; regs; outs; num_vars = nv; ones_reg }
 
 let eval (p : Gate.t) (s : scratch) ~inputs =
   let nv = s.num_vars in
@@ -70,23 +72,37 @@ let eval (p : Gate.t) (s : scratch) ~inputs =
       lor ((a lxor b) land Array.unsafe_get m2 i))
   done
 
+(* A generated kernel of the same program computes the same register
+   values (see {!Codegen.to_ocaml}); it writes only the registers that
+   {!output}, {!valid_word} and {!magnitudes_into} read. *)
+let eval_kernel kernel (s : scratch) ~inputs =
+  Array.blit inputs 0 s.regs 0 s.num_vars;
+  kernel s.regs
+
 let output (p : Gate.t) (s : scratch) i = s.regs.(p.Gate.outputs.(i))
 
 let valid_word (p : Gate.t) (s : scratch) =
   match p.Gate.valid with None -> all_ones | Some r -> s.regs.(r)
 
 (* Lane-major: each lane's magnitude is gathered in a register from the
-   output words and stored once. *)
+   output words and stored once.  The words are copied out of the
+   register file first and shifted down one lane per step, which saves
+   the indirect load and the variable shift per bit (~30% of this loop,
+   as costly as the generated kernel at σ=215's 12 output bits). *)
 let magnitudes_into (p : Gate.t) (s : scratch) dst off =
-  if off < 0 || off > Array.length dst - lanes then
-    invalid_arg "Bitslice.magnitudes_into";
-  let outputs = p.Gate.outputs and regs = s.regs in
+  let outputs = p.Gate.outputs and w = s.outs in
   let m = Array.length outputs in
+  if off < 0 || off > Array.length dst - lanes || Array.length w <> m then
+    invalid_arg "Bitslice.magnitudes_into";
+  for bit = 0 to m - 1 do
+    Array.unsafe_set w bit s.regs.(Array.unsafe_get outputs bit)
+  done;
   for lane = 0 to lanes - 1 do
     let mag = ref 0 in
     for bit = 0 to m - 1 do
-      let w = regs.(Array.unsafe_get outputs bit) in
-      mag := !mag lor (((w lsr lane) land 1) lsl bit)
+      let x = Array.unsafe_get w bit in
+      mag := !mag lor ((x land 1) lsl bit);
+      Array.unsafe_set w bit (x lsr 1)
     done;
     Array.unsafe_set dst (off + lane) !mag
   done
@@ -96,7 +112,7 @@ let magnitudes p s =
   magnitudes_into p s out 0;
   out
 
-let eval_single (p : Gate.t) bits =
+let eval_single ?kernel (p : Gate.t) bits =
   let nv = p.Gate.num_vars in
   let inputs = Array.make nv 0 in
   let n = min nv (Array.length bits) in
@@ -104,7 +120,9 @@ let eval_single (p : Gate.t) bits =
     inputs.(i) <- (if bits.(i) then all_ones else 0)
   done;
   let s = scratch p in
-  eval p s ~inputs;
+  (match kernel with
+  | Some k -> eval_kernel k s ~inputs
+  | None -> eval p s ~inputs);
   let m = Array.length p.Gate.outputs in
   let mag = ref 0 in
   for bit = 0 to m - 1 do

@@ -18,6 +18,11 @@ val scratch : Gate.t -> scratch
 val eval : Gate.t -> scratch -> inputs:int array -> unit
 (** Run the program; [inputs] has [num_vars] lane words. *)
 
+val eval_kernel : (int array -> unit) -> scratch -> inputs:int array -> unit
+(** [eval_kernel k s ~inputs] runs a kernel generated from the program
+    [s] was made for ({!Codegen.to_ocaml}) in place of {!eval}: the same
+    register values, read back with the same functions below. *)
+
 val output : Gate.t -> scratch -> int -> int
 (** Lane word of output bit [i] after {!eval}. *)
 
@@ -33,5 +38,6 @@ val magnitudes_into : Gate.t -> scratch -> int array -> int -> unit
 val magnitudes : Gate.t -> scratch -> int array
 (** {!magnitudes_into} a fresh array. *)
 
-val eval_single : Gate.t -> bool array -> int * bool
-(** Single evaluation on one bit string: [(magnitude, valid)]. *)
+val eval_single : ?kernel:(int array -> unit) -> Gate.t -> bool array -> int * bool
+(** Single evaluation on one bit string: [(magnitude, valid)], through
+    [kernel] ({!eval_kernel}) when given. *)

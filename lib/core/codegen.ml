@@ -33,36 +33,71 @@ let to_c ?(name = "ct_gauss_sample") (p : Gate.t) =
   out "}\n";
   Buffer.contents buf
 
+(* A single flat function of thousands of [let]s takes ocamlopt minutes
+   (14 s at σ=2, 123 s at σ=6.15543); chunks of this size compile in
+   about a second and run as fast. *)
+let chunk_gates = 512
+
+let sources = function
+  | Gate.And (x, y) | Gate.Or (x, y) | Gate.Xor (x, y) -> [ x; y ]
+  | Gate.Not x -> [ x ]
+  | Gate.Const _ -> []
+
 let to_ocaml ?(name = "ct_gauss_sample") (p : Gate.t) =
   let buf = Buffer.create 4096 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "(* Generated by ctgauss: %d input bits, %d gates; 63 lanes. *)\n"
-    p.Gate.num_vars (Gate.gate_count p);
-  out "let %s (b : int array) : int array =\n" name;
+  let nv = p.Gate.num_vars and n = Array.length p.Gate.instrs in
+  let chunks = max 1 ((n + chunk_gates - 1) / chunk_gates) in
+  let chunk_of r = if r < nv then -1 else (r - nv) / chunk_gates in
+  (* A gate result is stored when a later chunk reads it or it is an
+     output or the valid flag. *)
+  let stored = Array.make (nv + n) false in
+  Array.iter (fun r -> stored.(r) <- true) p.Gate.outputs;
+  Option.iter (fun r -> stored.(r) <- true) p.Gate.valid;
   Array.iteri
     (fun i instr ->
-      let d = Printf.sprintf "t%d" i in
-      let n r =
-        if r < p.Gate.num_vars then Printf.sprintf "b.(%d)" r
-        else Printf.sprintf "t%d" (r - p.Gate.num_vars)
-      in
-      match instr with
-      | Gate.And (x, y) -> out "  let %s = %s land %s in\n" d (n x) (n y)
-      | Gate.Or (x, y) -> out "  let %s = %s lor %s in\n" d (n x) (n y)
-      | Gate.Xor (x, y) -> out "  let %s = %s lxor %s in\n" d (n x) (n y)
-      | Gate.Not x -> out "  let %s = lnot %s in\n" d (n x)
-      | Gate.Const true -> out "  let %s = -1 in\n" d
-      | Gate.Const false -> out "  let %s = 0 in\n" d)
+      List.iter
+        (fun r -> if chunk_of r < i / chunk_gates then stored.(r) <- true)
+        (sources instr))
     p.Gate.instrs;
-  let n r =
-    if r < p.Gate.num_vars then Printf.sprintf "b.(%d)" r
-    else Printf.sprintf "t%d" (r - p.Gate.num_vars)
-  in
-  let regs =
-    Array.to_list p.Gate.outputs
-    @ (match p.Gate.valid with Some r -> [ r ] | None -> [])
-  in
-  out "  [| %s |]\n" (String.concat "; " (List.map n regs));
+  out "(* Generated by ctgauss: %d input bits, %d gates in %d chunk(s); 63 lanes.\n"
+    nv (Gate.gate_count p) chunks;
+  out "   [b] is the register file: b.(0 .. %d) hold the input bit words, and\n"
+    (nv - 1);
+  out "   each output, the valid flag and every value read by a later chunk\n";
+  out "   is stored at its register index. *)\n";
+  for c = 0 to chunks - 1 do
+    let lo = c * chunk_gates and hi = min n ((c + 1) * chunk_gates) in
+    out "let %s_c%d (b : int array) =\n" name c;
+    (* Each value from outside the chunk is loaded just before its first
+       use, which keeps it out of the registers until then. *)
+    let loaded = Array.make (nv + n) false in
+    for i = lo to hi - 1 do
+      let d = nv + i in
+      List.iter
+        (fun r ->
+          if chunk_of r < c && not loaded.(r) then begin
+            loaded.(r) <- true;
+            out "  let r%d = Array.unsafe_get b %d in\n" r r
+          end)
+        (sources p.Gate.instrs.(i));
+      (match p.Gate.instrs.(i) with
+      | Gate.And (x, y) -> out "  let r%d = r%d land r%d in\n" d x y
+      | Gate.Or (x, y) -> out "  let r%d = r%d lor r%d in\n" d x y
+      | Gate.Xor (x, y) -> out "  let r%d = r%d lxor r%d in\n" d x y
+      | Gate.Not x -> out "  let r%d = lnot r%d in\n" d x
+      | Gate.Const true -> out "  let r%d = -1 in\n" d
+      | Gate.Const false -> out "  let r%d = 0 in\n" d);
+      if stored.(d) then out "  Array.unsafe_set b %d r%d;\n" d d
+    done;
+    out "  ()\n\n"
+  done;
+  out "let %s (b : int array) : unit =\n" name;
+  out "  if Array.length b < %d then invalid_arg \"%s: register file too short\";\n"
+    (nv + n) name;
+  for c = 0 to chunks - 1 do
+    out "  %s_c%d b%s\n" name c (if c < chunks - 1 then ";" else "")
+  done;
   Buffer.contents buf
 
 (* DOT string/identifier escaping: the graph name and labels are caller
@@ -94,11 +129,6 @@ let to_dot ?(name = "ctgauss") (p : Gate.t) =
   let node r =
     if r < p.Gate.num_vars then Printf.sprintf "b%d" r
     else Printf.sprintf "g%d" (r - p.Gate.num_vars)
-  in
-  let sources = function
-    | Gate.And (x, y) | Gate.Or (x, y) | Gate.Xor (x, y) -> [ x; y ]
-    | Gate.Not x -> [ x ]
-    | Gate.Const _ -> []
   in
   Array.iteri
     (fun i instr ->

@@ -3,6 +3,8 @@ module Trace = Ctg_obs.Trace
 
 type method_ = Split_minimized | Simple
 
+let paper_keys = [ ("1", 128); ("2", 128); ("6.15543", 128); ("215", 16) ]
+
 type t = {
   matrix : Ctg_kyao.Matrix.t;
   enum : Ctg_kyao.Leaf_enum.t;
@@ -16,6 +18,9 @@ type t = {
   digest : int64;
       (* [Gate.digest program] taken at compile time; integrity monitors
          recompute and compare to catch later gate-table corruption *)
+  kernel : (int array -> unit) option;
+      (* generated straight-line code of [program], run in place of the
+         interpreter when bound *)
   buffer : int array; (* one batch of signed samples, refilled in place *)
   mutable buffer_pos : int; (* [Bitslice.lanes] when used up *)
   buffer_mag : int array;
@@ -47,6 +52,7 @@ let of_enum ?(method_ = Split_minimized) ?options (enum : Ctg_kyao.Leaf_enum.t) 
     sample_bits = max 1 (Ctg_util.Bits.bits_needed support);
     gates = Gate.gate_count program;
     digest = Gate.digest program;
+    kernel = None;
     buffer = Array.make Bitslice.lanes 0;
     buffer_pos = Bitslice.lanes;
     buffer_mag = Array.make Bitslice.lanes 0;
@@ -65,6 +71,9 @@ let clone t =
     buffer_mag_pos = Bitslice.lanes;
     resamples = 0;
   }
+
+let with_kernel t kernel = { (clone t) with kernel = Some kernel }
+let has_kernel t = Option.is_some t.kernel
 
 let create ?method_ ?options ~sigma ~precision ~tail_cut () =
   let matrix =
@@ -87,7 +96,9 @@ let magnitudes_into t rng dst off =
   for i = 0 to Array.length t.inputs - 1 do
     t.inputs.(i) <- Bs.next_word rng
   done;
-  Bitslice.eval t.program t.scratch ~inputs:t.inputs;
+  (match t.kernel with
+  | Some k -> Bitslice.eval_kernel k t.scratch ~inputs:t.inputs
+  | None -> Bitslice.eval t.program t.scratch ~inputs:t.inputs);
   Bitslice.magnitudes_into t.program t.scratch dst off;
   let valid = Bitslice.valid_word t.program t.scratch in
   if valid <> Bitslice.all_ones then
@@ -160,4 +171,4 @@ let sigma t = t.matrix.Ctg_kyao.Matrix.sigma
 let resamples t = t.resamples
 let digest t = t.digest
 let integrity_ok t = Gate.digest t.program = t.digest
-let eval_bits t bits = Bitslice.eval_single t.program bits
+let eval_bits t bits = Bitslice.eval_single ?kernel:t.kernel t.program bits

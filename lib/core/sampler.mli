@@ -12,6 +12,13 @@ type method_ =
   | Split_minimized  (** This paper: sublist split + exact minimization. *)
   | Simple  (** The prior-work baseline of Table 2. *)
 
+val paper_keys : (string * int) list
+(** The (σ, precision) pairs the repo serves and measures by default, all
+    at tail cut 13: the paper's σ ∈ {1, 2, 6.15543} at the Falcon precision
+    128 and σ=215 at precision 16 (its 128-bit enumeration has ~112k
+    leaves; 16 bits already give a 5k-gate program).  The build generates
+    a straight-line kernel for each. *)
+
 type t
 
 val create :
@@ -38,6 +45,15 @@ val clone : t -> t
     registry's master sampler instead of re-running the compile pipeline;
     clones of the same master produce identical output on identical bit
     streams. *)
+
+val with_kernel : t -> (int array -> unit) -> t
+(** A {!clone} that evaluates its program with [kernel] (through
+    {!Bitslice.eval_kernel}) instead of the interpreter; its clones keep
+    it.  [kernel] must be the code {!Codegen.to_ocaml} generated from this
+    very program: bind by {!digest}, as the engine's registry does. *)
+
+val has_kernel : t -> bool
+(** Whether a generated kernel is bound ({!with_kernel}). *)
 
 val batch_magnitude : t -> Ctg_prng.Bitstream.t -> int array
 (** 63 magnitudes from one bitsliced program evaluation.  Lanes whose walk
@@ -90,4 +106,6 @@ val integrity_ok : t -> bool
 
 val eval_bits : t -> bool array -> int * bool
 (** Run the compiled program on an explicit bit string (equivalence
-    testing against {!Ctg_kyao.Column_sampler.walk_bits}). *)
+    testing against {!Ctg_kyao.Column_sampler.walk_bits}), through the
+    bound kernel when there is one, so self-tests exercise the code that
+    serves. *)

@@ -19,8 +19,6 @@ type entry = {
 
 let threshold_pct = 2.0
 
-let default_set = [ ("1", 128); ("2", 128); ("6.15543", 128); ("215", 16) ]
-
 (* The pre-obs fill loop: batch after batch, straight into [out]. *)
 let run_plain sampler out rng =
   Ctgauss.Sampler.fill sampler rng out ~pos:0 ~len:(Array.length out)
@@ -174,7 +172,7 @@ let measure ?(samples = 63 * 1000) ?(rounds = 5) ?(min_time = 0.4) ~sigma
     entropy_bits_per_sample = Obs.Ctmon.entropy_bits_per_sample ctmon;
   }
 
-let run ?samples ?rounds ?min_time ?(set = default_set) () =
+let run ?samples ?rounds ?min_time ?(set = Ctgauss.Sampler.paper_keys) () =
   List.map
     (fun (sigma, precision) ->
       measure ?samples ?rounds ?min_time ~sigma ~precision ~tail_cut:13 ())

@@ -35,12 +35,6 @@ type entry = {
 val threshold_pct : float
 (** Acceptance budget for [overhead_pct]: 2.0. *)
 
-val default_set : (string * int) list
-(** The Table-2 σ set as [(sigma, precision)]: σ ∈ {1, 2, 6.15543} at the
-    Falcon precision 128 and σ = 215 at precision 16 (its 128-bit
-    enumeration has ~112k leaves — the compile, not the measurement, is
-    infeasible in a smoke run; 16 bits already gives a 5k-gate program). *)
-
 val measure :
   ?samples:int -> ?rounds:int -> ?min_time:float -> sigma:string ->
   precision:int -> tail_cut:int -> unit -> entry
@@ -52,7 +46,7 @@ val measure :
 val run :
   ?samples:int -> ?rounds:int -> ?min_time:float -> ?set:(string * int) list ->
   unit -> entry list
-(** [measure] over [set] (default {!default_set}) at tail cut 13. *)
+(** [measure] over [set] (default {!Ctgauss.Sampler.paper_keys}) at tail cut 13. *)
 
 val ok : entry list -> bool
 (** Every entry within {!threshold_pct} and zero CT violations. *)

@@ -85,6 +85,13 @@ let lookup t ?(method_ = Ctgauss.Sampler.Split_minimized) ?(self_test = true)
     with
     | s -> (
       Obs.Registry.observe (compile_histo sigma) (Obs.Clock.now_ns () - t_compile);
+      (* Bind the build-time kernel of this exact program, if any, before
+         the self-test, so the KAT runs the code that will serve. *)
+      let s =
+        match Ctg_kernels.Kernels.find (Ctgauss.Sampler.digest s) with
+        | Some k -> Ctgauss.Sampler.with_kernel s k
+        | None -> s
+      in
       (* Gate the cache on the KAT: a sampler that disagrees with the
          reference walk must never become the shared master.  Run outside
          the lock (it costs ~a compile's epsilon but is not free). *)

@@ -37,6 +37,11 @@ val lookup :
     method [Split_minimized], the paper's).  Repeated lookups return the
     physically equal master instance.
 
+    A fresh compile whose {!Ctgauss.Sampler.digest} is one of the
+    build-time kernels' ({!Ctg_kernels.Kernels.find}) is bound to that
+    kernel ({!Ctgauss.Sampler.with_kernel}); any other program (on-demand
+    σ, [Simple]) runs on the interpreter.
+
     [self_test] (default [true]) runs the {!Selftest} KAT on every fresh
     compile before it is published to the cache; a failing sampler is never
     cached and the claim is released, so a later lookup retries.

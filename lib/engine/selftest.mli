@@ -7,7 +7,8 @@
     recovery.  The self-test replays a fixed set of input bit strings
     (two structural vectors plus Splitmix-derived ones from a constant
     seed, so every run and every process checks the {e same} vectors)
-    through the compiled program and demands bit-exact agreement with the
+    through the compiled program (through its generated kernel when one is
+    bound, the code that serves) and demands bit-exact agreement with the
     trusted Knuth-Yao column walk over the sampler's own probability
     matrix: terminating strings must yield the same magnitude, and
     non-terminating ones must lower the valid flag.

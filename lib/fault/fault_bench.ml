@@ -15,8 +15,6 @@ type entry = {
 
 let threshold_pct = 3.0
 
-let default_set = Engine.Obs_bench.default_set
-
 let fill sampler out rng =
   Ctgauss.Sampler.fill sampler rng out ~pos:0 ~len:(Array.length out)
 
@@ -107,7 +105,7 @@ let measure_sign ?(signatures = 32) ?(rounds = 5) ?(min_time = 0.3) () =
     overhead_pct = 100.0 *. (t.(1) -. t.(0)) /. t.(0);
   }
 
-let run ?samples ?rounds ?min_time ?(set = default_set) () =
+let run ?samples ?rounds ?min_time ?(set = Ctgauss.Sampler.paper_keys) () =
   List.map
     (fun (sigma, precision) ->
       measure_health ?samples ?rounds ?min_time ~sigma ~precision ~tail_cut:13

@@ -22,8 +22,6 @@ val threshold_pct : float
 (** Acceptance budget: 3.0 (the obs layer's 2% gate plus one point —
     the health tests touch every random byte, not once per chunk). *)
 
-val default_set : (string * int) list
-
 val measure_health :
   ?samples:int ->
   ?rounds:int ->
@@ -44,7 +42,7 @@ val run :
   ?set:(string * int) list ->
   unit ->
   entry list
-(** {!measure_health} over [set] (default {!default_set}, tail cut 13)
+(** {!measure_health} over [set] (default {!Ctgauss.Sampler.paper_keys}, tail cut 13)
     plus one {!measure_sign} entry. *)
 
 val ok : entry list -> bool

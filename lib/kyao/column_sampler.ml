@@ -24,10 +24,28 @@ let walk_bits m bits =
       if col < Array.length bits then Some (if bits.(col) then 1 else 0)
       else None)
 
-let rec sample_magnitude m bs =
-  match walk m bs with
-  | Hit { value; _ } -> value
-  | Exhausted -> sample_magnitude m bs
+(* [walk] restarted until a hit, as a loop over the same bits: it
+   allocates nothing, since the bitsliced sampler runs it for every lane
+   its program leaves unterminated. *)
+let sample_magnitude (m : Matrix.t) bs =
+  let h = m.Matrix.col_weight and rows = m.Matrix.rows in
+  let value = ref (-1) and d = ref 0 and col = ref 0 in
+  while !value < 0 do
+    if !col >= m.Matrix.precision then begin
+      d := 0;
+      col := 0
+    end
+    else begin
+      let d' = (2 * !d) + Ctg_prng.Bitstream.next_bit bs in
+      let hc = h.(!col) in
+      if d' < hc then value := rows.(!col).(d')
+      else begin
+        d := d' - hc;
+        incr col
+      end
+    end
+  done;
+  !value
 
 let sample_signed m bs =
   let v = sample_magnitude m bs in

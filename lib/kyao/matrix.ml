@@ -6,6 +6,7 @@ type t = {
   support : int;
   bits : bool array array;
   col_weight : int array;
+  rows : int array array;
 }
 
 let of_table (gt : Gt.t) =
@@ -22,18 +23,26 @@ let of_table (gt : Gt.t) =
         done;
         !acc)
   in
-  { sigma = gt.Gt.sigma; precision; support; bits; col_weight }
+  (* rows.(col).(rank): the set rows of the column from the bottom up. *)
+  let rows =
+    Array.init precision (fun col ->
+        let r = Array.make col_weight.(col) 0 in
+        let k = ref 0 in
+        for row = support downto 0 do
+          if bits.(row).(col) then begin
+            r.(!k) <- row;
+            incr k
+          end
+        done;
+        r)
+  in
+  { sigma = gt.Gt.sigma; precision; support; bits; col_weight; rows }
 
 let create ~sigma ~precision ~tail_cut =
   of_table (Gt.create ~sigma ~precision ~tail_cut)
 
 let row_for t ~col ~rank =
   assert (rank >= 0 && rank < t.col_weight.(col));
-  let rec go row remaining =
-    if t.bits.(row).(col) then
-      if remaining = 0 then row else go (row - 1) (remaining - 1)
-    else go (row - 1) remaining
-  in
-  go t.support rank
+  t.rows.(col).(rank)
 
 let leaves_total t = Array.fold_left ( + ) 0 t.col_weight

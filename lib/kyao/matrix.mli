@@ -10,6 +10,8 @@ type t = {
   support : int;
   bits : bool array array;  (** [bits.(row).(col)] *)
   col_weight : int array;  (** [h_i] per column. *)
+  rows : int array array;
+      (** [rows.(col).(rank)] is {!row_for}[ ~col ~rank], precomputed. *)
 }
 
 val of_table : Ctg_fixed.Gaussian_table.t -> t
@@ -20,7 +22,8 @@ val create : sigma:string -> precision:int -> tail_cut:int -> t
 val row_for : t -> col:int -> rank:int -> int
 (** The sample value of the leaf with distance [rank] at level [col]: the
     [(rank+1)]-th set row scanning from the bottom row ([support]) upward,
-    exactly as algorithm 1 subtracts.  [rank] must be in [[0, h_col)]. *)
+    exactly as algorithm 1 subtracts.  [rank] must be in [[0, h_col)].
+    O(1): a lookup in [rows]. *)
 
 val leaves_total : t -> int
 (** Σ h_i — size of the paper's list L. *)

@@ -36,8 +36,6 @@ type entry = {
 
 let threshold_pct = 3.0
 
-let default_set = [ ("1", 128); ("2", 128); ("6.15543", 128); ("215", 16) ]
-
 let run_fill sampler out rng =
   Ctgauss.Sampler.fill sampler rng out ~pos:0 ~len:(Array.length out)
 
@@ -143,7 +141,7 @@ let measure ?(samples = 63 * 1000) ?(msgs = 16) ?(rounds = 5) ?(min_time = 0.4)
     prof_overhead_pct = 100.0 *. (prof -. plain) /. plain;
   }
 
-let run ?samples ?msgs ?rounds ?min_time ?(set = default_set) () =
+let run ?samples ?msgs ?rounds ?min_time ?(set = Ctgauss.Sampler.paper_keys) () =
   List.map
     (fun (sigma, precision) ->
       measure ?samples ?msgs ?rounds ?min_time ~sigma ~precision ~tail_cut:13 ())

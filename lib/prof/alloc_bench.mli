@@ -26,9 +26,6 @@ val threshold_pct : float
 (** 3.0 — looser than the 2% metered-obs budget: the profiling arm adds
     two [Gc.counters] calls and a ring write per span, and is opt-in. *)
 
-val default_set : (string * int) list
-(** Same Table-2 σ set as {!Ctg_engine.Obs_bench.default_set}. *)
-
 val measure :
   ?samples:int -> ?msgs:int -> ?rounds:int -> ?min_time:float ->
   sigma:string -> precision:int -> tail_cut:int -> unit -> entry

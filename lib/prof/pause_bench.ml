@@ -46,8 +46,6 @@ type entry = {
 
 let threshold_pct = 3.0
 
-let default_set = [ ("1", 128); ("2", 128); ("6.15543", 128); ("215", 16) ]
-
 let run_fill sampler out rng =
   Ctgauss.Sampler.fill sampler rng out ~pos:0 ~len:(Array.length out)
 
@@ -135,7 +133,7 @@ let measure ?(samples = 63 * 1000) ?(min_pauses = 30) ?(max_reps = 60)
     rtev_overhead_pct = overhead_of timings;
   }
 
-let run ?samples ?min_pauses ?max_reps ?rounds ?min_time ?(set = default_set)
+let run ?samples ?min_pauses ?max_reps ?rounds ?min_time ?(set = Ctgauss.Sampler.paper_keys)
     () =
   if not (Rtev.start ()) then None
   else

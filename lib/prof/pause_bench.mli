@@ -32,8 +32,6 @@ type entry = {
 val threshold_pct : float
 (** 3.0 — same budget as the profiling-overhead gate. *)
 
-val default_set : (string * int) list
-
 val measure :
   ?samples:int ->
   ?min_pauses:int ->

@@ -69,39 +69,61 @@ let gammq a x =
   else if x < a +. 1.0 then 1.0 -. gser a x
   else gcf a x
 
-let test ~observed ~expected =
-  if Array.length observed <> Array.length expected then
+type plan = {
+  bins : int;
+  starts : int array; (* first bin of each group, ascending *)
+  group_expected : float array;
+}
+
+(* Merge low-expectation bins left to right into an accumulator;
+   whatever is left joins the last group.  Two passes (count, then fill)
+   so a rebuild allocates just the two group arrays, and loops, not
+   closures, so the float accumulator is not boxed per bin. *)
+let plan ~expected =
+  let bins = Array.length expected in
+  let closed = ref 0 and acc = ref 0.0 in
+  for i = 0 to bins - 1 do
+    acc := !acc +. expected.(i);
+    if !acc >= 5.0 then begin
+      incr closed;
+      acc := 0.0
+    end
+  done;
+  let groups = max 1 !closed in
+  let starts = Array.make groups 0 and group_expected = Array.make groups 0.0 in
+  let g = ref 0 and acc = ref 0.0 in
+  for i = 0 to bins - 1 do
+    acc := !acc +. expected.(i);
+    if !acc >= 5.0 then begin
+      group_expected.(!g) <- !acc;
+      incr g;
+      if !g < groups then starts.(!g) <- i + 1;
+      acc := 0.0
+    end
+  done;
+  group_expected.(groups - 1) <- group_expected.(groups - 1) +. !acc;
+  { bins = Array.length expected; starts; group_expected }
+
+(* Groups are summed last to first: the statistic is bit-identical to
+   the one the unplanned fold over the newest-first group list gave. *)
+let test_planned p ~observed =
+  if Array.length observed <> p.bins then
     invalid_arg "Chi_square.test: length mismatch";
-  (* Merge low-expectation bins left to right into an accumulator. *)
-  let bins = ref [] in
-  let acc_o = ref 0 and acc_e = ref 0.0 in
-  Array.iteri
-    (fun i o ->
-      acc_o := !acc_o + o;
-      acc_e := !acc_e +. expected.(i);
-      if !acc_e >= 5.0 then begin
-        bins := (!acc_o, !acc_e) :: !bins;
-        acc_o := 0;
-        acc_e := 0.0
-      end)
-    observed;
-  (* Whatever is left joins the last bin. *)
-  let bins =
-    match (!bins, (!acc_o, !acc_e)) with
-    | [], leftover -> [ leftover ]
-    | (o, e) :: rest, (lo, le) when le > 0.0 || lo > 0 ->
-      (o + lo, e +. le) :: rest
-    | l, _ -> l
-  in
-  let stat =
-    List.fold_left
-      (fun s (o, e) ->
-        if e <= 0.0 then s
-        else begin
-          let d = float_of_int o -. e in
-          s +. (d *. d /. e)
-        end)
-      0.0 bins
-  in
-  let dof = max 1 (List.length bins - 1) in
-  { statistic = stat; dof; p_value = gammq (float_of_int dof /. 2.0) (stat /. 2.0) }
+  let groups = Array.length p.starts in
+  let stat = ref 0.0 and stop = ref p.bins in
+  for g = groups - 1 downto 0 do
+    let o = ref 0 in
+    for i = p.starts.(g) to !stop - 1 do
+      o := !o + observed.(i)
+    done;
+    stop := p.starts.(g);
+    let e = p.group_expected.(g) in
+    if not (e <= 0.0) then begin
+      let d = float_of_int !o -. e in
+      stat := !stat +. (d *. d /. e)
+    end
+  done;
+  let dof = max 1 (groups - 1) in
+  { statistic = !stat; dof; p_value = gammq (float_of_int dof /. 2.0) (!stat /. 2.0) }
+
+let test ~observed ~expected = test_planned (plan ~expected) ~observed

@@ -17,5 +17,16 @@ val test : observed:int array -> expected:float array -> result
     test_stats pin both edges down.  Degrees of freedom are
     [max 1 (groups - 1)].  [expected] are counts, not probabilities. *)
 
+type plan
+(** The bin grouping {!test} derives from [expected] alone. *)
+
+val plan : expected:float array -> plan
+
+val test_planned : plan -> observed:int array -> result
+(** [test_planned (plan ~expected) ~observed] is [test ~observed ~expected]
+    (bit for bit), without rebuilding the grouping or allocating: for
+    callers that test many observation vectors against one expectation.
+    @raise Invalid_argument when [observed] has a different length. *)
+
 val gammq : float -> float -> float
 (** Regularized upper incomplete gamma Q(a, x); exposed for testing. *)

@@ -241,6 +241,124 @@ let contains ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
 
+(* A random well-formed program: every gate kind, operands anywhere
+   before the gate, so values cross the emitter's chunk boundaries. *)
+let random_program ~seed ~num_vars ~instrs =
+  let rng = Ctg_prng.Splitmix64.create (Int64.of_int seed) in
+  let pick i = Ctg_prng.Splitmix64.next_int rng (num_vars + i) in
+  let instrs =
+    Array.init instrs (fun i ->
+        match Ctg_prng.Splitmix64.next_int rng 6 with
+        | 0 -> Gate.And (pick i, pick i)
+        | 1 -> Gate.Or (pick i, pick i)
+        | 2 -> Gate.Xor (pick i, pick i)
+        | 3 -> Gate.Not (pick i)
+        | k -> Gate.Const (k = 4))
+  in
+  let n = num_vars + Array.length instrs in
+  match
+    Gate.make ~num_vars ~instrs
+      ~outputs:[| n - 1; n / 2; 3; n - 600 |]
+      ~valid:(Some (n - 2))
+  with
+  | Ok p -> p
+  | Error e -> failwith e
+
+(* Reads [Codegen.to_ocaml p] (default name) line by line and fails
+   unless each line is one of the emitter's forms and the gates are
+   exactly [p]'s, in order, on registers bound earlier in the same chunk
+   (a computation) or loaded from a slot an earlier chunk stored. *)
+let check_straight_line (p : Gate.t) ml =
+  let nv = p.Gate.num_vars and n = Array.length p.Gate.instrs in
+  let fail fmt = Printf.ksprintf (fun m -> Alcotest.fail m) fmt in
+  let stored = Array.init (nv + n) (fun r -> r < nv) in
+  let bound = Hashtbl.create 1024 in
+  let next_gate = ref 0 and chunks = ref 0 and chunk_gates = ref 0 in
+  let calls = ref 0 and guard = ref false and header = ref true in
+  let use r = if not (Hashtbl.mem bound r) then fail "r%d read before it is bound" r in
+  let bind r =
+    if Hashtbl.mem bound r then fail "r%d bound twice" r;
+    Hashtbl.replace bound r ()
+  in
+  let gate d instr =
+    if d <> nv + !next_gate || p.Gate.instrs.(!next_gate) <> instr then
+      fail "r%d is not instruction %d of the program" d !next_gate;
+    (match instr with
+    | Gate.And (x, y) | Gate.Or (x, y) | Gate.Xor (x, y) ->
+      use x;
+      use y
+    | Gate.Not x -> use x
+    | Gate.Const _ -> ());
+    bind d;
+    incr next_gate;
+    incr chunk_gates;
+    if !chunk_gates > 512 then fail "chunk %d has over 512 gates" (!chunks - 1)
+  in
+  let line l =
+    let scan fmt f = Scanf.sscanf_opt l fmt f in
+    let ( <|> ) a b = match a with Some () -> Some () | None -> b () in
+    let matched =
+      (if l = "" then Some () else None)
+      <|> (fun () ->
+            scan "let ct_gauss_sample_c%d (b : int array) =%!" (fun c ->
+                if c <> !chunks then fail "chunk %d out of order" c;
+                incr chunks;
+                chunk_gates := 0;
+                Hashtbl.reset bound))
+      <|> (fun () ->
+            scan "  let r%d = Array.unsafe_get b %d in%!" (fun r k ->
+                if r <> k || not stored.(r) then fail "load of r%d from slot %d" r k;
+                bind r))
+      <|> (fun () ->
+            scan "  let r%d = r%d %s@ r%d in%!" (fun d x op y ->
+                match op with
+                | "land" -> gate d (Gate.And (x, y))
+                | "lor" -> gate d (Gate.Or (x, y))
+                | "lxor" -> gate d (Gate.Xor (x, y))
+                | op -> fail "operator %s" op))
+      <|> (fun () -> scan "  let r%d = lnot r%d in%!" (fun d x -> gate d (Gate.Not x)))
+      <|> (fun () ->
+            scan "  let r%d = %d in%!" (fun d v ->
+                if v <> 0 && v <> -1 then fail "constant %d" v;
+                gate d (Gate.Const (v = -1))))
+      <|> (fun () ->
+            scan "  Array.unsafe_set b %d r%d;%!" (fun k r ->
+                if k <> r then fail "r%d stored to slot %d" r k;
+                use r;
+                stored.(r) <- true))
+      <|> (fun () -> if l = "  ()" then Some () else None)
+      <|> (fun () ->
+            if l = "let ct_gauss_sample (b : int array) : unit =" then Some () else None)
+      <|> (fun () ->
+            if
+              l
+              = Printf.sprintf
+                  "  if Array.length b < %d then invalid_arg \"ct_gauss_sample: register \
+                   file too short\";"
+                  (nv + n)
+            then Some (guard := true)
+            else None)
+      <|> fun () ->
+      scan "  ct_gauss_sample_c%d b%s@\n" (fun c rest ->
+          if c <> !calls || not (rest = ";" || rest = "") then fail "call %S" l;
+          incr calls)
+    in
+    if matched = None then fail "unexpected line %S" l
+  in
+  List.iter
+    (fun l ->
+      if !header then begin
+        let len = String.length l in
+        if len >= 2 && String.sub l (len - 2) 2 = "*)" then header := false
+      end
+      else line l)
+    (String.split_on_char '\n' ml);
+  if !next_gate <> n then fail "%d of %d gates emitted" !next_gate n;
+  if not !guard then fail "no register-file length check";
+  if !calls <> !chunks then fail "%d chunks, %d called" !chunks !calls;
+  Array.iter (fun r -> if not stored.(r) then fail "output r%d not stored" r) p.Gate.outputs;
+  Option.iter (fun r -> if not stored.(r) then fail "valid r%d not stored" r) p.Gate.valid
+
 let codegen_tests =
   [
     Alcotest.test_case "C output contains the interface" `Quick (fun () ->
@@ -255,6 +373,19 @@ let codegen_tests =
         let ml = Codegen.to_ocaml (Sampler.program s) in
         Alcotest.(check bool) "let binding" true
           (contains ~affix:"let ct_gauss_sample (b : int array)" ml));
+    Alcotest.test_case "OCaml output is straight-line register code" `Quick
+      (fun () ->
+        (* Every line must be one of the emitter's forms, each gate the
+           program's own instruction on registers bound earlier in its
+           chunk: no branch, loop or computed index can appear, which is
+           what makes a generated kernel constant time (the op-count
+           dudect test cannot see this). *)
+        List.iter
+          (fun p -> check_straight_line p (Codegen.to_ocaml p))
+          [
+            random_program ~seed:7 ~num_vars:12 ~instrs:1300;
+            Sampler.program (Sampler.of_enum enum_wide);
+          ]);
     Alcotest.test_case "dot output is a digraph" `Quick (fun () ->
         let enum = enum_of "1.2" 8 in
         let s = Sampler.of_enum enum in

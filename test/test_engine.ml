@@ -324,6 +324,54 @@ let alloc_words f =
   let minor1, promoted1, major1 = Gc.counters () in
   minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
 
+(* The registry's sampler for a paper key (compiled once, then cached):
+   bound to its build-time kernel.  σ=215 at precision 16 is the key
+   whose batches take the scalar fallback. *)
+let paper_sampler (sigma, precision) =
+  E.Registry.lookup E.Registry.global ~sigma ~precision ~tail_cut:13 ()
+
+let kernel_tests =
+  Alcotest.test_case "registry binds a kernel for every paper key" `Quick
+    (fun () ->
+      (* A compile that stopped being deterministic would change the
+         digest and silently fall back to the interpreter. *)
+      List.iter
+        (fun ((sigma, _) as key) ->
+          let s = paper_sampler key in
+          Alcotest.(check bool) ("bound, sigma=" ^ sigma) true (Ctgauss.Sampler.has_kernel s);
+          Alcotest.(check bool)
+            ("clone bound, sigma=" ^ sigma)
+            true
+            (Ctgauss.Sampler.has_kernel (Ctgauss.Sampler.clone s)))
+        Ctgauss.Sampler.paper_keys)
+  :: Alcotest.test_case "self-test runs the bound kernel" `Quick (fun () ->
+         (* A kernel that computes nothing must fail the KAT, so the KAT
+            checks the code that serves, not only the gate table. *)
+         let s = Ctgauss.Sampler.with_kernel (paper_sampler ("2", 128)) ignore in
+         Alcotest.(check bool) "digest still matches" true (Ctgauss.Sampler.integrity_ok s);
+         Alcotest.(check bool) "KAT fails" true (Result.is_error (E.Selftest.run s)))
+  :: List.map
+       (fun ((sigma, precision) as key) ->
+         let name = Printf.sprintf "kernel = interpreter, sigma=%s/%d" sigma precision in
+         QCheck_alcotest.to_alcotest
+           (QCheck.Test.make ~name ~count:200 QCheck.int (fun seed ->
+                let s = paper_sampler key in
+                let p = Ctgauss.Sampler.program s in
+                let kernel = Option.get (Ctg_kernels.Kernels.find (Ctgauss.Sampler.digest s)) in
+                let rng = Ctg_prng.Splitmix64.create (Int64.of_int seed) in
+                let inputs =
+                  Array.init p.Ctgauss.Gate.num_vars (fun _ ->
+                      Int64.to_int (Ctg_prng.Splitmix64.next rng))
+                in
+                let interp = Ctgauss.Bitslice.scratch p and gen = Ctgauss.Bitslice.scratch p in
+                Ctgauss.Bitslice.eval p interp ~inputs;
+                Ctgauss.Bitslice.eval_kernel kernel gen ~inputs;
+                Ctgauss.Bitslice.valid_word p interp = Ctgauss.Bitslice.valid_word p gen
+                && Array.for_all
+                     (fun i -> Ctgauss.Bitslice.output p interp i = Ctgauss.Bitslice.output p gen i)
+                     (Array.init (Array.length p.Ctgauss.Gate.outputs) Fun.id))))
+       Ctgauss.Sampler.paper_keys
+
 let alloc_tests =
   [
     Alcotest.test_case "Sampler.sample allocates nothing after warm-up" `Quick
@@ -340,6 +388,22 @@ let alloc_tests =
         done;
         let words = Gc.minor_words () -. w0 in
         Alcotest.(check (float 0.0)) "words per sample" 0.0 (words /. 10_000.));
+    Alcotest.test_case "sigma=215/16 with fallback lanes allocates nothing" `Quick
+      (fun () ->
+        let s = Ctgauss.Sampler.clone (paper_sampler ("215", 16)) in
+        let rng = E.Stream_fork.bitstream ~seed:"alloc" ~lane:0 () in
+        for _ = 1 to 1000 do
+          ignore (Ctgauss.Sampler.sample s rng)
+        done;
+        let fallbacks = Ctgauss.Sampler.resamples s in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 63 * 400 do
+          ignore (Sys.opaque_identity (Ctgauss.Sampler.sample s rng))
+        done;
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check bool) "fallback lanes walked" true
+          (Ctgauss.Sampler.resamples s > fallbacks);
+        Alcotest.(check (float 0.0)) "words per sample" 0.0 (words /. (63. *. 400.)));
     Alcotest.test_case "one-domain batch_parallel: only per-call bookkeeping"
       `Quick (fun () ->
         let pool =
@@ -419,5 +483,6 @@ let () =
       ("registry", registry_tests);
       ("pool", pool_tests);
       ("sign_many", sign_many_tests);
+      ("kernels", kernel_tests);
       ("alloc", alloc_tests);
     ]
