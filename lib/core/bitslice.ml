@@ -16,7 +16,7 @@ type scratch = {
   m1 : int array;
   m2 : int array;
   regs : int array;
-  outs : int array; (* output words, consumed by [magnitudes_into] *)
+  outs : int array; (* output words, copied out by [magnitudes_into] *)
   num_vars : int;
   ones_reg : int;
 }
@@ -84,11 +84,18 @@ let output (p : Gate.t) (s : scratch) i = s.regs.(p.Gate.outputs.(i))
 let valid_word (p : Gate.t) (s : scratch) =
   match p.Gate.valid with None -> all_ones | Some r -> s.regs.(r)
 
-(* Lane-major: each lane's magnitude is gathered in a register from the
-   output words and stored once.  The words are copied out of the
-   register file first and shifted down one lane per step, which saves
-   the indirect load and the variable shift per bit (~30% of this loop,
-   as costly as the generated kernel at σ=215's 12 output bits). *)
+(* [spread x]: bit k of the low byte of [x] moved to bit 8k. *)
+let[@inline] spread x =
+  let x = (x lor (x lsl 28)) land 0x0000000F0000000F in
+  let x = (x lor (x lsl 14)) land 0x0003000300030003 in
+  (x lor (x lsl 7)) land 0x0101010101010101
+
+(* Transpose eight lanes at a time: the byte of each output word that
+   holds lanes 8g .. 8g+7 is spread to one bit per byte, up to seven
+   output bits are stacked in each byte (not eight: an OCaml int has no
+   bit 63), and each lane's byte is cut out.  Half the cost of gathering
+   bit by bit, as costly as the generated kernel at σ=215's 12 output
+   bits, and like it the same operations whatever the values. *)
 let magnitudes_into (p : Gate.t) (s : scratch) dst off =
   let outputs = p.Gate.outputs and w = s.outs in
   let m = Array.length outputs in
@@ -97,14 +104,24 @@ let magnitudes_into (p : Gate.t) (s : scratch) dst off =
   for bit = 0 to m - 1 do
     Array.unsafe_set w bit s.regs.(Array.unsafe_get outputs bit)
   done;
-  for lane = 0 to lanes - 1 do
-    let mag = ref 0 in
-    for bit = 0 to m - 1 do
-      let x = Array.unsafe_get w bit in
-      mag := !mag lor ((x land 1) lsl bit);
-      Array.unsafe_set w bit (x lsr 1)
-    done;
-    Array.unsafe_set dst (off + lane) !mag
+  for g = 0 to (lanes - 1) / 8 do
+    let shift = 8 * g in
+    let last = if lanes - 1 - shift < 7 then lanes - 1 - shift else 7 in
+    let b0 = ref 0 in
+    while !b0 < m do
+      let top = if !b0 + 7 < m then !b0 + 7 else m in
+      let acc = ref 0 in
+      for bit = !b0 to top - 1 do
+        acc :=
+          !acc lor (spread ((Array.unsafe_get w bit lsr shift) land 0xFF) lsl (bit - !b0))
+      done;
+      for k = 0 to last do
+        let i = off + shift + k in
+        let v = ((!acc lsr (8 * k)) land 0x7F) lsl !b0 in
+        Array.unsafe_set dst i (if !b0 = 0 then v else Array.unsafe_get dst i lor v)
+      done;
+      b0 := top
+    done
   done
 
 let magnitudes p s =

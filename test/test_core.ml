@@ -410,6 +410,7 @@ let prop_tests =
   let open QCheck in
   let split_sampler = Sampler.of_enum enum_mid in
   let simple_sampler = Sampler.of_enum ~method_:Simple enum_mid in
+  let wide_sampler = Sampler.of_enum (enum_of "100" 10) in
   List.map QCheck_alcotest.to_alcotest
     [
       Test.make ~name:"both compilers agree with each other" ~count:400
@@ -423,26 +424,29 @@ let prop_tests =
         small_nat
         (fun seed ->
           (* Drive the program with one word per variable and check every
-             lane against eval_single on the same per-lane bits. *)
-          let p = Sampler.program split_sampler in
-          let rng = Ctg_prng.Splitmix64.create (Int64.of_int (seed + 555)) in
-          let nv = p.Gate.num_vars in
-          let inputs =
-            Array.init nv (fun _ ->
-                Int64.to_int (Ctg_prng.Splitmix64.next rng) land max_int)
-          in
-          let scratch = Bitslice.scratch p in
-          Bitslice.eval p scratch ~inputs;
-          let mags = Bitslice.magnitudes p scratch in
-          let valid = Bitslice.valid_word p scratch in
-          let ok = ref true in
-          for lane = 0 to 40 do
-            let bits = Array.init nv (fun v -> (inputs.(v) lsr lane) land 1 = 1) in
-            let v, ok1 = Ctgauss.Bitslice.eval_single p bits in
-            if ok1 <> ((valid lsr lane) land 1 = 1) then ok := false;
-            if ok1 && v <> mags.(lane) then ok := false
-          done;
-          !ok);
+             lane against eval_single on the same per-lane bits; the wide
+             program has more than 8 output bits, so the transpose stacks
+             them in two passes. *)
+          List.for_all
+            (fun p ->
+              let rng = Ctg_prng.Splitmix64.create (Int64.of_int (seed + 555)) in
+              let nv = p.Gate.num_vars in
+              let inputs =
+                Array.init nv (fun _ -> Int64.to_int (Ctg_prng.Splitmix64.next rng))
+              in
+              let scratch = Bitslice.scratch p in
+              Bitslice.eval p scratch ~inputs;
+              let mags = Bitslice.magnitudes p scratch in
+              let valid = Bitslice.valid_word p scratch in
+              let ok = ref true in
+              for lane = 0 to Bitslice.lanes - 1 do
+                let bits = Array.init nv (fun v -> (inputs.(v) lsr lane) land 1 = 1) in
+                let v, ok1 = Ctgauss.Bitslice.eval_single p bits in
+                if ok1 <> ((valid lsr lane) land 1 = 1) then ok := false;
+                if ok1 && v <> mags.(lane) then ok := false
+              done;
+              !ok)
+            [ Sampler.program split_sampler; Sampler.program wide_sampler ]);
     ]
 
 let () =
