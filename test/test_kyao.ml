@@ -31,25 +31,6 @@ let unit_tests =
         (* Column 2 has rows 0,2,3 set; rank 0 is the bottom-most (3). *)
         Alcotest.(check int) "col2 rank0" 3 (Matrix.row_for m_small ~col:2 ~rank:0);
         Alcotest.(check int) "col2 rank2" 0 (Matrix.row_for m_small ~col:2 ~rank:2));
-    Alcotest.test_case "sample_magnitude = restarted walk, same bits" `Quick
-      (fun () ->
-        (* The allocation-free loop must read exactly the bits of the
-           reference restarts; n=6 exhausts often, so restarts run. *)
-        let rec reference m bs =
-          match Cs.walk m bs with
-          | Cs.Hit { value; _ } -> value
-          | Cs.Exhausted -> reference m bs
-        in
-        List.iter
-          (fun m ->
-            let mk () = Bs.of_chacha (Ctg_prng.Chacha20.of_seed "walk") in
-            let a = mk () and b = mk () in
-            for _ = 1 to 3000 do
-              let v = Cs.sample_magnitude m a in
-              Alcotest.(check int) "value" (reference m b) v;
-              Alcotest.(check int) "bits" (Bs.bits_consumed b) (Bs.bits_consumed a)
-            done)
-          [ m_small; m_mid; m_wide ]);
     Alcotest.test_case "walk agrees with explicit tree walk" `Quick (fun () ->
         let tree = Ddg.build m_mid in
         let rng = Ctg_prng.Splitmix64.create 5L in
@@ -161,6 +142,25 @@ let unit_tests =
         done;
         let ratio = float_of_int !pos /. float_of_int !neg in
         Alcotest.(check bool) "balanced" true (ratio > 0.95 && ratio < 1.05));
+    Alcotest.test_case "sample_magnitude = restarted walk, same bits" `Quick
+      (fun () ->
+        (* The allocation-free loop must read exactly the bits of the
+           reference restarts; n=6 exhausts often, so restarts run. *)
+        let rec reference m bs =
+          match Cs.walk m bs with
+          | Cs.Hit { value; _ } -> value
+          | Cs.Exhausted -> reference m bs
+        in
+        List.iter
+          (fun m ->
+            let mk () = Bs.of_chacha (Ctg_prng.Chacha20.of_seed "walk") in
+            let a = mk () and b = mk () in
+            for _ = 1 to 3000 do
+              let v = Cs.sample_magnitude m a in
+              Alcotest.(check int) "value" (reference m b) v;
+              Alcotest.(check int) "bits" (Bs.bits_consumed b) (Bs.bits_consumed a)
+            done)
+          [ m_small; m_mid; m_wide ]);
   ]
 
 let prop_tests =
