@@ -1,7 +1,6 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md §4 for the experiment index) plus the
-   ablations, and hosts one Bechamel Test per table/figure family
-   (subcommand [micro]).
+   ablations and the committed overhead and budget gates.
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe table1          # one artifact
@@ -701,128 +700,30 @@ let cmd_gates ?(json_path = "BENCH_gates.json") () =
   printf "these budgets (gate count is the paper's cost proxy)@."
 
 (* -------------------------------------------------------------------- *)
-(* Obs: instrumentation overhead budget (and BENCH_obs.json)             *)
+(* Overhead gates: obs|alloc|fault|assure|pauses (BENCH_<name>.json)     *)
 (* -------------------------------------------------------------------- *)
 
-let cmd_obs ?(smoke = false) () =
+let cmd_gate ?(smoke = false) (row : Ctg_overhead.Harness.row) =
+  let module H = Ctg_overhead.Harness in
   section
-    (if smoke then "Obs: instrumentation overhead (smoke run)"
-     else "Obs: instrumentation overhead on the batch-sampling hot path");
-  let set =
-    if smoke then [ ("2", 16); ("215", 16) ]
-    else Ctgauss.Sampler.paper_keys
-  in
-  let samples = if smoke then 63 * 400 else 63 * 1000 in
-  let rounds = if smoke then 3 else 5 in
-  let min_time = if smoke then 1.0 else 0.4 in
-  printf "plain vs metered vs traced fill loops, median of paired passes@.@.";
-  let entries = Ctg_engine.Obs_bench.run ~samples ~rounds ~min_time ~set () in
-  List.iter (fun e -> printf "  %a@." Ctg_engine.Obs_bench.pp_entry e) entries;
-  let path = if smoke then "BENCH_obs_smoke.json" else "BENCH_obs.json" in
-  Ctg_engine.Obs_bench.save path entries;
-  printf "@.wrote %s@." path;
-  if Ctg_engine.Obs_bench.ok entries then
-    printf "OK: metered overhead < %.1f%%, 0 CT violations@."
-      Ctg_engine.Obs_bench.threshold_pct
-  else begin
-    printf "FAIL: overhead budget exceeded or CT violation recorded@.";
-    exit 1
-  end
-
-(* -------------------------------------------------------------------- *)
-(* Alloc: allocation baselines + profiling overhead (BENCH_alloc.json)   *)
-(* -------------------------------------------------------------------- *)
-
-let cmd_alloc ?(smoke = false) () =
-  section
-    (if smoke then "Alloc: allocation baselines + profiling overhead (smoke run)"
-     else "Alloc: words/sample, words/signature, ctg_prof overhead gate");
-  let set =
-    if smoke then [ ("2", 16); ("215", 16) ]
-    else Ctgauss.Sampler.paper_keys
-  in
-  let samples = if smoke then 63 * 400 else 63 * 1000 in
-  let msgs = if smoke then 8 else 16 in
-  let rounds = if smoke then 3 else 5 in
-  let min_time = if smoke then 1.0 else 0.4 in
-  printf "plain vs profiling-armed fill loops, median of paired passes@.@.";
-  let entries =
-    Ctg_prof.Alloc_bench.run ~samples ~msgs ~rounds ~min_time ~set ()
-  in
-  List.iter (fun e -> printf "  %a@." Ctg_prof.Alloc_bench.pp_entry e) entries;
-  let path = if smoke then "BENCH_alloc_smoke.json" else "BENCH_alloc.json" in
-  Ctg_prof.Alloc_bench.save path entries;
-  printf "@.wrote %s@." path;
-  if Ctg_prof.Alloc_bench.ok entries then
-    printf "OK: profiling overhead < %.1f%%@."
-      Ctg_prof.Alloc_bench.threshold_pct
-  else begin
-    printf "FAIL: profiling overhead budget exceeded@.";
-    exit 1
-  end
-
-(* -------------------------------------------------------------------- *)
-(* Fault: always-on defense overhead budget (and BENCH_fault.json)       *)
-(* -------------------------------------------------------------------- *)
-
-let cmd_fault ?(smoke = false) () =
-  section
-    (if smoke then "Fault: defense overhead (smoke run)"
-     else "Fault: always-on defense overhead (entropy health, verify-after-sign)");
-  let set =
-    if smoke then [ ("2", 16); ("215", 16) ]
-    else Ctgauss.Sampler.paper_keys
-  in
-  let samples = if smoke then 63 * 400 else 63 * 1000 in
-  let rounds = if smoke then 3 else 5 in
-  let min_time = if smoke then 1.0 else 0.4 in
-  printf "plain vs hardened passes, median of paired ratios@.@.";
-  let entries = Ctg_fault.Fault_bench.run ~samples ~rounds ~min_time ~set () in
-  List.iter (fun e -> printf "  %a@." Ctg_fault.Fault_bench.pp_entry e) entries;
-  let path = if smoke then "BENCH_fault_smoke.json" else "BENCH_fault.json" in
-  Ctg_fault.Fault_bench.save path entries;
-  printf "@.wrote %s@." path;
-  if Ctg_fault.Fault_bench.ok entries then
-    printf "OK: every always-on defense costs < %.1f%%@."
-      Ctg_fault.Fault_bench.threshold_pct
-  else begin
-    printf "FAIL: defense overhead budget exceeded@.";
-    exit 1
-  end
-
-(* -------------------------------------------------------------------- *)
-(* Assure: drift-monitor overhead budget (and BENCH_assure.json)         *)
-(* -------------------------------------------------------------------- *)
-
-let cmd_assure ?(smoke = false) () =
-  section
-    (if smoke then "Assure: drift-monitor overhead (smoke run)"
-     else "Assure: always-on drift-monitor overhead on the fill loop");
-  let set =
-    (* Smoke keeps the production precisions: a 16-bit sigma=2 table fills
-       at ~85 ns/sample where any fixed per-sample cost looks huge
-       relative to the budget, and is not a configuration the committed
-       baseline gates. *)
-    if smoke then [ ("2", 128); ("215", 16) ]
-    else Ctgauss.Sampler.paper_keys
-  in
-  let samples = if smoke then 63 * 400 else 63 * 1000 in
-  let rounds = if smoke then 3 else 5 in
-  let min_time = if smoke then 1.0 else 0.4 in
-  printf "plain vs monitored fill loops, median of paired passes@.@.";
-  let entries = Ctg_assure.Assure_bench.run ~samples ~rounds ~min_time ~set () in
-  List.iter (fun e -> printf "  %a@." Ctg_assure.Assure_bench.pp_entry e) entries;
-  let path = if smoke then "BENCH_assure_smoke.json" else "BENCH_assure.json" in
-  Ctg_assure.Assure_bench.save path entries;
-  printf "@.wrote %s@." path;
-  if Ctg_assure.Assure_bench.ok entries then
-    printf "OK: drift monitoring costs < %.1f%%, no false alarms@."
-      Ctg_assure.Assure_bench.threshold_pct
-  else begin
-    printf "FAIL: drift-monitor overhead budget exceeded or a clean stream \
-            alarmed@.";
-    exit 1
-  end
+    (Printf.sprintf "%s overhead gate%s" (String.capitalize_ascii row.name)
+       (if smoke then " (smoke run)" else ""));
+  printf "baseline vs gated arms, median of paired passes@.@.";
+  match H.measure row (H.sizes ~smoke row) with
+  | None -> printf "SKIP: the %s gate cannot run in this environment@." row.name
+  | Some report ->
+    List.iter (printf "  %a@." H.pp_entry) report.entries;
+    let path = H.file ~smoke row in
+    H.save path report;
+    printf "@.wrote %s@." path;
+    if H.ok report then
+      printf "OK: every %s entry under %.1f%% and every extra check holds@."
+        row.name row.threshold_pct
+    else begin
+      printf "FAIL: %s overhead budget exceeded or an extra check failed@."
+        row.name;
+      exit 1
+    end
 
 (* -------------------------------------------------------------------- *)
 (* Saga: acceptance-battery cost budget (and BENCH_saga.json)            *)
@@ -876,124 +777,6 @@ let cmd_serve ?(smoke = false) () =
             health)@.";
     exit 1
   end
-
-(* -------------------------------------------------------------------- *)
-(* Pauses: real GC pause baselines + rtev overhead (BENCH_pauses.json)   *)
-(* -------------------------------------------------------------------- *)
-
-(* The daemon-under-load row: the signing daemon with rtev on, driven by
-   concurrent HTTP clients, then the pause-charged serving split read
-   back out of its registry.  Assembled here because the gated library
-   bench (lib/prof) cannot depend on the serving stack.  Advisory only —
-   none of its keys are [_ns]-suffixed, a loaded daemon's pause total is
-   too run-shaped to trend-gate. *)
-let pauses_daemon_row ?(tenants = 2) ?(per_tenant = 8) () =
-  let config =
-    {
-      Ctg_serve.Daemon.default_config with
-      port = 0;
-      rtev = true;
-      linger = 0.005;
-      max_batch = 8;
-    }
-  in
-  let d = Ctg_serve.Daemon.create config in
-  if not (Ctg_serve.Daemon.rtev_active d) then begin
-    Ctg_serve.Daemon.stop d;
-    None
-  end
-  else begin
-    let port = Ctg_serve.Daemon.port d in
-    let module Client = Ctg_net.Client in
-    let workers =
-      Array.init tenants (fun t ->
-          Domain.spawn (fun () ->
-              let tenant = Printf.sprintf "pause-t%d" t in
-              let c = Client.connect ~port () in
-              for i = 0 to per_tenant - 1 do
-                let r =
-                  Client.request c ~meth:"POST"
-                    ~path:("/v1/sign?tenant=" ^ tenant)
-                    ~body:(Printf.sprintf "%s-%d" tenant i)
-                    ()
-                in
-                if r.Client.status <> 200 then
-                  failwith (Printf.sprintf "sign -> %d" r.Client.status)
-              done;
-              Client.close c))
-    in
-    Array.iter Domain.join workers;
-    (* One forced major collection while the daemon is still up, so the
-       row always carries a nonzero pause. *)
-    Gc.compact ();
-    ignore (Ctg_rtev.Rtev.poll ());
-    let registry = Ctg_serve.Daemon.registry d in
-    let serve =
-      Ctg_obs.Registry.histo_summary
-        (Ctg_obs.Registry.histo registry "serve_gc_pause_ns")
-    in
-    let pause =
-      Ctg_obs.Registry.histo_summary
-        (Ctg_obs.Registry.histo registry "gc_pause_ns")
-    in
-    let requests = Ctg_serve.Daemon.requests d in
-    let batches = Ctg_serve.Daemon.batches d in
-    Ctg_serve.Daemon.stop d;
-    let module J = Ctg_obs.Jsonx in
-    let module H = Ctg_obs.Histo in
-    Some
-      (J.Obj
-         [
-           ("requests", J.Num (float_of_int requests));
-           ("batches", J.Num (float_of_int batches));
-           ("gc_pauses", J.Num (float_of_int pause.H.count));
-           ("gc_pause_total", J.Num (float_of_int pause.H.sum));
-           ("gc_pause_max", J.Num (float_of_int pause.H.max));
-           ("serve_batches_observed", J.Num (float_of_int serve.H.count));
-           ("serve_pause_total", J.Num (float_of_int serve.H.sum));
-           ("serve_pause_max", J.Num (float_of_int serve.H.max));
-         ])
-  end
-
-let cmd_pauses ?(smoke = false) () =
-  section
-    (if smoke then "Pauses: GC pause baselines + rtev overhead (smoke run)"
-     else
-       "Pauses: real GC pause baselines per sigma + rtev always-on overhead");
-  let set =
-    if smoke then [ ("2", 128); ("215", 16) ]
-    else Ctgauss.Sampler.paper_keys
-  in
-  let samples = if smoke then 63 * 400 else 63 * 1000 in
-  let min_pauses = if smoke then 5 else 30 in
-  let rounds = if smoke then 3 else 5 in
-  let min_time = if smoke then 1.0 else 0.4 in
-  printf "ring-suspended vs ring-live fill loops, median of paired passes@.@.";
-  match
-    Ctg_prof.Pause_bench.run ~samples ~min_pauses ~rounds ~min_time ~set ()
-  with
-  | None ->
-    printf "SKIP: Runtime_events ring unavailable in this environment@."
-  | Some entries ->
-    List.iter
-      (fun e -> printf "  %a@." Ctg_prof.Pause_bench.pp_entry e)
-      entries;
-    let daemon = pauses_daemon_row () in
-    (match daemon with
-    | Some _ -> printf "@.daemon-under-load pause row captured@."
-    | None -> printf "@.daemon-under-load pause row skipped (ring unavailable)@.");
-    let path =
-      if smoke then "BENCH_pauses_smoke.json" else "BENCH_pauses.json"
-    in
-    Ctg_prof.Pause_bench.save ?daemon path entries;
-    printf "wrote %s@." path;
-    if Ctg_prof.Pause_bench.ok entries then
-      printf "OK: every sigma saw real pauses; rtev overhead < %.1f%%@."
-        Ctg_prof.Pause_bench.threshold_pct
-    else begin
-      printf "FAIL: no pause decoded or rtev overhead budget exceeded@.";
-      exit 1
-    end
 
 (* -------------------------------------------------------------------- *)
 (* History: perf trajectory over the committed BENCH baselines           *)
@@ -1155,83 +938,6 @@ let cmd_sync () =
   printf "end-to-end: BENCH_obs/fault/assure budgets gate the hot paths@."
 
 (* -------------------------------------------------------------------- *)
-(* Bechamel micro-benchmarks: one Test per table/figure family           *)
-(* -------------------------------------------------------------------- *)
-
-let cmd_micro () =
-  section "Bechamel micro-benchmarks (one Test per table/figure family)";
-  let open Bechamel in
-  let enum2 = Lazy.force enum_sigma2 in
-  let enum6 = Lazy.force enum_sigma6 in
-  let options = { Ctgauss.Compile.default_options with with_valid = false } in
-  let ours2 = Ctgauss.Compile.compile ~options (Ctgauss.Sublist.build enum2) in
-  let simple2 = Ctgauss.Compile_simple.compile ~with_valid:false enum2 in
-  let ours6 = Ctgauss.Compile.compile ~options (Ctgauss.Sublist.build enum6) in
-  let table = Lazy.force cdt_table_sigma2 in
-  let kp = keypair F.Params.level1 in
-  let sign_test name inst =
-    let base = F.Base_sampler.of_instance inst in
-    let rng = fresh_rng ("micro-" ^ name) in
-    let msg = Bytes.of_string "bechamel" in
-    Test.make ~name (Staged.stage (fun () -> ignore (F.Sign.sign kp base rng ~msg)))
-  in
-  let sample_test name (inst : Sig.instance) =
-    let rng = fresh_rng ("micro-" ^ name) in
-    Test.make ~name (Staged.stage (fun () -> ignore (inst.Sig.sample_magnitude rng)))
-  in
-  let tests =
-    Test.make_grouped ~name:"ctgauss"
-      [
-        (* Table 2 family: the sampler kernels. *)
-        Test.make ~name:"table2/batch63-ours-sigma2"
-          (Staged.stage (batch_kernel ours2));
-        Test.make ~name:"table2/batch63-simple-sigma2"
-          (Staged.stage (batch_kernel simple2));
-        Test.make ~name:"table2/batch63-ours-sigma6.15543"
-          (Staged.stage (batch_kernel ours6));
-        (* Table 1 family: one signature per sampler (Falcon-256). *)
-        sign_test "table1/sign256-bitsliced"
-          (Sig.of_bitsliced (Lazy.force bitsliced_sigma2));
-        sign_test "table1/sign256-byte-scan-cdt"
-          (Ctg_samplers.Cdt_samplers.byte_scan table);
-        sign_test "table1/sign256-binary-cdt"
-          (Ctg_samplers.Cdt_samplers.binary_search table);
-        sign_test "table1/sign256-linear-ct-cdt"
-          (Ctg_samplers.Cdt_samplers.linear_ct table);
-        (* Fig. 5 family: per-sample cost with PRNG included. *)
-        sample_test "fig5/sample-bitsliced-sigma2"
-          (Sig.of_bitsliced (Lazy.force bitsliced_sigma2));
-        sample_test "fig5/sample-knuth-yao-ref"
-          (Sig.knuth_yao_reference enum2.Ctg_kyao.Leaf_enum.matrix);
-        (* X1 family: the leaf enumeration itself. *)
-        Test.make ~name:"delta/enumerate-sigma2-n128"
-          (Staged.stage (fun () ->
-               ignore
-                 (Ctg_kyao.Leaf_enum.enumerate enum2.Ctg_kyao.Leaf_enum.matrix)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with
-          | Some (e :: _) -> e
-          | Some [] | None -> nan
-        in
-        (name, est) :: acc)
-      results []
-    |> List.sort compare
-  in
-  printf "%-44s %16s@." "benchmark" "ns/run (OLS)";
-  List.iter (fun (name, est) -> printf "%-44s %16.1f@." name est) rows
-
-(* -------------------------------------------------------------------- *)
 (* Dispatch                                                              *)
 (* -------------------------------------------------------------------- *)
 
@@ -1240,7 +946,7 @@ let usage () =
     "usage: main.exe [all|table1|table2|fig1|fig2|fig3|fig4|fig5|delta|@.";
   printf "                 prng-overhead|dudect|ablation-min|ablation-chain|@.";
   printf "                 precision|large-sigma|sampler-quality|engine|@.";
-  printf "                 gates|sign-many|obs|alloc|fault|assure|saga|serve|pauses|history|micro|sync]@.";
+  printf "                 gates|sign-many|obs|alloc|fault|assure|saga|serve|pauses|history|sync]@.";
   printf "        [--full]        (fig5 at the paper's 64x10^7 samples)@.";
   printf
     "        [--smoke]       (obs/alloc/fault/assure/serve/pauses: CI-sized \
@@ -1290,15 +996,9 @@ let () =
   | "engine" -> cmd_engine ()
   | "gates" -> cmd_gates ()
   | "sign-many" -> cmd_sign_many ()
-  | "obs" -> cmd_obs ~smoke ()
-  | "alloc" -> cmd_alloc ~smoke ()
-  | "fault" -> cmd_fault ~smoke ()
-  | "assure" -> cmd_assure ~smoke ()
   | "saga" -> cmd_saga ~smoke ()
   | "serve" -> cmd_serve ~smoke ()
-  | "pauses" -> cmd_pauses ~smoke ()
   | "history" -> cmd_history ()
-  | "micro" -> cmd_micro ()
   | "sync" -> cmd_sync ()
   | "all" ->
     cmd_fig1 ();
@@ -1316,17 +1016,19 @@ let () =
     cmd_large_sigma ();
     cmd_gates ();
     cmd_engine ();
-    cmd_obs ();
-    cmd_fault ();
-    cmd_assure ();
+    List.iter
+      (fun name -> cmd_gate (Option.get (Ctg_overhead.Rows.find name)))
+      [ "obs"; "fault"; "assure" ];
     cmd_table1 ();
     cmd_sampler_quality ();
     cmd_sign_many ();
-    cmd_micro ();
     line ();
     printf "done; see EXPERIMENTS.md for paper-vs-measured discussion@."
   | "help" | "--help" | "-h" -> usage ()
-  | other ->
-    printf "unknown command %S@." other;
-    usage ();
-    exit 1
+  | other -> (
+    match Ctg_overhead.Rows.find other with
+    | Some row -> cmd_gate ~smoke row
+    | None ->
+      printf "unknown command %S@." other;
+      usage ();
+      exit 1)

@@ -1,81 +1,20 @@
 (* ctg_stats: the observability companion tool.
 
-     ctg_stats overhead                  # instrumentation cost -> BENCH_obs.json
-     ctg_stats overhead --smoke          # CI-sized run, no file by default
      ctg_stats expose --sigma 2 -n 100000 [--format json]
      ctg_stats ctmon                     # CT monitor across the sampler zoo
      ctg_stats trace -o trace.json       # demo trace: sign + engine chunks
      ctg_stats prof [--json FILE] [--trace FILE]  # alloc-by-span profile
      ctg_stats pauses [--json FILE] [--trace FILE]  # real GC pause report
 
-   Exit codes: [overhead] fails (1) when any entry exceeds the budget or
-   reports a CT violation; [ctmon] fails when a claimed-CT sampler
-   violates, or when the monitor does not fire on the non-CT reference. *)
+   Exit codes: [ctmon] fails (1) when a claimed-CT sampler violates, or
+   when the monitor does not fire on the non-CT reference.  The
+   instrumentation-overhead gate is [bench obs]. *)
 
 open Cmdliner
 module Obs = Ctg_obs
 module Bs = Ctg_prng.Bitstream
 module Sig = Ctg_samplers.Sampler_sig
 module F = Ctg_falcon
-
-(* ------------------------------------------------------------------ *)
-(* overhead                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let overhead smoke samples rounds output =
-  let set =
-    if smoke then [ ("2", 16); ("215", 16) ] else Ctgauss.Sampler.paper_keys
-  in
-  let samples =
-    match samples with Some s -> s | None -> if smoke then 63 * 400 else 63 * 1000
-  in
-  let rounds = match rounds with Some r -> r | None -> if smoke then 3 else 5 in
-  let min_time = if smoke then 1.0 else 0.4 in
-  Format.printf
-    "instrumentation overhead, median of paired passes over >= %.1fs@."
-    (float_of_int rounds *. min_time);
-  let entries = Ctg_engine.Obs_bench.run ~samples ~rounds ~min_time ~set () in
-  List.iter
-    (fun e -> Format.printf "  %a@." Ctg_engine.Obs_bench.pp_entry e)
-    entries;
-  (match output with
-  | Some path ->
-    Ctg_engine.Obs_bench.save path entries;
-    Format.printf "wrote %s@." path
-  | None -> ());
-  if Ctg_engine.Obs_bench.ok entries then
-    Format.printf "OK: metered overhead < %.1f%% everywhere, 0 CT violations@."
-      Ctg_engine.Obs_bench.threshold_pct
-  else begin
-    Format.printf "FAIL: overhead budget exceeded or CT violation recorded@.";
-    exit 1
-  end
-
-let overhead_cmd =
-  let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"CI-sized run: two sigmas at precision 16, short windows.")
-  in
-  let samples =
-    Arg.(value & opt (some int) None
-         & info [ "samples" ] ~docv:"N" ~doc:"Samples per timing window.")
-  in
-  let rounds =
-    Arg.(value & opt (some int) None
-         & info [ "rounds" ] ~docv:"R" ~doc:"Timing windows per loop variant.")
-  in
-  let output =
-    Arg.(value & opt (some string) (Some "BENCH_obs.json")
-         & info [ "output"; "o" ] ~docv:"FILE"
-             ~doc:"Where to write the JSON report.")
-  in
-  let doc =
-    "Measure what the metrics/CT-monitor/trace layers cost on the \
-     batch-sampling hot path (budget: < 2%)."
-  in
-  Cmd.v (Cmd.info "overhead" ~doc)
-    Term.(const overhead $ smoke $ samples $ rounds $ output)
 
 (* ------------------------------------------------------------------ *)
 (* expose                                                              *)
@@ -629,17 +568,17 @@ let watch_cmd =
 let serve sigma precision tail_cut port duration domains window =
   let soak = make_soak ~sigma ~precision ~tail_cut ~window ~domains () in
   let server =
-    Obs.Http.start ~port ~routes:(Assure.Soak.routes soak) ()
+    Ctg_net.Http.start ~port ~routes:(Assure.Soak.routes soak) ()
   in
   Format.printf
     "serving http://127.0.0.1:%d/metrics (also /healthz, /drift.json)@."
-    (Obs.Http.port server);
+    (Ctg_net.Http.port server);
   Format.printf "%s@."
     (if duration > 0.0 then Printf.sprintf "soaking for %.0fs" duration
      else "soaking until interrupted");
   ignore (soak_loop soak ~duration ~on_frame:(fun _ -> ()));
   let healthy = Assure.Monitor.healthy (Assure.Soak.monitor soak) in
-  Obs.Http.stop server;
+  Ctg_net.Http.stop server;
   Assure.Soak.shutdown soak;
   if not healthy then exit 1
 
@@ -1014,7 +953,7 @@ let saga_cmd =
 
 let () =
   let doc =
-    "observability companion: overhead, exposition, CT monitor, traces, \
+    "observability companion: exposition, CT monitor, traces, \
      continuous assurance, acceptance battery"
   in
   let info = Cmd.info "ctg_stats" ~version:"1.0" ~doc in
@@ -1022,6 +961,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            overhead_cmd; expose_cmd; ctmon_cmd; trace_cmd; prof_cmd;
+            expose_cmd; ctmon_cmd; trace_cmd; prof_cmd;
             pauses_cmd; watch_cmd; serve_cmd; assure_cmd; saga_cmd;
           ]))

@@ -144,17 +144,17 @@ let routes t ~registry =
   [
     ( "/metrics",
       fun () ->
-        Obs.Http.response
+        Ctg_net.Http.response
           ~content_type:"text/plain; version=0.0.4; charset=utf-8"
           (Obs.Registry.expose_text registry) );
     ( "/healthz",
       fun () ->
-        Obs.Http.response
+        Ctg_net.Http.response
           ~status:(if healthy t then 200 else 503)
           ~content_type:"application/json"
           (Jsonx.pretty (healthz_json t) ^ "\n") );
     ( "/drift.json",
       fun () ->
-        Obs.Http.response ~content_type:"application/json"
+        Ctg_net.Http.response ~content_type:"application/json"
           (Jsonx.pretty (drift_json t) ^ "\n") );
   ]

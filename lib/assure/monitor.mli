@@ -1,7 +1,7 @@
 (** The statistical-assurance bundle for one sampler: a {!Drift} monitor,
     an optional background {!Leak} assessor, and the CT monitors of every
     attached engine pool, rolled into one health verdict and the JSON
-    bodies the {!Ctg_obs.Http} endpoint serves. *)
+    bodies the {!Ctg_net.Http} endpoint serves. *)
 
 type t
 
@@ -52,8 +52,8 @@ val failing_monitors : t -> string list
 val healthz_json : t -> Ctg_obs.Jsonx.t
 val drift_json : t -> Ctg_obs.Jsonx.t
 
-val routes : t -> registry:Ctg_obs.Registry.t -> Ctg_obs.Http.route list
+val routes : t -> registry:Ctg_obs.Registry.t -> Ctg_net.Http.route list
 (** The three endpoint routes: [/metrics] (Prometheus text from
     [registry]), [/healthz] (verdict JSON, HTTP 503 when failing) and
     [/drift.json] (retained window results).  Handlers are thread-safe and
-    run on the {!Ctg_obs.Http} acceptor domain. *)
+    run on the {!Ctg_net.Http} acceptor domain. *)

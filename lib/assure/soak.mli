@@ -45,7 +45,7 @@ val registry : t -> Ctg_obs.Registry.t
 (** The pool's metrics registry — engine, ctmon and assure series
     together; what [/metrics] exposes. *)
 
-val routes : t -> Ctg_obs.Http.route list
+val routes : t -> Ctg_net.Http.route list
 (** {!Monitor.routes} over {!registry}. *)
 
 val shutdown : t -> unit

@@ -243,8 +243,8 @@ let abort_job (j : job) err =
 
 let batches_of len = (len + Ctgauss.Bitslice.lanes - 1) / Ctgauss.Bitslice.lanes
 
-(* The bitsliced chunk body, shared with {!Obs_bench} so the overhead
-   benchmark times the production loop.  Batches go straight into the
+(* The bitsliced chunk body, shared with the [bench obs] overhead gate so
+   it times the production loop.  Batches go straight into the
    output slice.  CT check: every batch of a constant-time program draws
    the same number of bits, so each batch is classified with plain field
    reads — one batch's end readings are the next one's start readings,
@@ -706,37 +706,3 @@ let shutdown t =
     t.watchdog <- None
   end
   else Mutex.unlock t.mutex
-
-let parallel_for ?domains ~n f =
-  let d =
-    match domains with
-    | Some d ->
-      if d < 1 then invalid_arg "Pool.parallel_for: domains must be >= 1";
-      d
-    | None -> Domain.recommended_domain_count ()
-  in
-  if n < 0 then invalid_arg "Pool.parallel_for: n must be >= 0";
-  let cursor = Atomic.make 0 in
-  (* First error wins; every domain stops claiming once one is recorded,
-     and the caller re-raises only after joining the helpers — no leaked
-     domains, no lost exception. *)
-  let error = Atomic.make None in
-  let run () =
-    let continue = ref true in
-    while !continue do
-      if Atomic.get error <> None then continue := false
-      else begin
-        let i = Atomic.fetch_and_add cursor 1 in
-        if i >= n then continue := false
-        else
-          try f i
-          with e ->
-            ignore (Atomic.compare_and_set error None (Some e));
-            continue := false
-      end
-    done
-  in
-  let helpers = List.init (min d n - 1 |> max 0) (fun _ -> Domain.spawn run) in
-  run ();
-  List.iter Domain.join helpers;
-  match Atomic.get error with Some e -> raise e | None -> ()

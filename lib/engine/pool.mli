@@ -205,7 +205,7 @@ val fill_chunk :
     the CT check (a deviation from the learned bit count, or a declared
     fallback), then the chunk's service time, counters and CT tallies
     recorded once in [metrics] and [ctmon] (counted for [domain]).
-    Exposed so {!Obs_bench} times the production loop.
+    Exposed so the [bench obs] overhead gate times the production loop.
     @raise Invalid_argument if the range does not fit in the array. *)
 
 val batch_parallel : ?flow:int -> t -> n:int -> int array
@@ -228,13 +228,3 @@ val iter_batches : ?flow:int -> t -> n:int -> (int array -> unit) -> unit
 
 val shutdown : t -> unit
 (** Join the workers (and watchdog).  Idempotent; subsequent jobs raise. *)
-
-val parallel_for : ?domains:int -> n:int -> (int -> unit) -> unit
-(** Standalone work-stealing fan-out (an atomic cursor over [0..n-1]): run
-    [f i] for every [i < n] across [domains] domains, caller participating;
-    [domains = 1] is purely sequential.  [f] must be safe to run
-    concurrently for distinct [i].  Used by [Ctg_falcon.Sign.sign_many] to
-    spread independent signatures over cores.  If some [f i] raises, the
-    remaining iterations are cancelled (those already started complete),
-    every helper domain is joined, and the first error is re-raised — the
-    caller never leaks domains or loses the exception. *)

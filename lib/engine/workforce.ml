@@ -1,15 +1,13 @@
 (* A persistent team of helper domains for successive parallel-for jobs.
 
-   [Pool.parallel_for] spawns and joins fresh domains on every call, which
-   is fine for one big CLI batch but not for a daemon dispatching a
-   sign_many batch every few milliseconds: domain spawn/join costs dwarf
-   small batches.  The workforce parks its helpers on a condition variable
-   between jobs, so submitting a job costs one broadcast instead of
-   [domains - 1] spawns.
+   Spawning and joining fresh domains per job is fine for one big CLI
+   batch but not for a daemon dispatching a sign_many batch every few
+   milliseconds: domain spawn/join costs dwarf small batches.  The
+   workforce parks its helpers on a condition variable between jobs, so
+   submitting a job costs one broadcast instead of [domains - 1] spawns.
 
-   Scheduling model is identical to [Pool.parallel_for]: an atomic cursor
-   over [0 .. n-1], the caller participates, first error wins and cancels
-   the remaining iterations.  Only one job runs at a time; concurrent
+   Scheduling model: an atomic cursor over [0 .. n-1], the caller
+   participates, first error wins and cancels the remaining iterations.  Only one job runs at a time; concurrent
    [run] calls serialize on an internal job mutex. *)
 
 open Ctg_sync.Shim

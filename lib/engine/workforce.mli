@@ -1,16 +1,17 @@
 (** A persistent team of helper domains for successive parallel-for jobs —
-    the pool-submission seam the serving layer batches signatures through.
+    the pool-submission seam the serving layer batches signatures through,
+    and the fan-out behind every [Sign.sign_many] call.
 
-    {!Pool.parallel_for} spawns and joins fresh domains per call; fine for
-    one CLI batch, too heavy for a daemon dispatching a small
-    [Sign.sign_many] batch every few milliseconds.  A workforce parks its
-    helpers between jobs, so submitting a job costs one broadcast instead
-    of [domains − 1] spawns.
+    A daemon dispatches a small [Sign.sign_many] batch every few
+    milliseconds, where spawning fresh domains per batch would dwarf the
+    work.  A workforce parks its helpers between jobs, so submitting a job
+    costs one broadcast instead of [domains − 1] spawns; a one-off batch
+    creates a team, runs one job and shuts it down.
 
-    Scheduling semantics match {!Pool.parallel_for} exactly: an atomic
-    cursor over [0 .. n-1], the calling domain participates, [f] must be
-    safe to run concurrently for distinct [i], the first error cancels
-    remaining iterations and is re-raised on the caller.  One job runs at
+    Scheduling: an atomic cursor over [0 .. n-1], the calling domain
+    participates, [f] must be safe to run concurrently for distinct [i],
+    the first error cancels remaining iterations and is re-raised on the
+    caller after every helper has left the job.  One job runs at
     a time; concurrent {!run} calls serialize (daemon batches are already
     serialized by the batcher). *)
 

@@ -216,7 +216,13 @@ let sign_many ?domains ?backend ?workforce ?lanes ?fault_hook ?check kp
   in
   (match workforce with
   | Some w -> Ctg_engine.Workforce.run w ~n body
-  | None -> Ctg_engine.Pool.parallel_for ?domains ~n body);
+  | None ->
+    (* A one-off batch spawns no more domains than it has messages. *)
+    let d = Option.value domains ~default:(Domain.recommended_domain_count ()) in
+    let w = Ctg_engine.Workforce.create ~domains:(if n < d then max 1 n else d) () in
+    Fun.protect
+      ~finally:(fun () -> Ctg_engine.Workforce.shutdown w)
+      (fun () -> Ctg_engine.Workforce.run w ~n body));
   Array.map
     (function Some s -> s | None -> failwith "Sign.sign_many: missing result")
     out

@@ -60,9 +60,10 @@ val sign_many :
     result array is identical for any [domains] (default
     [Domain.recommended_domain_count ()]) — and, with explicit [lanes],
     independent of how a serving batch was composed.  [workforce] runs the
-    fan-out on a persistent {!Ctg_engine.Workforce} instead of spawning
-    fresh domains per call (the daemon's batching path).  [make_base]
-    must return a fresh, unshared sampler on every call — pass e.g.
+    fan-out on a persistent {!Ctg_engine.Workforce} (the daemon's batching
+    path); without it the call runs on a one-shot workforce of [domains]
+    (at most one per message).  [make_base] must return a fresh, unshared
+    sampler on every call — pass e.g.
     [fun () -> Base_sampler.of_instance
        (Ctg_samplers.Sampler_sig.of_bitsliced (Ctgauss.Sampler.clone master))]
     to amortize one compiled program over every message and domain. *)

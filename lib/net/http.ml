@@ -1,5 +1,5 @@
-(* Shared HTTP/1.1 server: grown out of the Obs.Http metrics scraper into
-   the request path both the exposition endpoint and the ctg_serve signing
+(* Shared HTTP/1.1 server: grown out of the metrics scraper into the
+   request path both the exposition endpoint and the ctg_serve signing
    daemon stand on.  Still stdlib-[Unix] only: a bounded accept queue feeds
    a small team of worker domains, each handling one connection at a time
    with keep-alive, Content-Length and chunked request bodies, and a

@@ -1,6 +1,5 @@
 (** Minimal stdlib-[Unix] HTTP/1.1 server shared by the metrics endpoint
-    ({!Ctg_obs.Http} re-exports this module) and the [ctg_serve] signing
-    daemon.
+    ({!Ctg_assure.Monitor.routes}) and the [ctg_serve] signing daemon.
 
     Just enough protocol for both jobs: GET and POST, keep-alive
     ([Connection: close] honored, HTTP/1.0 defaults to close),

@@ -12,7 +12,7 @@
     instrumented hot paths pay exactly what they paid before — one atomic
     load per {!Ctg_obs.Trace.with_span}.  When on, each span adds two
     [Gc.counters] calls and one mutex-guarded table update; the
-    [Alloc_bench] gate bounds the measured end-to-end overhead at < 3%.
+    [bench alloc] gate bounds the measured end-to-end overhead at < 3%.
 
     GC pause accounting: with [enable ~rtev:true], the {!Ctg_rtev}
     consumer is started and installed as the tracer's pause source, so

@@ -12,7 +12,7 @@ module Monitor = Ctg_assure.Monitor
 module Trend = Ctg_assure.Trend
 module Soak = Ctg_assure.Soak
 module Jsonx = Ctg_obs.Jsonx
-module Http = Ctg_obs.Http
+module Http = Ctg_net.Http
 module Promtext = Ctg_obs.Promtext
 module Registry = Ctg_obs.Registry
 module E = Ctg_engine

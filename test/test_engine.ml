@@ -210,17 +210,19 @@ let pool_tests =
         Alcotest.check_raises "jobs after shutdown"
           (Invalid_argument "Pool: shut down") (fun () ->
             ignore (E.Pool.batch_parallel p ~n:1)));
-    Alcotest.test_case "parallel_for re-raises a worker exception" `Quick
+    Alcotest.test_case "workforce run re-raises a worker exception" `Quick
       (fun () ->
         let ran = Atomic.make 0 in
+        let w = E.Workforce.create ~domains:3 () in
         (match
-           E.Pool.parallel_for ~domains:3 ~n:200 (fun i ->
+           E.Workforce.run w ~n:200 (fun i ->
                ignore (Atomic.fetch_and_add ran 1);
                if i = 50 then failwith "iteration 50")
          with
         | () -> Alcotest.fail "expected the iteration failure"
         | exception Failure msg ->
           Alcotest.(check string) "first error wins" "iteration 50" msg);
+        E.Workforce.shutdown w;
         (* At least the failing iteration itself ran. *)
         Alcotest.(check bool) "iterations ran" true (Atomic.get ran >= 1));
     Alcotest.test_case "pooled parallel output fits the exact distribution"

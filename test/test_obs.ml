@@ -708,25 +708,6 @@ let test_ctmon_record_chunk () =
     (Ctmon.entropy_bits_per_sample m)
 
 (* --------------------------------------------------------------------- *)
-(* Overhead benchmark plumbing (tiny run: field sanity, not timing) *)
-
-let test_obs_bench_entry_sane () =
-  let e =
-    Ctg_engine.Obs_bench.measure ~samples:(63 * 10) ~rounds:1 ~min_time:0.01
-      ~sigma:"2" ~precision:16 ~tail_cut:13 ()
-  in
-  Alcotest.(check bool) "plain_ns > 0" true (e.Ctg_engine.Obs_bench.plain_ns > 0.0);
-  Alcotest.(check bool) "metered_ns > 0" true
-    (e.Ctg_engine.Obs_bench.metered_ns > 0.0);
-  Alcotest.(check int) "bitsliced sampler is CT" 0
-    e.Ctg_engine.Obs_bench.ct_violations;
-  Alcotest.(check bool) "entropy measured" true
-    (e.Ctg_engine.Obs_bench.entropy_bits_per_sample > 0.0);
-  match Jsonx.parse (Jsonx.to_string (Ctg_engine.Obs_bench.to_json [ e ])) with
-  | Ok _ -> ()
-  | Error err -> Alcotest.failf "BENCH_obs JSON does not parse: %s" err
-
-(* --------------------------------------------------------------------- *)
 
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
@@ -815,10 +796,5 @@ let () =
             test_ctmon_fallback_only_then_deviating_normal;
           Alcotest.test_case "bulk chunk accounting" `Quick
             test_ctmon_record_chunk;
-        ] );
-      ( "obs-bench",
-        [
-          Alcotest.test_case "tiny measure is sane" `Quick
-            test_obs_bench_entry_sane;
         ] );
     ]
