@@ -1016,9 +1016,7 @@ let () =
     cmd_large_sigma ();
     cmd_gates ();
     cmd_engine ();
-    List.iter
-      (fun name -> cmd_gate (Option.get (Ctg_overhead.Rows.find name)))
-      [ "obs"; "fault"; "assure" ];
+    List.iter (fun row -> cmd_gate row) Ctg_overhead.Rows.[ obs; fault; assure ];
     cmd_table1 ();
     cmd_sampler_quality ();
     cmd_sign_many ();

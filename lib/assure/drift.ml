@@ -173,7 +173,7 @@ let evaluate_window t =
     {
       index = t.windows;
       n;
-      overflow = Sketch.overflow t.window;
+      overflow = t.observed.(Array.length t.observed - 1);
       statistic = r.Chi_square.statistic;
       dof = r.Chi_square.dof;
       p_value = r.Chi_square.p_value;

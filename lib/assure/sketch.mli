@@ -17,8 +17,6 @@ type t
 val create : support:int -> t
 (** All-zero sketch for magnitudes [0..support]. *)
 
-val support : t -> int
-
 val add : t -> int -> unit
 (** Fold one {e signed} sample; the magnitude is its absolute value
     (folded distribution, matching {!Ctg_stats.Distance.exact_probabilities}'s
@@ -28,19 +26,20 @@ val add_all : t -> int array -> unit
 
 val add_sub : t -> int array -> pos:int -> len:int -> unit
 (** [add_all] over the slice [a.(pos) .. a.(pos+len-1)] without copying —
-    the allocation-free path behind {!Drift.observe_sub}.
+    the allocation-free path behind {!Drift.observe_sub}.  No sample may
+    be [min_int] (sampler output is bounded by the tail cut): its
+    magnitude is negative and is not bounds-checked.
     @raise Invalid_argument when the range does not fit [a]. *)
 
 val total : t -> int
 (** Samples folded so far (including overflow). *)
 
 val overflow : t -> int
-(** Samples whose magnitude exceeded [support]. *)
+(** Samples whose magnitude exceeded [support]: [total] minus the
+    in-range counts, O(support). *)
 
 val count : t -> int -> int
 (** Occurrences of one magnitude. *)
-
-val copy : t -> t
 
 val merge : t -> t -> t
 (** Fresh sketch holding both inputs' counts; inputs unchanged.
@@ -67,5 +66,3 @@ val observed_into : t -> int array -> unit
 val empirical : t -> float array
 (** Relative frequencies over [0..support] (overflow excluded); zeros when
     empty. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,31 +1,17 @@
 (** The overhead-gate harness: how every always-on layer is priced as a
     share of the fill loop.
 
-    One estimator ({!paired_ns}), one retry rule ({!converge}), one entry
-    shape, one JSON writer and one pass/fail check serve every gate; a
-    gate itself is a {!row} (the rows are in {!Rows}).  A row yields one
-    {!case} per measured configuration (usually one per σ key): a
-    baseline arm, the arms timed against it (the first is gated), and
-    the entry fields it reads before and after timing.  The gate
-    passes when every entry's gated overhead is strictly below the row's
-    threshold and every {!row.checks} predicate holds. *)
+    One estimator (paired passes, median of ratios), one retry rule
+    ({!converge}), one entry shape, one JSON writer and one pass/fail
+    check serve every gate; a gate itself is a {!row} (the rows are in
+    {!Rows}).  A row yields one {!case} per measured configuration
+    (usually one per σ key): a baseline arm, the arms timed against it
+    (the first is gated), and the entry fields it reads before and after
+    timing.  The gate passes when every entry's gated overhead is
+    strictly below the row's threshold and every {!row.checks}
+    predicate holds. *)
 
 module Jsonx = Ctg_obs.Jsonx
-
-val paired_ns :
-  rounds:int ->
-  min_time:float ->
-  samples:int ->
-  (bool * (lane:int -> unit)) array ->
-  float array
-(** The paired-pass median-of-ratios estimator.  Each group runs every
-    loop back-to-back with a [Gc.full_major] before each timed pass,
-    handing loops the group's {!Ctg_engine.Stream_fork} lane index so all
-    arms consume the same underlying randomness; loop [i]'s result is
-    loop 0's median ns per op ([samples] ops per pass) scaled by the
-    median of the within-group ratios [t_i / t_0].  Groups repeat until
-    at least 5 have run and [rounds × min_time] seconds have elapsed.  The
-    [bool] enables span tracing for that loop. *)
 
 val converge :
   threshold_pct:float -> attempts:int -> (int -> float array) -> float array

@@ -29,13 +29,6 @@ let fill sampler out rng =
 
 let chunk_samples = 16 * Ctgauss.Bitslice.lanes
 
-(* A per-σ fill case's fixture: the sampler, one pass's output array and
-   the gate's lanes, seeded [<prefix><σ>].  The monitored gates allocate
-   their monitor before [out] instead: the other order read ~0.3 points
-   higher on the σ=215 assure gate (memory placement). *)
-let fixture (s : H.sizes) ~sigma ~precision prefix =
-  (sampler ~sigma ~precision, Array.make s.samples 0, lane_rng (prefix ^ sigma))
-
 let arm ?(traced = false) ns pct run = { H.ns; pct; traced; run }
 
 let per_sigma f (s : H.sizes) =
@@ -160,7 +153,8 @@ let words_per_signature ~msgs =
    scratch registry) Gc capture rides on tracing, so the traced arm runs
    the whole profiling chain and the baseline the untouched fast path. *)
 let alloc_case (s : H.sizes) ~sigma ~precision =
-  let sampler, out, rng = fixture s ~sigma ~precision "alloc-bench-" in
+  let sampler = sampler ~sigma ~precision in
+  let out = Array.make s.samples 0 and rng = lane_rng ("alloc-bench-" ^ sigma) in
   fill sampler out (rng 1000);
   let wps =
     alloc_words (fun () -> fill sampler out (rng 1001)) /. float_of_int s.samples
@@ -282,6 +276,8 @@ let assure_case (s : H.sizes) ~sigma ~precision =
       ~matrix:(Ctgauss.Sampler.matrix sampler)
       ()
   in
+  (* [out] after the monitor: the σ=215 reading was ~0.3 points higher
+     with the other allocation order. *)
   let out = Array.make s.samples 0 and rng = lane_rng ("assure-bench-" ^ sigma) in
   let warm = rng 1000 in
   fill sampler out warm;
@@ -330,7 +326,8 @@ let assure =
    [total_pause] are deliberately not [_ns]-suffixed: one compaction
    dominates them, too noisy for the Trend gate. *)
 let pauses_case (s : H.sizes) ~sigma ~precision =
-  let sampler, out, rng = fixture s ~sigma ~precision "pause-bench-" in
+  let sampler = sampler ~sigma ~precision in
+  let out = Array.make s.samples 0 and rng = lane_rng ("pause-bench-" ^ sigma) in
   let fill_lane lane = fill sampler out (rng lane) in
   fill_lane 1000;
   let min_pauses = if s.smoke then 5 else 30 in

@@ -16,5 +16,11 @@
 
     Seeds are [<gate>-bench-<σ>] ([pause-bench-<σ>] for [pauses]). *)
 
+val obs : Harness.row
+val alloc : Harness.row
+val fault : Harness.row
+val assure : Harness.row
+val pauses : Harness.row
+
 val all : Harness.row list
 val find : string -> Harness.row option

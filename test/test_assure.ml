@@ -61,6 +61,24 @@ let test_sketch_merge_equals_concat =
       Sketch.equal m (sketch_of (xs @ ys))
       && Sketch.total m = List.length xs + List.length ys)
 
+(* The unrolled slice fold against one [add] per sample: any slice of any
+   length (tails of 0–3 after the four-wide loop) with out-of-range
+   magnitudes on both signs. *)
+let test_sketch_add_sub_slice =
+  QCheck.Test.make ~count:300 ~name:"Sketch.add_sub slice = add per sample"
+    QCheck.(triple samples_gen small_nat small_nat)
+    (fun (xs, a, b) ->
+      let arr = Array.of_list xs in
+      let n = Array.length arr in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      let s = Sketch.create ~support:20 in
+      Sketch.add_sub s arr ~pos ~len;
+      let expect = sketch_of (Array.to_list (Array.sub arr pos len)) in
+      Sketch.equal s expect
+      && Sketch.overflow s = Sketch.overflow expect
+      && Sketch.observed s = Sketch.observed expect)
+
 let test_sketch_accounting () =
   let s = Sketch.create ~support:4 in
   Sketch.add_all s [| 0; -3; 3; 4; -25; 25 |];
@@ -478,7 +496,8 @@ let () =
               test_sketch_accounting;
             Alcotest.test_case "pool-fed merge is domain-invariant" `Quick
               test_sketch_pool_domain_invariance;
-          ] );
+          ]
+        @ qcheck [ test_sketch_add_sub_slice ] );
       ( "drift",
         [
           Alcotest.test_case "alpha-spending schedule" `Quick
