@@ -564,120 +564,6 @@ let cmd_sampler_quality () =
   printf "this is the quality the fixed-sigma plug gives up (DESIGN.md par. 2).@."
 
 (* -------------------------------------------------------------------- *)
-(* Engine: multicore batch-sampling throughput (and BENCH_engine.json)   *)
-(* -------------------------------------------------------------------- *)
-
-let cmd_engine ?(json_path = "BENCH_engine.json") () =
-  section "Engine: domain-parallel batch sampling, 1 vs P domains";
-  let domain_counts = [ 1; 2; 4 ] in
-  let hw = Domain.recommended_domain_count () in
-  printf "hardware reports %d usable domain(s)%s@.@." hw
-    (if hw < 4 then
-       " — speedups above that count are scheduling overhead, not gain"
-     else "");
-  (* (sigma, domains, n, seconds, rate, speedup) rows; [domains > hw] rows
-     are flagged oversubscribed in the JSON so a reader does not mistake
-     scheduling overhead for a parallel-scaling regression. *)
-  let results = ref [] in
-  List.iter
-    (fun sigma ->
-      let sampler =
-        Ctg_engine.Registry.lookup Ctg_engine.Registry.global ~sigma
-          ~precision:falcon_precision ~tail_cut ()
-      in
-      printf "sigma = %s (%d gates)@." sigma (Ctgauss.Sampler.gate_count sampler);
-      (* Determinism first: the same seed must give the same array for
-         every domain count (the engine's correctness guarantee). *)
-      let reference = ref [||] in
-      List.iter
-        (fun domains ->
-          let pool =
-            Ctg_engine.Pool.create ~domains ~seed:"bench-engine-det" sampler
-          in
-          let out = Ctg_engine.Pool.batch_parallel pool ~n:((63 * 64) + 11) in
-          Ctg_engine.Pool.shutdown pool;
-          if !reference = [||] then reference := out
-          else if out <> !reference then
-            failwith
-              (Printf.sprintf
-                 "engine determinism violated at sigma=%s domains=%d" sigma
-                 domains))
-        domain_counts;
-      printf "  determinism: same seed -> same samples for %s domains@."
-        (String.concat "/" (List.map string_of_int domain_counts));
-      let n = 63 * 8000 in
-      let base_rate = ref nan in
-      List.iter
-        (fun domains ->
-          let pool =
-            Ctg_engine.Pool.create ~domains ~seed:"bench-engine" sampler
-          in
-          ignore (Ctg_engine.Pool.batch_parallel pool ~n:(63 * 64));
-          (* Best of 3 windows, same rationale as ns_per_call. *)
-          let best = ref infinity in
-          for _ = 1 to 3 do
-            let t0 = Unix.gettimeofday () in
-            ignore (Ctg_engine.Pool.batch_parallel pool ~n);
-            let dt = Unix.gettimeofday () -. t0 in
-            if dt < !best then best := dt
-          done;
-          Ctg_engine.Pool.shutdown pool;
-          let rate = float_of_int n /. !best in
-          if domains = 1 then base_rate := rate;
-          printf "  %d domain(s): %9.0f samples/sec  (%.3fs for %d)  x%.2f vs 1@."
-            domains rate !best n (rate /. !base_rate);
-          results :=
-            (sigma, domains, n, !best, rate, rate /. !base_rate) :: !results)
-        domain_counts;
-      printf "@.")
-    [ "2"; "6.15543" ];
-  (* Machine-readable trajectory for future PRs. *)
-  let module J = Ctg_obs.Jsonx in
-  let entries = List.rev !results in
-  let max_real_speedup =
-    List.fold_left
-      (fun acc (_, domains, _, _, _, speedup) ->
-        if domains <= hw then Float.max acc speedup else acc)
-      1.0 entries
-  in
-  let row (sigma, domains, n, seconds, rate, speedup) =
-    J.Obj
-      [
-        ("sigma", J.Str sigma);
-        ("domains", J.Num (float_of_int domains));
-        ("samples", J.Num (float_of_int n));
-        ("seconds", J.Num seconds);
-        ("samples_per_sec", J.Num (Float.round rate));
-        ("speedup_vs_1", J.Num speedup);
-        ("oversubscribed", J.Bool (domains > hw));
-      ]
-  in
-  let json =
-    J.Obj
-      [
-        ("benchmark", J.Str "engine");
-        ("hardware_domains", J.Num (float_of_int hw));
-        ( "interpretation",
-          J.Str
-            (if hw = 1 then
-               "single-core host: every multi-domain row is oversubscribed \
-                and speedup_vs_1 < 1 measures scheduling overhead, not a \
-                scaling regression"
-             else
-               Printf.sprintf
-                 "rows with domains <= %d measure real scaling (best x%.2f); \
-                  oversubscribed rows measure scheduling overhead" hw
-                 max_real_speedup) );
-        ("results", J.List (List.map row entries));
-      ]
-  in
-  let oc = open_out json_path in
-  output_string oc (J.pretty json);
-  output_char oc '\n';
-  close_out oc;
-  printf "wrote %s@." json_path
-
-(* -------------------------------------------------------------------- *)
 (* Gates: static gate/depth budgets (and BENCH_gates.json)               *)
 (* -------------------------------------------------------------------- *)
 
@@ -831,42 +717,6 @@ let cmd_history ?(tolerance_pct = 25.0) () =
     exit 1
 
 (* -------------------------------------------------------------------- *)
-(* Engine: parallel Falcon signing (Table 1 at service scale)            *)
-(* -------------------------------------------------------------------- *)
-
-let cmd_sign_many () =
-  section "Engine: sign_many, independent messages across domains";
-  let params = F.Params.level1 in
-  let kp = keypair params in
-  let master = Lazy.force bitsliced_sigma2 in
-  let make_base () =
-    F.Base_sampler.of_instance
-      (Sig.of_bitsliced (Ctgauss.Sampler.clone master))
-  in
-  let msgs =
-    Array.init 24 (fun i -> Bytes.of_string (Printf.sprintf "service msg %d" i))
-  in
-  List.iter
-    (fun domains ->
-      let t0 = Unix.gettimeofday () in
-      let sigs =
-        F.Sign.sign_many ~domains kp ~make_base ~seed:"bench-sign-many" ~msgs
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      let ok =
-        Array.for_all
-          (fun (s : F.Sign.signature) -> s.F.Sign.norm_sq > 0.0)
-          sigs
-      in
-      printf "  %d domain(s): %5.1f signs/sec (%d msgs in %.2fs, all ok %b)@."
-        domains
-        (float_of_int (Array.length msgs) /. dt)
-        (Array.length msgs) dt ok)
-    [ 1; 2; 4 ];
-  printf "@.(message i always signs from stream lane i: the signature set@.";
-  printf "is identical for every domain count — test_engine proves it)@."
-
-(* -------------------------------------------------------------------- *)
 (* Sync: the race-checker shim must be compiled out of release benches   *)
 (* -------------------------------------------------------------------- *)
 
@@ -945,8 +795,8 @@ let usage () =
   printf
     "usage: main.exe [all|table1|table2|fig1|fig2|fig3|fig4|fig5|delta|@.";
   printf "                 prng-overhead|dudect|ablation-min|ablation-chain|@.";
-  printf "                 precision|large-sigma|sampler-quality|engine|@.";
-  printf "                 gates|sign-many|obs|alloc|fault|assure|saga|serve|pauses|history|sync]@.";
+  printf "                 precision|large-sigma|sampler-quality|gates|@.";
+  printf "                 obs|alloc|fault|assure|saga|serve|pauses|history|sync]@.";
   printf "        [--full]        (fig5 at the paper's 64x10^7 samples)@.";
   printf
     "        [--smoke]       (obs/alloc/fault/assure/serve/pauses: CI-sized \
@@ -993,9 +843,7 @@ let () =
   | "precision" -> cmd_precision ()
   | "large-sigma" -> cmd_large_sigma ()
   | "sampler-quality" -> cmd_sampler_quality ()
-  | "engine" -> cmd_engine ()
   | "gates" -> cmd_gates ()
-  | "sign-many" -> cmd_sign_many ()
   | "saga" -> cmd_saga ~smoke ()
   | "serve" -> cmd_serve ~smoke ()
   | "history" -> cmd_history ()
@@ -1015,11 +863,9 @@ let () =
     cmd_precision ();
     cmd_large_sigma ();
     cmd_gates ();
-    cmd_engine ();
     List.iter (fun row -> cmd_gate row) Ctg_overhead.Rows.[ obs; fault; assure ];
     cmd_table1 ();
     cmd_sampler_quality ();
-    cmd_sign_many ();
     line ();
     printf "done; see EXPERIMENTS.md for paper-vs-measured discussion@."
   | "help" | "--help" | "-h" -> usage ()

@@ -62,6 +62,9 @@ let create ~domains ?(labels = []) () =
 
 let registry t = t.registry
 
+let totals (t : t) =
+  { Ctg_obs.Ctmon.batches = t.batches; bits = t.bits_consumed; samples = t.samples }
+
 let record (t : t) ~domain ~samples ~batches ~bits ~work ~gates =
   Registry.add t.samples samples;
   Registry.add t.batches batches;

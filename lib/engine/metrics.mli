@@ -46,6 +46,10 @@ val create : domains:int -> ?labels:Ctg_obs.Registry.labels -> unit -> t
 val registry : t -> Ctg_obs.Registry.t
 (** The backing registry, for exposition ([ctg_stats expose]-style). *)
 
+val totals : t -> Ctg_obs.Ctmon.totals
+(** The batch, bit and sample counters {!record} adds to, for a
+    {!Ctg_obs.Ctmon} over the same chunks ([Ctmon.create ~totals]). *)
+
 val record :
   t ->
   domain:int ->

@@ -560,7 +560,9 @@ let create ?domains ?(backend = Stream_fork.Chacha) ?(chunk_batches = 16)
       max_respawns;
       stall_timeout_ns;
       metrics;
-      ctmon = Ctmon.create ~registry:(Metrics.registry metrics) ~labels ();
+      ctmon =
+        Ctmon.create ~registry:(Metrics.registry metrics) ~labels
+          ~totals:(Metrics.totals metrics) ();
       mutex = Mutex.create ();
       cond = Condition.create ();
       fault_hook = None;

@@ -204,7 +204,9 @@ val fill_chunk :
     array from index [pos], batch by batch, each batch classified for
     the CT check (a deviation from the learned bit count, or a declared
     fallback), then the chunk's service time, counters and CT tallies
-    recorded once in [metrics] and [ctmon] (counted for [domain]).
+    recorded once in [metrics] and [ctmon] (counted for [domain]); a
+    [ctmon] created over [Metrics.totals metrics] shares the batch, bit
+    and sample totals instead of adding them again.
     Exposed so the [bench obs] overhead gate times the production loop.
     @raise Invalid_argument if the range does not fit in the array. *)
 

@@ -22,8 +22,21 @@
 
 type t
 
-val create : ?registry:Registry.t -> ?labels:Registry.labels -> unit -> t
-(** [registry] defaults to {!Registry.default}. *)
+type totals = {
+  batches : Registry.counter;
+  bits : Registry.counter;
+  samples : Registry.counter;
+}
+(** The running totals the entropy gauge is derived from. *)
+
+val create :
+  ?registry:Registry.t -> ?labels:Registry.labels -> ?totals:totals -> unit -> t
+(** [registry] defaults to {!Registry.default}.  Without [totals] the
+    monitor keeps its own [ct_batches_total], [ct_bits_total] and
+    [ct_samples_total].  With [totals] (the engine's metrics, which count
+    the same chunks) it exposes those counters under the [ct_*] names and
+    never adds to them, so each total is counted once per chunk.
+    [entropy_bits_per_sample] is derived from the totals when read. *)
 
 val learn : t -> int -> int
 (** [learn t bits]: record [bits] as the expected per-batch draw if none
@@ -39,7 +52,7 @@ val observe_batch : t -> bits:int -> samples:int -> ?fallback:bool -> unit -> un
     [ct_fallback_batches_total] and never teaches the expectation (its bit
     count is data-dependent by design — learning from it would flag every
     normal batch).  Otherwise learns on first call, then counts a
-    deviating [bits] as a violation; always updates the entropy gauge.
+    deviating [bits] as a violation.
     For scalar samplers a "batch" is one sample. *)
 
 val record_chunk :
@@ -47,7 +60,9 @@ val record_chunk :
 (** Bulk accounting from the engine hot path: per-batch bit checking is
     done locally in the worker with plain integer arithmetic and folded
     into the registry once per chunk ([deviations] excludes the [fallbacks]
-    already attributed to the declared non-CT escape). *)
+    already attributed to the declared non-CT escape).  [batches], [bits]
+    and [samples] are ignored when the monitor was created with [totals]:
+    their owner has counted them. *)
 
 val violations : t -> int
 val fallback_batches : t -> int

@@ -20,7 +20,8 @@ type histo = {
 
 let max_exemplars = 4
 
-type metric = C of counter | G of gauge | H of histo
+(* [D] is a gauge computed from other metrics when it is read. *)
+type metric = C of counter | G of gauge | H of histo | D of (unit -> float)
 type kind = Kcounter | Kgauge | Khisto
 
 type t = {
@@ -72,12 +73,24 @@ let find_or_create t name labels kind make unpack =
         m
     in
     Mutex.unlock t.mutex;
-    (match unpack m with Some v -> v | None -> assert false (* kinds table rules this out *))
+    (* The kinds table leaves one mismatch: a plain and a derived gauge. *)
+    (match unpack m with
+    | Some v -> v
+    | None -> invalid_arg ("Registry: " ^ name ^ " is a derived gauge"))
 
 let counter t ?(labels = []) name =
   find_or_create t name labels Kcounter
     (fun () -> C (Atomic.make (Atomic.make 0)))
     (function C c -> Some c | _ -> None)
+
+let alias_counter t ?(labels = []) name (c : counter) =
+  let found =
+    find_or_create t name labels Kcounter
+      (fun () -> C c)
+      (function C c -> Some c | _ -> None)
+  in
+  if found != c then
+    invalid_arg ("Registry.alias_counter: " ^ name ^ " holds another counter")
 
 let add (c : counter) n = ignore (Atomic.fetch_and_add (Atomic.get c) n)
 let incr c = add c 1
@@ -87,6 +100,11 @@ let gauge t ?(labels = []) name =
   find_or_create t name labels Kgauge
     (fun () -> G (Atomic.make (Atomic.make 0.0)))
     (function G g -> Some g | _ -> None)
+
+let derived_gauge t ?(labels = []) name f =
+  find_or_create t name labels Kgauge
+    (fun () -> D f)
+    (function D _ -> Some () | _ -> None)
 
 let set_gauge (g : gauge) v = Atomic.set (Atomic.get g) v
 let gauge_value (g : gauge) = Atomic.get (Atomic.get g)
@@ -138,6 +156,7 @@ let reset t =
       match m with
       | C c -> Atomic.set c (Atomic.make 0)
       | G g -> Atomic.set g (Atomic.make 0.0)
+      | D _ -> ()
       | H h ->
         Mutex.lock h.h_mutex;
         h.cell <- Histo.create ();
@@ -170,7 +189,10 @@ let sorted_entries t =
   Mutex.unlock t.mutex;
   List.sort (fun ((na, la), _) ((nb, lb), _) -> compare (na, la) (nb, lb)) entries
 
-let metric_kind = function C _ -> Kcounter | G _ -> Kgauge | H _ -> Khisto
+let metric_kind = function
+  | C _ -> Kcounter
+  | G _ | D _ -> Kgauge
+  | H _ -> Khisto
 
 let escape_label v =
   let buf = Buffer.create (String.length v + 4) in
@@ -214,6 +236,8 @@ let expose_text t =
           | G g ->
             Buffer.add_string buf
               (Printf.sprintf "%s%s %s\n" name l (num_text (gauge_value g)))
+          | D f ->
+            Buffer.add_string buf (Printf.sprintf "%s%s %s\n" name l (num_text (f ())))
           | H h ->
             let s = histo_summary h in
             List.iter
@@ -246,6 +270,7 @@ let to_json t =
           match m with
           | C c -> [ ("value", Jsonx.Num (float_of_int (value c))) ]
           | G g -> [ ("value", Jsonx.Num (gauge_value g)) ]
+          | D f -> [ ("value", Jsonx.Num (f ())) ]
           | H h ->
             let s = histo_summary h in
             let ex = exemplars h in

@@ -36,6 +36,11 @@ val counter : t -> ?labels:labels -> string -> counter
 (** Find-or-create; the same [(name, labels)] always yields the same
     handle.  @raise Invalid_argument if [name] exists with another kind. *)
 
+val alias_counter : t -> ?labels:labels -> string -> counter -> unit
+(** Also expose [c] under [(name, labels)]: one cell, two series, so a
+    total that two components report is counted once.
+    @raise Invalid_argument if [(name, labels)] holds another counter. *)
+
 val add : counter -> int -> unit
 val incr : counter -> unit
 val value : counter -> int
@@ -43,6 +48,12 @@ val value : counter -> int
 val gauge : t -> ?labels:labels -> string -> gauge
 val set_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float
+
+val derived_gauge : t -> ?labels:labels -> string -> (unit -> float) -> unit
+(** A gauge computed by [f] each time it is exposed, for a value derived
+    from other metrics (a ratio of two counters), so the hot path never
+    updates it.  [reset] leaves it alone.  Find-or-create like {!gauge}:
+    an existing [(name, labels)] keeps its function. *)
 
 val histo : t -> ?labels:labels -> string -> histo
 val observe : histo -> int -> unit

@@ -76,7 +76,8 @@ let obs_case (s : H.sizes) ~sigma ~precision =
   let labels = [ ("sigma", sigma); ("sampler", "bitsliced") ] in
   let metrics = Engine.Metrics.create ~domains:1 ~labels () in
   let ctmon =
-    Obs.Ctmon.create ~registry:(Engine.Metrics.registry metrics) ~labels ()
+    Obs.Ctmon.create ~registry:(Engine.Metrics.registry metrics) ~labels
+      ~totals:(Engine.Metrics.totals metrics) ()
   in
   let out = Array.make s.samples 0 and rng = lane_rng ("obs-bench-" ^ sigma) in
   let warm = rng 1000 in

@@ -1,4 +1,4 @@
-(* RFC 7539 ChaCha20 block function on native ints masked to 32 bits. *)
+(* RFC 7539 ChaCha20 block function on unboxed [Int32] words. *)
 
 let mask32 = 0xFFFF_FFFF
 
@@ -69,7 +69,15 @@ let of_seed seed =
 
 let key_of_seed seed = Bytes.sub (material_of_seed seed) 0 32
 
-let rotl x n = ((x lsl n) lor (x lsr (32 - n))) land mask32
+(* Keystream word [i] of the initial state as an [Int32]; the state keeps
+   each word zero-extended in a native int. *)
+let[@inline] word32 s i = Int32.of_int s.(i)
+
+let[@inline] rotl32 x n =
+  Int32.logor (Int32.shift_left x n) (Int32.shift_right_logical x (32 - n))
+
+(* The 32 bits of [x] as a non-negative native int. *)
+let[@inline] lo32 x = Int32.to_int x land mask32
 
 external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
@@ -88,78 +96,87 @@ let store2 dst off lo hi =
     set64u dst off
       (Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32))
 
-(* The block function on 16 local refs, which ocamlopt keeps in registers
-   (or stack slots) because none escapes: no state copy, no allocation. *)
+(* The block function on 16 local [Int32] refs, which ocamlopt keeps
+   unboxed in registers (or stack slots) because none escapes: 32-bit adds
+   wrap without a mask, and there is no state copy and no allocation.  The
+   helpers above are top-level so that they inline; a local closure over
+   [s] would be allocated per block. *)
 let block_into t counter dst off =
   if off < 0 || off > Bytes.length dst - block_size then
     invalid_arg "Chacha20.block_into";
+  (* RFC 7539 forbids a wrapping counter: block 2^32 would repeat block 0. *)
+  if counter < 0 || counter > mask32 then
+    invalid_arg "Chacha20.block_into: counter outside [0, 2^32)";
   let s = t.state in
-  let x0 = ref s.(0) and x1 = ref s.(1) and x2 = ref s.(2) and x3 = ref s.(3) in
-  let x4 = ref s.(4) and x5 = ref s.(5) and x6 = ref s.(6) and x7 = ref s.(7) in
-  let x8 = ref s.(8) and x9 = ref s.(9) and x10 = ref s.(10) and x11 = ref s.(11) in
-  let c = counter land mask32 in
-  let x12 = ref c in
-  let x13 = ref s.(13) and x14 = ref s.(14) and x15 = ref s.(15) in
+  let c = Int32.of_int counter in
+  let x0 = ref (word32 s 0) and x1 = ref (word32 s 1) in
+  let x2 = ref (word32 s 2) and x3 = ref (word32 s 3) in
+  let x4 = ref (word32 s 4) and x5 = ref (word32 s 5) in
+  let x6 = ref (word32 s 6) and x7 = ref (word32 s 7) in
+  let x8 = ref (word32 s 8) and x9 = ref (word32 s 9) in
+  let x10 = ref (word32 s 10) and x11 = ref (word32 s 11) in
+  let x12 = ref c and x13 = ref (word32 s 13) in
+  let x14 = ref (word32 s 14) and x15 = ref (word32 s 15) in
   for _ = 1 to 10 do
     (* column round *)
-    x0 := (!x0 + !x4) land mask32; x12 := rotl (!x12 lxor !x0) 16;
-    x8 := (!x8 + !x12) land mask32; x4 := rotl (!x4 lxor !x8) 12;
-    x0 := (!x0 + !x4) land mask32; x12 := rotl (!x12 lxor !x0) 8;
-    x8 := (!x8 + !x12) land mask32; x4 := rotl (!x4 lxor !x8) 7;
-    x1 := (!x1 + !x5) land mask32; x13 := rotl (!x13 lxor !x1) 16;
-    x9 := (!x9 + !x13) land mask32; x5 := rotl (!x5 lxor !x9) 12;
-    x1 := (!x1 + !x5) land mask32; x13 := rotl (!x13 lxor !x1) 8;
-    x9 := (!x9 + !x13) land mask32; x5 := rotl (!x5 lxor !x9) 7;
-    x2 := (!x2 + !x6) land mask32; x14 := rotl (!x14 lxor !x2) 16;
-    x10 := (!x10 + !x14) land mask32; x6 := rotl (!x6 lxor !x10) 12;
-    x2 := (!x2 + !x6) land mask32; x14 := rotl (!x14 lxor !x2) 8;
-    x10 := (!x10 + !x14) land mask32; x6 := rotl (!x6 lxor !x10) 7;
-    x3 := (!x3 + !x7) land mask32; x15 := rotl (!x15 lxor !x3) 16;
-    x11 := (!x11 + !x15) land mask32; x7 := rotl (!x7 lxor !x11) 12;
-    x3 := (!x3 + !x7) land mask32; x15 := rotl (!x15 lxor !x3) 8;
-    x11 := (!x11 + !x15) land mask32; x7 := rotl (!x7 lxor !x11) 7;
+    x0 := Int32.add !x0 !x4; x12 := rotl32 (Int32.logxor !x12 !x0) 16;
+    x8 := Int32.add !x8 !x12; x4 := rotl32 (Int32.logxor !x4 !x8) 12;
+    x0 := Int32.add !x0 !x4; x12 := rotl32 (Int32.logxor !x12 !x0) 8;
+    x8 := Int32.add !x8 !x12; x4 := rotl32 (Int32.logxor !x4 !x8) 7;
+    x1 := Int32.add !x1 !x5; x13 := rotl32 (Int32.logxor !x13 !x1) 16;
+    x9 := Int32.add !x9 !x13; x5 := rotl32 (Int32.logxor !x5 !x9) 12;
+    x1 := Int32.add !x1 !x5; x13 := rotl32 (Int32.logxor !x13 !x1) 8;
+    x9 := Int32.add !x9 !x13; x5 := rotl32 (Int32.logxor !x5 !x9) 7;
+    x2 := Int32.add !x2 !x6; x14 := rotl32 (Int32.logxor !x14 !x2) 16;
+    x10 := Int32.add !x10 !x14; x6 := rotl32 (Int32.logxor !x6 !x10) 12;
+    x2 := Int32.add !x2 !x6; x14 := rotl32 (Int32.logxor !x14 !x2) 8;
+    x10 := Int32.add !x10 !x14; x6 := rotl32 (Int32.logxor !x6 !x10) 7;
+    x3 := Int32.add !x3 !x7; x15 := rotl32 (Int32.logxor !x15 !x3) 16;
+    x11 := Int32.add !x11 !x15; x7 := rotl32 (Int32.logxor !x7 !x11) 12;
+    x3 := Int32.add !x3 !x7; x15 := rotl32 (Int32.logxor !x15 !x3) 8;
+    x11 := Int32.add !x11 !x15; x7 := rotl32 (Int32.logxor !x7 !x11) 7;
     (* diagonal round *)
-    x0 := (!x0 + !x5) land mask32; x15 := rotl (!x15 lxor !x0) 16;
-    x10 := (!x10 + !x15) land mask32; x5 := rotl (!x5 lxor !x10) 12;
-    x0 := (!x0 + !x5) land mask32; x15 := rotl (!x15 lxor !x0) 8;
-    x10 := (!x10 + !x15) land mask32; x5 := rotl (!x5 lxor !x10) 7;
-    x1 := (!x1 + !x6) land mask32; x12 := rotl (!x12 lxor !x1) 16;
-    x11 := (!x11 + !x12) land mask32; x6 := rotl (!x6 lxor !x11) 12;
-    x1 := (!x1 + !x6) land mask32; x12 := rotl (!x12 lxor !x1) 8;
-    x11 := (!x11 + !x12) land mask32; x6 := rotl (!x6 lxor !x11) 7;
-    x2 := (!x2 + !x7) land mask32; x13 := rotl (!x13 lxor !x2) 16;
-    x8 := (!x8 + !x13) land mask32; x7 := rotl (!x7 lxor !x8) 12;
-    x2 := (!x2 + !x7) land mask32; x13 := rotl (!x13 lxor !x2) 8;
-    x8 := (!x8 + !x13) land mask32; x7 := rotl (!x7 lxor !x8) 7;
-    x3 := (!x3 + !x4) land mask32; x14 := rotl (!x14 lxor !x3) 16;
-    x9 := (!x9 + !x14) land mask32; x4 := rotl (!x4 lxor !x9) 12;
-    x3 := (!x3 + !x4) land mask32; x14 := rotl (!x14 lxor !x3) 8;
-    x9 := (!x9 + !x14) land mask32; x4 := rotl (!x4 lxor !x9) 7
+    x0 := Int32.add !x0 !x5; x15 := rotl32 (Int32.logxor !x15 !x0) 16;
+    x10 := Int32.add !x10 !x15; x5 := rotl32 (Int32.logxor !x5 !x10) 12;
+    x0 := Int32.add !x0 !x5; x15 := rotl32 (Int32.logxor !x15 !x0) 8;
+    x10 := Int32.add !x10 !x15; x5 := rotl32 (Int32.logxor !x5 !x10) 7;
+    x1 := Int32.add !x1 !x6; x12 := rotl32 (Int32.logxor !x12 !x1) 16;
+    x11 := Int32.add !x11 !x12; x6 := rotl32 (Int32.logxor !x6 !x11) 12;
+    x1 := Int32.add !x1 !x6; x12 := rotl32 (Int32.logxor !x12 !x1) 8;
+    x11 := Int32.add !x11 !x12; x6 := rotl32 (Int32.logxor !x6 !x11) 7;
+    x2 := Int32.add !x2 !x7; x13 := rotl32 (Int32.logxor !x13 !x2) 16;
+    x8 := Int32.add !x8 !x13; x7 := rotl32 (Int32.logxor !x7 !x8) 12;
+    x2 := Int32.add !x2 !x7; x13 := rotl32 (Int32.logxor !x13 !x2) 8;
+    x8 := Int32.add !x8 !x13; x7 := rotl32 (Int32.logxor !x7 !x8) 7;
+    x3 := Int32.add !x3 !x4; x14 := rotl32 (Int32.logxor !x14 !x3) 16;
+    x9 := Int32.add !x9 !x14; x4 := rotl32 (Int32.logxor !x4 !x9) 12;
+    x3 := Int32.add !x3 !x4; x14 := rotl32 (Int32.logxor !x14 !x3) 8;
+    x9 := Int32.add !x9 !x14; x4 := rotl32 (Int32.logxor !x4 !x9) 7
   done;
   store2 dst off
-    ((!x0 + s.(0)) land mask32)
-    ((!x1 + s.(1)) land mask32);
+    (lo32 (Int32.add !x0 (word32 s 0)))
+    (lo32 (Int32.add !x1 (word32 s 1)));
   store2 dst (off + 8)
-    ((!x2 + s.(2)) land mask32)
-    ((!x3 + s.(3)) land mask32);
+    (lo32 (Int32.add !x2 (word32 s 2)))
+    (lo32 (Int32.add !x3 (word32 s 3)));
   store2 dst (off + 16)
-    ((!x4 + s.(4)) land mask32)
-    ((!x5 + s.(5)) land mask32);
+    (lo32 (Int32.add !x4 (word32 s 4)))
+    (lo32 (Int32.add !x5 (word32 s 5)));
   store2 dst (off + 24)
-    ((!x6 + s.(6)) land mask32)
-    ((!x7 + s.(7)) land mask32);
+    (lo32 (Int32.add !x6 (word32 s 6)))
+    (lo32 (Int32.add !x7 (word32 s 7)));
   store2 dst (off + 32)
-    ((!x8 + s.(8)) land mask32)
-    ((!x9 + s.(9)) land mask32);
+    (lo32 (Int32.add !x8 (word32 s 8)))
+    (lo32 (Int32.add !x9 (word32 s 9)));
   store2 dst (off + 40)
-    ((!x10 + s.(10)) land mask32)
-    ((!x11 + s.(11)) land mask32);
+    (lo32 (Int32.add !x10 (word32 s 10)))
+    (lo32 (Int32.add !x11 (word32 s 11)));
   store2 dst (off + 48)
-    ((!x12 + c) land mask32)
-    ((!x13 + s.(13)) land mask32);
+    (lo32 (Int32.add !x12 c))
+    (lo32 (Int32.add !x13 (word32 s 13)));
   store2 dst (off + 56)
-    ((!x14 + s.(14)) land mask32)
-    ((!x15 + s.(15)) land mask32);
+    (lo32 (Int32.add !x14 (word32 s 14)))
+    (lo32 (Int32.add !x15 (word32 s 15)));
   t.blocks <- t.blocks + 1
 
 let block t counter =

@@ -23,7 +23,9 @@ val block_size : int
 val block_into : t -> int -> bytes -> int -> unit
 (** [block_into t counter dst off] writes the raw keystream block for
     [counter] to [dst.[off .. off + 63]] without allocating.
-    @raise Invalid_argument if the range does not fit in [dst]. *)
+    @raise Invalid_argument if the range does not fit in [dst], or if
+    [counter] is outside [\[0, 2{^32})]: RFC 7539's 32-bit counter must
+    not wrap, since block [2{^32}] would repeat block 0. *)
 
 val block : t -> int -> bytes
 (** [block t counter] is the raw 64-byte keystream block ({!block_into}
@@ -32,7 +34,8 @@ val block : t -> int -> bytes
 val next_bytes_into : t -> bytes -> int -> int -> unit
 (** [next_bytes_into t dst off n] writes the next [n] keystream bytes to
     [dst.[off .. off + n - 1]].  Whole blocks are generated in place.
-    @raise Invalid_argument if the range does not fit in [dst]. *)
+    @raise Invalid_argument if the range does not fit in [dst], or once
+    the stream would need block [2{^32}] (see {!block_into}). *)
 
 val next_bytes : t -> int -> bytes
 (** Stateful: return the next [n] keystream bytes. *)

@@ -707,6 +707,46 @@ let test_ctmon_record_chunk () =
   Alcotest.(check (float 1e-6)) "bulk entropy" 100.0
     (Ctmon.entropy_bits_per_sample m)
 
+(* Over the engine's metrics the monitor exposes the engine's totals under
+   its own names and never adds them itself; the entropy gauge is derived
+   when read and follows a reset. *)
+let test_ctmon_shared_totals () =
+  let m = Ctg_engine.Metrics.create ~domains:1 ~labels:[ ("sigma", "2") ] () in
+  let r = Ctg_engine.Metrics.registry m in
+  let c =
+    Ctmon.create ~registry:r ~labels:[ ("sigma", "2") ]
+      ~totals:(Ctg_engine.Metrics.totals m) ()
+  in
+  Ctg_engine.Metrics.record m ~domain:0 ~samples:1008 ~batches:16 ~bits:100_800
+    ~work:0 ~gates:0;
+  Ctmon.record_chunk c ~batches:16 ~bits:100_800 ~samples:1008 ~deviations:1
+    ~fallbacks:0;
+  let lines = String.split_on_char '\n' (Registry.expose_text r) in
+  let has line = Alcotest.(check bool) line true (List.mem line lines) in
+  has "ct_bits_total{sigma=\"2\"} 100800";
+  has "engine_bits_consumed_total{sigma=\"2\"} 100800";
+  has "ct_samples_total{sigma=\"2\"} 1008";
+  has "ct_batches_total{sigma=\"2\"} 16";
+  has "# TYPE entropy_bits_per_sample gauge";
+  has "entropy_bits_per_sample{sigma=\"2\"} 100";
+  has "ct_violations_total{sigma=\"2\"} 1";
+  Alcotest.(check (float 1e-9)) "entropy" 100.0
+    (Ctmon.entropy_bits_per_sample c);
+  Registry.reset r;
+  Alcotest.(check (float 0.0)) "entropy after reset" 0.0
+    (Ctmon.entropy_bits_per_sample c);
+  Alcotest.check_raises "alias onto another counter"
+    (Invalid_argument "Registry.alias_counter: ct_bits_total holds another counter")
+    (fun () ->
+      ignore
+        (Ctmon.create ~registry:r ~labels:[ ("sigma", "2") ]
+           ~totals:
+             {
+               (Ctg_engine.Metrics.totals m) with
+               Ctmon.bits = Registry.counter r "other_total";
+             }
+           ()))
+
 (* --------------------------------------------------------------------- *)
 
 let () =
@@ -796,5 +836,7 @@ let () =
             test_ctmon_fallback_only_then_deviating_normal;
           Alcotest.test_case "bulk chunk accounting" `Quick
             test_ctmon_record_chunk;
+          Alcotest.test_case "shared totals are counted once" `Quick
+            test_ctmon_shared_totals;
         ] );
     ]

@@ -8,6 +8,68 @@ module Bs = Ctg_prng.Bitstream
 
 let hex = Alcotest.(check string)
 
+(* Spec-level reference for the block function (RFC 7539 Sec. 2.3): the
+   state in an array, a quarter round over indices, arithmetic on native
+   ints masked to 32 bits, so it shares no arithmetic with the library's
+   unboxed-[Int32] body. *)
+let ref_block_of ~key ~nonce counter =
+  let mask32 = 0xFFFF_FFFF in
+  let word b i = Int32.to_int (Bytes.get_int32_le b (4 * i)) land mask32 in
+  let init =
+    Array.concat
+      [
+        [| 0x61707865; 0x3320646e; 0x79622d32; 0x6b206574 |];
+        Array.init 8 (word key);
+        [| counter |];
+        Array.init 3 (word nonce);
+      ]
+  in
+  let x = Array.copy init in
+  let rotl v n = ((v lsl n) lor (v lsr (32 - n))) land mask32 in
+  let qr a b c d =
+    x.(a) <- (x.(a) + x.(b)) land mask32;
+    x.(d) <- rotl (x.(d) lxor x.(a)) 16;
+    x.(c) <- (x.(c) + x.(d)) land mask32;
+    x.(b) <- rotl (x.(b) lxor x.(c)) 12;
+    x.(a) <- (x.(a) + x.(b)) land mask32;
+    x.(d) <- rotl (x.(d) lxor x.(a)) 8;
+    x.(c) <- (x.(c) + x.(d)) land mask32;
+    x.(b) <- rotl (x.(b) lxor x.(c)) 7
+  in
+  for _ = 1 to 10 do
+    qr 0 4 8 12; qr 1 5 9 13; qr 2 6 10 14; qr 3 7 11 15;
+    qr 0 5 10 15; qr 1 6 11 12; qr 2 7 8 13; qr 3 4 9 14
+  done;
+  let out = Bytes.create 64 in
+  Array.iteri
+    (fun i v ->
+      Bytes.set_int32_le out (4 * i) (Int32.of_int ((v + init.(i)) land mask32)))
+    x;
+  out
+
+(* Random keys and nonces (about half their words are >= 2^31), the
+   counter's edge values, and an unaligned offset into a larger buffer
+   whose other bytes must stay untouched. *)
+let block_matches_reference =
+  let open QCheck in
+  let raw n = Gen.(map Bytes.of_string (string_size ~gen:char (return n))) in
+  let counter =
+    Gen.(oneof [ oneofl [ 0; 1; 0xFFFF_FFFF ]; int_bound 0xFFFF_FFFF ])
+  in
+  let show (key, nonce, counter, off) =
+    Printf.sprintf "key %s nonce %s counter %d off %d"
+      (Hex.encode key) (Hex.encode nonce) counter off
+  in
+  Test.make ~name:"block_into = reference block" ~count:500
+    (make ~print:show Gen.(quad (raw 32) (raw 12) counter (int_bound 15)))
+    (fun (key, nonce, counter, off) ->
+      let c = Chacha.create ~key ~nonce in
+      let buf = Bytes.make (off + 80) '\xee' in
+      Chacha.block_into c counter buf off;
+      Bytes.equal (Bytes.sub buf off 64) (ref_block_of ~key ~nonce counter)
+      && Bytes.sub_string buf 0 off = String.make off '\xee'
+      && Bytes.sub_string buf (off + 64) 16 = String.make 16 '\xee')
+
 let chacha_tests =
   [
     Alcotest.test_case "RFC 7539 block function vector" `Quick (fun () ->
@@ -88,7 +150,43 @@ let chacha_tests =
         hex "same keystream" (Hex.encode a) (Hex.encode (Bytes.sub b 5 300));
         Alcotest.(check int) "same blocks" (Chacha.blocks_generated c1)
           (Chacha.blocks_generated c2));
+    Alcotest.test_case "block counter must not wrap" `Quick (fun () ->
+        let key = Bytes.make 32 '\xff' and nonce = Bytes.make 12 '\xff' in
+        let c = Chacha.create ~key ~nonce in
+        let buf = Bytes.create Chacha.block_size in
+        Chacha.block_into c 0xFFFF_FFFF buf 0;
+        hex "last block"
+          (Hex.encode (ref_block_of ~key ~nonce 0xFFFF_FFFF))
+          (Hex.encode buf);
+        List.iter
+          (fun counter ->
+            match Chacha.block_into c counter buf 0 with
+            | () -> Alcotest.failf "counter %d accepted" counter
+            | exception Invalid_argument _ -> ())
+          [ 1 lsl 32; -1; max_int ];
+        Alcotest.(check int) "only the valid block counted" 1
+          (Chacha.blocks_generated c));
+    Alcotest.test_case "block_into and next_word allocate nothing" `Quick
+      (fun () ->
+        let c = Chacha.of_seed "alloc" in
+        let buf = Bytes.create Chacha.block_size in
+        Chacha.block_into c 0 buf 0;
+        let w0 = Gc.minor_words () in
+        for i = 1 to 10_000 do
+          Chacha.block_into c i buf 0
+        done;
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check (float 0.0)) "words per block" 0.0 (words /. 10_000.);
+        let bs = Bs.of_chacha (Chacha.of_seed "alloc") in
+        ignore (Bs.next_word bs);
+        let w0 = Gc.minor_words () in
+        for _ = 1 to 10_000 do
+          ignore (Sys.opaque_identity (Bs.next_word bs))
+        done;
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check (float 0.0)) "words per next_word" 0.0 (words /. 10_000.));
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ block_matches_reference ]
 
 let keccak_tests =
   [
