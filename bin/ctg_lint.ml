@@ -86,15 +86,15 @@ let run sigmas precision tail_cut json baseline_path no_baseline write_baseline
     let all_ok = List.for_all A.ok results in
     if json then
       print_string
-        (Ctg_analysis.Jsonx.pretty
-           (Ctg_analysis.Jsonx.Obj
+        (Ctg_obs.Jsonx.pretty
+           (Ctg_obs.Jsonx.Obj
               [
-                ("tool", Ctg_analysis.Jsonx.Str "ctg_lint");
+                ("tool", Ctg_obs.Jsonx.Str "ctg_lint");
                 ( "baseline_checked",
-                  Ctg_analysis.Jsonx.Bool (baseline <> None) );
-                ("ok", Ctg_analysis.Jsonx.Bool all_ok);
+                  Ctg_obs.Jsonx.Bool (baseline <> None) );
+                ("ok", Ctg_obs.Jsonx.Bool all_ok);
                 ( "targets",
-                  Ctg_analysis.Jsonx.List (List.map A.to_json results) );
+                  Ctg_obs.Jsonx.List (List.map A.to_json results) );
               ]))
     else begin
       List.iter (fun r -> Format.printf "%a@." A.pp r) results;

@@ -258,28 +258,14 @@ let prof_run json_out trace_out =
   Format.printf "allocation by span label (minor words, descending):@.@.";
   Format.printf "%a" Ctg_prof.Prof.pp_report ();
   (* The pause column above comes from the rtev consumer when the ring is
-     up (wall - pause ~ work); the major-cycle cadence stays as the
-     labeled fallback signal. *)
+     up (wall - pause ~ work). *)
   if Ctg_rtev.Rtev.active () then
-    Format.printf "@.gc pauses (rtev): %d (%d minor), total %.3f ms, max %.3f ms"
+    Format.printf "@.gc pauses (rtev): %d (%d minor), total %.3f ms, max %.3f ms@."
       (Ctg_rtev.Rtev.pause_count ())
       (Ctg_rtev.Rtev.minor_pause_count ())
       (float_of_int (Ctg_rtev.Rtev.total_pause_ns ()) /. 1e6)
       (float_of_int (Ctg_rtev.Rtev.max_pause_ns ()) /. 1e6)
-  else
-    Format.printf "@.gc pauses (rtev): ring unavailable, cadence fallback only";
-  let cycles =
-    Obs.Registry.value (Obs.Registry.counter registry "gc_major_cycles_total")
-  in
-  let gap =
-    Obs.Registry.histo_summary
-      (Obs.Registry.histo registry "gc_major_cycle_gap_ns")
-  in
-  Format.printf "@.gc major cycles (cadence fallback): %d" cycles;
-  if gap.Obs.Histo.count > 0 then
-    Format.printf " (cycle gap p50 %d ns, max %d ns)" gap.Obs.Histo.p50
-      gap.Obs.Histo.max;
-  Format.printf "@.";
+  else Format.printf "@.gc pauses (rtev): ring unavailable@.";
   (match json_out with
   | None -> ()
   | Some path ->
@@ -311,7 +297,7 @@ let prof_cmd =
   let doc =
     "Profile allocation by span: run a demo signing + engine workload with \
      the ctg_prof layer armed and print span labels ranked by words \
-     allocated, plus the GC major-cycle cadence."
+     allocated, plus the GC pauses from the Runtime_events ring."
   in
   Cmd.v (Cmd.info "prof" ~doc) Term.(const prof_run $ json_out $ trace_out)
 
@@ -388,8 +374,7 @@ let pauses_run smoke json_out trace_out =
   if not (Rtev.start ~registry ~trace ()) then begin
     Format.printf
       "runtime telemetry UNAVAILABLE: the Runtime_events ring could not be \
-       started; only the gc_major_cycle_gap_ns cadence fallback is \
-       available in this environment@.";
+       started, so no GC pause can be measured in this environment@.";
     exit 2
   end;
   pauses_workload ~smoke ();

@@ -1,3 +1,4 @@
+module Jsonx = Ctg_obs.Jsonx
 module Gate = Ctgauss.Gate
 module Compile = Ctgauss.Compile
 

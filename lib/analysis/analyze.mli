@@ -41,4 +41,4 @@ val measure : target -> Budget.entry
 (** Budget measurement for baseline (re)generation. *)
 
 val pp : Format.formatter -> result -> unit
-val to_json : result -> Jsonx.t
+val to_json : result -> Ctg_obs.Jsonx.t

@@ -19,8 +19,8 @@ type t = { entries : entry list }
 val measure : sigma:string -> precision:int -> tail_cut:int -> entry
 (** Compile both programs and record their budgets. *)
 
-val to_json : t -> Jsonx.t
-val of_json : Jsonx.t -> (t, string) result
+val to_json : t -> Ctg_obs.Jsonx.t
+val of_json : Ctg_obs.Jsonx.t -> (t, string) result
 val save : string -> t -> unit
 val load : string -> (t, string) result
 

@@ -1,3 +1,5 @@
+module Jsonx = Ctg_obs.Jsonx
+
 type severity = Info | Warning | Error
 
 type finding = {

@@ -30,5 +30,5 @@ val fails_ci : finding -> bool
 val pp_finding : Format.formatter -> finding -> unit
 val pp_proof : Format.formatter -> proof -> unit
 
-val finding_to_json : finding -> Jsonx.t
-val proof_to_json : proof -> Jsonx.t
+val finding_to_json : finding -> Ctg_obs.Jsonx.t
+val proof_to_json : proof -> Ctg_obs.Jsonx.t

@@ -1,9 +1,12 @@
 (** Domain-parallel batch sampling over one compiled sampler.
 
     The software analogue of a hardware design's parallel SamplerZ array:
-    [P] persistent worker domains share the registry's compiled program
-    (each holds a private {!Ctgauss.Sampler.clone}) and race for fixed-size
-    {e chunks} of a batch job through an atomic cursor.
+    the [P] worker domains of one {!Workforce} team share the registry's
+    compiled program (each worker index holds a private
+    {!Ctgauss.Sampler.clone}) and race for fixed-size {e chunks} of a
+    batch job through the team's atomic cursor.  The pool is chunk logic
+    on top of that team: chunk bodies, in-place retries, output sinks and
+    degraded mode; the calling domain waits or consumes, never fills.
 
     {b Determinism.}  Chunk [c] of the [j]-th job always draws its
     randomness from {!Stream_fork} lane [lane_base_j + c] and lands at
@@ -15,10 +18,9 @@
     worker crash, reproduces its output bit for bit.
 
     {b Backpressure.}  {!iter_batches} streams chunks through a bounded
-    queue: workers block once [queue_capacity] chunks are finished but not
+    queue: workers block once [2 × domains] chunks are finished but not
     yet consumed, so a slow consumer caps the engine's memory at
-    [(capacity + domains) × chunk] samples instead of buffering the whole
-    job.
+    [3 × domains × chunk] samples instead of buffering the whole job.
 
     {b Supervision.}  A worker exception while filling a chunk is retried
     in place with exponential backoff up to [max_chunk_retries] times;
@@ -26,7 +28,8 @@
     caller — a failed chunk can never leave {!batch_parallel} or
     {!iter_batches} blocked.  A worker killed at a chunk boundary
     ({!Kill_worker}, the crash model) orphans its chunk for another domain
-    and is replaced while the [max_respawns] budget lasts.  With
+    and is replaced while the team's budget of [max 4 domains] respawns
+    lasts.  With
     [stall_timeout] set, a watchdog bounds how long the caller can wait
     without progress before {!Stalled} is raised.  Counters for all of
     this live in {!Metrics}.
@@ -43,8 +46,8 @@
 type t
 
 (** The bounded producer/consumer chunk queue behind {!iter_batches},
-    exposed (like {!Workq}) so the ctg_race model checker can explore the
-    exact production protocol in bounded harnesses.  Both waits re-check
+    exposed (like {!Workforce.Workq}) so the ctg_race model checker can
+    explore the exact production protocol in bounded harnesses.  Both waits re-check
     [should_abort] on every wakeup, so a failed job can never leave a
     producer or the consumer parked. *)
 module Chunkq : sig
@@ -60,49 +63,6 @@ module Chunkq : sig
 
   val wake : 'a t -> unit
   (** Broadcast so parked producers/consumers re-check [should_abort]. *)
-end
-
-(** Per-job work accounting: the atomic claim cursor, the orphan re-queue
-    for chunks lost to crashed workers, first-failure-wins abort, and the
-    completion wakeup for the submitting caller.  The pool guarantees the
-    lock order pool-mutex -> workq-mutex; Workq itself never takes a pool
-    lock.  All time stamps are supplied by the caller, keeping the module
-    deterministic under the ctg_race checker. *)
-module Workq : sig
-  type t
-
-  val create : total:int -> stamp:int -> t
-
-  val total : t -> int
-  val aborted : t -> bool
-  val done_count : t -> int
-
-  val last_progress : t -> int
-  (** Stamp passed to the most recent {!complete} (or {!create}). *)
-
-  val claim : t -> int option
-  (** Next chunk to run: orphans first, then the cursor; [None] once the
-      job is exhausted or aborted. *)
-
-  val complete : t -> stamp:int -> unit
-  (** Mark one chunk done; the finisher of the last chunk wakes the
-      {!wait}ing caller. *)
-
-  val orphan : t -> int -> unit
-  (** Re-queue a chunk whose worker crashed at a chunk boundary. *)
-
-  val fail : t -> exn -> unit
-  (** Record the first permanent error, set aborted and wake the waiter. *)
-
-  val failure : t -> exn option
-
-  val wake : t -> unit
-  (** Watchdog seam: wake the waiter so its [stall] predicate re-runs. *)
-
-  val wait : t -> stall:(unit -> exn option) -> exn option
-  (** Park until all chunks complete or the job fails; [stall] is
-      re-evaluated on every wakeup and may fail the job by returning an
-      exception.  Returns the failure, if any. *)
 end
 
 exception Kill_worker
@@ -129,31 +89,27 @@ val create :
   ?domains:int ->
   ?backend:Stream_fork.backend ->
   ?chunk_batches:int ->
-  ?queue_capacity:int ->
   ?rng_of_lane:(int -> Ctg_prng.Bitstream.t) ->
   ?self_test:bool ->
   ?stall_timeout:float ->
   ?max_chunk_retries:int ->
-  ?max_respawns:int ->
   seed:string ->
   Ctgauss.Sampler.t ->
   t
-(** Spawn the worker domains.  [domains] defaults to
-    [Domain.recommended_domain_count ()]; [chunk_batches] is the number of
+(** Start the pool's {!Workforce} team of [domains] workers (default
+    [Domain.recommended_domain_count ()]); [chunk_batches] is the number of
     63-sample program runs per chunk (default 16, i.e. 1008 samples — big
-    enough to amortize queue traffic, small enough to balance load);
-    [queue_capacity] bounds the {!iter_batches} in-flight chunks (default
-    [2 × domains]).  The caller keeps ownership of the sampler; workers
-    only ever touch private clones.
+    enough to amortize queue traffic, small enough to balance load).  The
+    caller keeps ownership of the sampler; workers only ever touch
+    private clones.
 
     [rng_of_lane] replaces the default {!Stream_fork.bitstream} lane
     factory — the chaos harness wraps the genuine lane stream in a fault
     model here; determinism still holds per lane index.  [self_test]
     (default [true]) KATs the sampler and degrades to the CT CDT on
-    failure.  [stall_timeout] (seconds) arms the watchdog; unset means
-    callers wait indefinitely, as before.  [max_chunk_retries] (default 2)
-    bounds in-place retries per chunk; [max_respawns] (default
-    [max 4 domains]) bounds replacement domains over the pool's life. *)
+    failure.  [stall_timeout] (seconds) arms the team's watchdog; unset
+    means callers wait indefinitely.  [max_chunk_retries] (default 2)
+    bounds in-place retries per chunk. *)
 
 val domains : t -> int
 val metrics : t -> Metrics.t

@@ -1,78 +1,244 @@
-(* A persistent team of helper domains for successive parallel-for jobs.
+(* The engine's one team of worker domains: the pool's chunk jobs and
+   the daemon's signing batches both run here.  [domains] persistent
+   workers park between jobs, so a job costs one wakeup per worker
+   instead of a spawn.  The submitting caller does not run items; it
+   waits (or, for the pool's streaming consumer, consumes chunks) and is
+   never the hung worker the stall watchdog contains.
 
-   Spawning and joining fresh domains per job is fine for one big CLI
-   batch but not for a daemon dispatching a sign_many batch every few
-   milliseconds: domain spawn/join costs dwarf small batches.  The
-   workforce parks its helpers on a condition variable between jobs, so
-   submitting a job costs one broadcast instead of [domains - 1] spawns.
-
-   Scheduling model: an atomic cursor over [0 .. n-1], the caller
-   participates, first error wins and cancels the remaining iterations.  Only one job runs at a time; concurrent
-   [run] calls serialize on an internal job mutex. *)
+   A job is a [Workq] plus a body called with the worker index, so
+   callers keep per-worker state (the pool's sampler clones and
+   per-domain metrics) without sharing it between domains.  Lock order:
+   team mutex -> workq mutex -> the job's [wake] hook. *)
 
 open Ctg_sync.Shim
+module Clock = Ctg_obs.Clock
+
+exception Kill_worker
+
+exception Chunk_failed of { chunk : int; attempts : int; error : exn }
+
+exception Stalled of { waited_ns : int }
+
+(* The per-job work-accounting core, a standalone module so the model
+   checker can verify the exactly-once protocol (cursor + orphan re-queue
+   + first failure wins + completion wakeup) in isolation from the team
+   and the sampler machinery.  Workq operations never take the team
+   lock; time stamps are supplied by the caller. *)
+module Workq = struct
+  type t = {
+    total : int;
+    cursor : int Atomic.t;  (* next unclaimed item *)
+    done_ : int Atomic.t;  (* items completed *)
+    aborted : bool Atomic.t;
+    last_progress : int Atomic.t;  (* caller-supplied stamp *)
+    orphans : int list Atomic.t;  (* items claimed by crashed workers *)
+    mutex : Mutex.t;  (* guards failure + the wait below *)
+    cond : Condition.t;  (* the submitting caller waits for done/failed *)
+    mutable failure : exn option;  (* first permanent error *)
+  }
+
+  let create ~total ~stamp =
+    {
+      total;
+      cursor = Atomic.make 0;
+      done_ = Atomic.make 0;
+      aborted = Atomic.make false;
+      last_progress = Atomic.make stamp;
+      orphans = Atomic.make [];
+      mutex = Mutex.create ();
+      cond = Condition.create ();
+      failure = None;
+    }
+
+  let total q = q.total
+  let aborted q = Atomic.get q.aborted
+  let done_count q = Atomic.get q.done_
+  let last_progress q = Atomic.get q.last_progress
+
+  (* Orphans are served before the cursor so a crashed worker's item is
+     re-run promptly (by the respawned or any other domain).  The orphan
+     list is a lock-free stack: a claim with none pending is one read. *)
+  let rec claim q =
+    match Atomic.get q.orphans with
+    | c :: rest as l ->
+      if Atomic.compare_and_set q.orphans l rest then Some c else claim q
+    | [] ->
+      if Atomic.get q.aborted then None
+      else
+        let c = Atomic.fetch_and_add q.cursor 1 in
+        if c >= q.total then None else Some c
+
+  let complete q ~stamp =
+    Atomic.set q.last_progress stamp;
+    if Atomic.fetch_and_add q.done_ 1 + 1 = q.total then begin
+      Mutex.lock q.mutex;
+      Condition.broadcast q.cond;
+      Mutex.unlock q.mutex
+    end
+
+  let rec orphan q c =
+    let l = Atomic.get q.orphans in
+    if not (Atomic.compare_and_set q.orphans l (c :: l)) then orphan q c
+
+  let fail q e =
+    Mutex.lock q.mutex;
+    if q.failure = None then q.failure <- Some e;
+    Atomic.set q.aborted true;
+    Condition.broadcast q.cond;
+    Mutex.unlock q.mutex
+
+  let wake q =
+    Mutex.lock q.mutex;
+    Condition.broadcast q.cond;
+    Mutex.unlock q.mutex
+
+  let wait q ~stall =
+    Mutex.lock q.mutex;
+    let rec go () =
+      if q.failure <> None then ()
+      else if Atomic.get q.done_ >= q.total then ()
+      else
+        match stall () with
+        | Some e ->
+          q.failure <- Some e;
+          Atomic.set q.aborted true
+        | None ->
+          Condition.wait q.cond q.mutex;
+          go ()
+    in
+    go ();
+    let f = q.failure in
+    Mutex.unlock q.mutex;
+    f
+end
 
 type job = {
-  n : int;
-  f : int -> unit;
-  cursor : int Atomic.t;
-  error : exn option Atomic.t;
-  mutable active : int;  (* helpers still inside this job *)
+  wq : Workq.t;
+  body : worker:int -> int -> unit;
+  wake : unit -> unit;  (* rouse the submitter's own waits on failure *)
+  respawned : unit -> unit;
+  stall_ns : int option;
+}
+
+(* Each worker index parks on its own slot, so the workers of a team
+   never contend on one lock: a job is posted to every slot, and a worker
+   only ever synchronizes with the submitter and, through the job's
+   [Workq], with the other workers. *)
+type slot = {
+  s_mutex : Mutex.t;
+  s_cond : Condition.t;  (* the worker waits for a new job or the stop *)
+  mutable posted : job option;
+  mutable stop : bool;
 }
 
 type t = {
   domains : int;
-  mu : Mutex.t;
-  cond : Condition.t;  (* helpers: new job or shutdown *)
-  done_cond : Condition.t;  (* submitter: all helpers left the job *)
-  mutable current : job option;
-  mutable generation : int;  (* bumped per job; helpers wait for a change *)
+  max_respawns : int;
+  stall_ns : int option;
+  slots : slot array;
+  mutex : Mutex.t;  (* guards the fields below *)
+  mutable job : job option;
+  mutable respawns : int;
   mutable stopping : bool;
-  mutable helpers : unit Domain.t list;
-  job_mu : Mutex.t;  (* serializes [run] callers *)
+  mutable workers : unit Domain.t list;
+  mutable watchdog : unit Domain.t option;
 }
 
-let work job =
-  let continue = ref true in
-  while !continue do
-    if Atomic.get job.error <> None then continue := false
-    else begin
-      let i = Atomic.fetch_and_add job.cursor 1 in
-      if i >= job.n then continue := false
-      else
-        try job.f i
-        with e ->
-          ignore (Atomic.compare_and_set job.error None (Some e));
-          continue := false
-    end
-  done
+let domains t = t.domains
 
-let helper_loop t =
-  let seen = ref 0 in
-  let continue = ref true in
-  while !continue do
-    Mutex.lock t.mu;
-    while (not t.stopping) && (t.generation = !seen || t.current = None) do
-      Condition.wait t.cond t.mu
+let fail j e =
+  Workq.fail j.wq e;
+  j.wake ()
+
+let post slot f =
+  Mutex.lock slot.s_mutex;
+  f slot;
+  Condition.broadcast slot.s_cond;
+  Mutex.unlock slot.s_mutex
+
+(* Each post stores a fresh [Some j], so a worker waits for a slot value
+   physically different from the last one it ran.  A replacement domain
+   starts from [None], so it joins the job its predecessor was killed
+   in. *)
+let rec worker_loop t worker =
+  let slot = t.slots.(worker) in
+  let seen = ref None and alive = ref true in
+  while !alive do
+    Mutex.lock slot.s_mutex;
+    while (not slot.stop) && slot.posted == !seen do
+      Condition.wait slot.s_cond slot.s_mutex
     done;
-    if t.stopping then begin
-      Mutex.unlock t.mu;
-      continue := false
-    end
-    else begin
-      let job = Option.get t.current in
-      seen := t.generation;
-      job.active <- job.active + 1;
-      Mutex.unlock t.mu;
-      (try work job with _ -> ());
-      Mutex.lock t.mu;
-      job.active <- job.active - 1;
-      if job.active = 0 then Condition.broadcast t.done_cond;
-      Mutex.unlock t.mu
-    end
+    let next = if slot.stop then None else slot.posted in
+    Mutex.unlock slot.s_mutex;
+    seen := next;
+    match next with
+    | None -> alive := false
+    | Some j -> alive := work t worker j
   done
 
-let create ?domains () =
+(* Claim and run items until the job is exhausted or aborted; [false]
+   when this worker was killed and its domain must exit. *)
+and work t worker j =
+  match Workq.claim j.wq with
+  | None -> true
+  | Some i -> (
+    match j.body ~worker i with
+    | () ->
+      Workq.complete j.wq ~stamp:(Clock.now_ns ());
+      work t worker j
+    | exception Kill_worker ->
+      lose t worker j i;
+      false
+    | exception e ->
+      fail j e;
+      work t worker j)
+
+(* A worker domain died at an item boundary.  Its item goes on the orphan
+   queue (served before the cursor, so it is re-run by the replacement or
+   any other domain), and a replacement domain is spawned under the same
+   worker index while the respawn budget lasts.  Past the budget the job
+   fails rather than run under-manned. *)
+and lose t worker j i =
+  Mutex.lock t.mutex;
+  let respawn = (not t.stopping) && t.respawns < t.max_respawns in
+  (* Counted before the orphan is published: from then on another domain
+     can finish the job and its submitter read the count. *)
+  if respawn then j.respawned ();
+  Workq.orphan j.wq i;
+  if respawn then begin
+    t.respawns <- t.respawns + 1;
+    t.workers <- Domain.spawn (fun () -> worker_loop t worker) :: t.workers
+  end;
+  Mutex.unlock t.mutex;
+  if not respawn then
+    fail j (Chunk_failed { chunk = i; attempts = 0; error = Kill_worker })
+
+let stall (j : job) =
+  match j.stall_ns with
+  | None -> None
+  | Some limit ->
+    let waited_ns = Clock.now_ns () - Workq.last_progress j.wq in
+    if waited_ns > limit then Some (Stalled { waited_ns }) else None
+
+(* OCaml's [Condition] has no timed wait, so the watchdog periodically
+   wakes the submitter's waits to let their predicates notice a stall
+   deadline.  Spawned only when [stall_timeout] is set. *)
+let watchdog t interval =
+  let alive = ref true in
+  while !alive do
+    Unix.sleepf interval;
+    Mutex.lock t.mutex;
+    if t.stopping then alive := false
+    else
+      Option.iter
+        (fun j ->
+          Workq.wake j.wq;
+          j.wake ())
+        t.job;
+    Mutex.unlock t.mutex
+  done
+
+let create ?domains ?stall_timeout () =
   let domains =
     match domains with
     | Some d ->
@@ -80,64 +246,96 @@ let create ?domains () =
       d
     | None -> Domain.recommended_domain_count ()
   in
+  let stall_ns =
+    match stall_timeout with
+    | None -> None
+    | Some s ->
+      if s <= 0. then invalid_arg "Workforce.create: stall_timeout must be > 0";
+      Some (int_of_float (s *. 1e9))
+  in
   let t =
     {
       domains;
-      mu = Mutex.create ();
-      cond = Condition.create ();
-      done_cond = Condition.create ();
-      current = None;
-      generation = 0;
+      max_respawns = max 4 domains;
+      stall_ns;
+      slots =
+        Array.init domains (fun _ ->
+            {
+              s_mutex = Mutex.create ();
+              s_cond = Condition.create ();
+              posted = None;
+              stop = false;
+            });
+      mutex = Mutex.create ();
+      job = None;
+      respawns = 0;
       stopping = false;
-      helpers = [];
-      job_mu = Mutex.create ();
+      workers = [];
+      watchdog = None;
     }
   in
-  t.helpers <- List.init (domains - 1) (fun _ -> Domain.spawn (fun () -> helper_loop t));
+  Option.iter
+    (fun ns ->
+      let interval = Float.min 0.05 (float_of_int ns /. 4e9) in
+      t.watchdog <- Some (Domain.spawn (fun () -> watchdog t interval)))
+    stall_ns;
   t
 
-let domains t = t.domains
+let stopped t =
+  Mutex.lock t.mutex;
+  let s = t.stopping in
+  Mutex.unlock t.mutex;
+  s
+
+(* A job stays published after it ends, so that the waiting caller never
+   takes the team lock; the next job replaces it once every item of the
+   last one is done or it has failed. *)
+let submit t wq ~wake ~respawned body =
+  Mutex.lock t.mutex;
+  let busy =
+    match t.job with
+    | Some j -> Workq.done_count j.wq < Workq.total j.wq && not (Workq.aborted j.wq)
+    | None -> false
+  in
+  if t.stopping || busy then begin
+    Mutex.unlock t.mutex;
+    invalid_arg
+      (if busy then "Workforce: a job is already running"
+       else "Workforce: shut down")
+  end;
+  let j = { wq; body; wake; respawned; stall_ns = t.stall_ns } in
+  t.job <- Some j;
+  (* Workers start with the first job: until then the team costs no
+     domain, and an idle domain still takes part in every stop-the-world
+     collection. *)
+  if t.workers = [] then
+    t.workers <-
+      List.init t.domains (fun w -> Domain.spawn (fun () -> worker_loop t w));
+  Mutex.unlock t.mutex;
+  Array.iter (fun slot -> post slot (fun s -> s.posted <- Some j)) t.slots;
+  j
+
+let await j =
+  match Workq.wait j.wq ~stall:(fun () -> stall j) with
+  | None -> ()
+  | Some e ->
+    j.wake ();
+    raise e
 
 let run t ~n f =
   if n < 0 then invalid_arg "Workforce.run: n must be >= 0";
-  if n = 0 then ()
-  else begin
-    Mutex.lock t.job_mu;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.job_mu)
-      (fun () ->
-        Mutex.lock t.mu;
-        if t.stopping then begin
-          Mutex.unlock t.mu;
-          invalid_arg "Workforce.run: workforce is shut down"
-        end;
-        let job =
-          { n; f; cursor = Atomic.make 0; error = Atomic.make None; active = 0 }
-        in
-        t.current <- Some job;
-        t.generation <- t.generation + 1;
-        Condition.broadcast t.cond;
-        Mutex.unlock t.mu;
-        (* The caller is one of the workers. *)
-        work job;
-        (* Wait until every helper that entered this job has left it; late
-           helpers that only wake after [current] is cleared never enter. *)
-        Mutex.lock t.mu;
-        while job.active > 0 do
-          Condition.wait t.done_cond t.mu
-        done;
-        t.current <- None;
-        Mutex.unlock t.mu;
-        match Atomic.get job.error with Some e -> raise e | None -> ())
-  end
+  let wq = Workq.create ~total:n ~stamp:(Clock.now_ns ()) in
+  await (submit t wq ~wake:ignore ~respawned:ignore (fun ~worker:_ i -> f i))
 
 let shutdown t =
-  Mutex.lock t.mu;
-  if not t.stopping then begin
+  Mutex.lock t.mutex;
+  if t.stopping then Mutex.unlock t.mutex
+  else begin
     t.stopping <- true;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.mu;
-    List.iter Domain.join t.helpers;
-    t.helpers <- []
+    Mutex.unlock t.mutex;
+    Array.iter (fun slot -> post slot (fun s -> s.stop <- true)) t.slots;
+    List.iter Domain.join t.workers;
+    t.workers <- [];
+    Option.iter Domain.join t.watchdog;
+    t.watchdog <- None
   end
-  else Mutex.unlock t.mu

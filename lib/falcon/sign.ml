@@ -217,12 +217,19 @@ let sign_many ?domains ?backend ?workforce ?lanes ?fault_hook ?check kp
   (match workforce with
   | Some w -> Ctg_engine.Workforce.run w ~n body
   | None ->
-    (* A one-off batch spawns no more domains than it has messages. *)
+    (* A one-off batch spawns no more domains than it has messages, and
+       none at all when one domain would do: it then signs here. *)
     let d = Option.value domains ~default:(Domain.recommended_domain_count ()) in
-    let w = Ctg_engine.Workforce.create ~domains:(if n < d then max 1 n else d) () in
-    Fun.protect
-      ~finally:(fun () -> Ctg_engine.Workforce.shutdown w)
-      (fun () -> Ctg_engine.Workforce.run w ~n body));
+    if d < 1 then invalid_arg "Sign.sign_many: domains must be >= 1";
+    if min d n <= 1 then
+      for i = 0 to n - 1 do
+        body i
+      done
+    else
+      let w = Ctg_engine.Workforce.create ~domains:(min d n) () in
+      Fun.protect
+        ~finally:(fun () -> Ctg_engine.Workforce.shutdown w)
+        (fun () -> Ctg_engine.Workforce.run w ~n body));
   Array.map
     (function Some s -> s | None -> failwith "Sign.sign_many: missing result")
     out

@@ -61,8 +61,9 @@ val sign_many :
     [Domain.recommended_domain_count ()]) — and, with explicit [lanes],
     independent of how a serving batch was composed.  [workforce] runs the
     fan-out on a persistent {!Ctg_engine.Workforce} (the daemon's batching
-    path); without it the call runs on a one-shot workforce of [domains]
-    (at most one per message).  [make_base] must return a fresh, unshared
+    path); without it the call runs on a one-shot team of [domains] (at
+    most one per message), or on the calling domain, starting no domain,
+    when that is one.  [make_base] must return a fresh, unshared
     sampler on every call — pass e.g.
     [fun () -> Base_sampler.of_instance
        (Ctg_samplers.Sampler_sig.of_bitsliced (Ctgauss.Sampler.clone master))]

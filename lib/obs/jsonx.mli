@@ -2,7 +2,7 @@
     analyzer findings, gate-budget baselines, metrics exposition and Chrome
     trace files — the repo deliberately has no external JSON dependency
     (same policy as [lib/bigint] vs zarith).  Lives in [ctg_obs], the
-    lowest layer that needs it; [Ctg_analysis.Jsonx] re-exports it. *)
+    lowest layer that needs it. *)
 
 type t =
   | Null

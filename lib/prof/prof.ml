@@ -1,7 +1,7 @@
 (* The allocation/GC profiling layer: glue between the tracer's per-span
    Gc.counters capture (Trace.set_gc_capture / set_gc_observer) and a
-   human-usable report — span labels ranked by words allocated — plus a
-   GC-alarm-driven major-cycle pulse fed into a registry histogram.
+   human-usable report — span labels ranked by words allocated.  GC
+   pauses come from the Runtime_events consumer (Ctg_rtev).
 
    All state is one process-global singleton under a mutex: the observer
    runs on whichever domain completes a span, and the report runs on the
@@ -34,23 +34,10 @@ type agg = {
 type state = {
   mu : Mutex.t;
   table : (string, agg) Hashtbl.t;
-  mutable alarm : Gc.alarm option;
-  mutable last_cycle_ns : int;
-  mutable cycle_histo : Obs.Registry.histo option;
-  mutable cycle_counter : Obs.Registry.counter option;
   mutable active : bool;
 }
 
-let st =
-  {
-    mu = Mutex.create ();
-    table = Hashtbl.create 16;
-    alarm = None;
-    last_cycle_ns = 0;
-    cycle_histo = None;
-    cycle_counter = None;
-    active = false;
-  }
+let st = { mu = Mutex.create (); table = Hashtbl.create 16; active = false }
 
 let observer ~name ~minor ~promoted ~major ~pause_ns ~dur_ns =
   Mutex.lock st.mu;
@@ -79,43 +66,17 @@ let observer ~name ~minor ~promoted ~major ~pause_ns ~dur_ns =
   a.a_pause <- a.a_pause + pause_ns;
   Mutex.unlock st.mu
 
-(* End-of-major-cycle pulse — the cadence *fallback*.  The histogram
-   records the gap between consecutive major-cycle completions on the
-   alarm's domain, kept for environments where the Runtime_events ring
-   cannot start; with [enable ~rtev:true] the rtev consumer provides true
-   pause durations and this signal is advisory only (DESIGN.md §15). *)
-let alarm_cb () =
-  let now = Obs.Clock.now_ns () in
-  Mutex.lock st.mu;
-  let gap = now - st.last_cycle_ns in
-  st.last_cycle_ns <- now;
-  let h = st.cycle_histo and c = st.cycle_counter in
-  Mutex.unlock st.mu;
-  (match c with Some c -> Obs.Registry.incr c | None -> ());
-  (match h with Some h when gap >= 0 -> Obs.Registry.observe h gap | _ -> ());
-  Obs.Trace.instant "gc_major_cycle" ~cat:"gc"
-
 let enable ?registry ?(rtev = false) () =
   Mutex.lock st.mu;
   if st.active then Mutex.unlock st.mu
   else begin
     st.active <- true;
-    (match registry with
-    | Some r ->
-      st.cycle_histo <- Some (Obs.Registry.histo r "gc_major_cycle_gap_ns");
-      st.cycle_counter <- Some (Obs.Registry.counter r "gc_major_cycles_total")
-    | None -> ());
-    st.last_cycle_ns <- Obs.Clock.now_ns ();
     Mutex.unlock st.mu;
     Obs.Trace.enable ();
     Obs.Trace.set_gc_capture true;
     Obs.Trace.set_gc_observer (Some observer);
     if rtev && Rtev.start ?registry ~trace:true () then
-      Rtev.install_trace_pause_source ();
-    let alarm = Gc.create_alarm alarm_cb in
-    Mutex.lock st.mu;
-    st.alarm <- Some alarm;
-    Mutex.unlock st.mu
+      Rtev.install_trace_pause_source ()
   end
 
 let disable () =
@@ -123,12 +84,7 @@ let disable () =
   if not st.active then Mutex.unlock st.mu
   else begin
     st.active <- false;
-    let alarm = st.alarm in
-    st.alarm <- None;
-    st.cycle_histo <- None;
-    st.cycle_counter <- None;
     Mutex.unlock st.mu;
-    (match alarm with Some a -> Gc.delete_alarm a | None -> ());
     Obs.Trace.set_gc_capture false;
     Obs.Trace.set_gc_observer None;
     (* Unhook the per-span pause charging; the rtev consumer itself stays
@@ -145,7 +101,6 @@ let active () =
 let reset () =
   Mutex.lock st.mu;
   Hashtbl.reset st.table;
-  st.last_cycle_ns <- Obs.Clock.now_ns ();
   Mutex.unlock st.mu
 
 let report () =

@@ -2,9 +2,8 @@
 
     {!enable} arms the whole chain: span tracing
     ({!Ctg_obs.Trace.enable}), per-span [Gc.counters] capture
-    ({!Ctg_obs.Trace.set_gc_capture}), an observer that aggregates word
-    deltas by span label, and a [Gc.create_alarm] pulse that feeds a
-    major-cycle cadence histogram.  {!report} then ranks span labels by
+    ({!Ctg_obs.Trace.set_gc_capture}) and an observer that aggregates
+    word deltas by span label.  {!report} then ranks span labels by
     minor words allocated — "which stage of the pipeline allocates" with
     no external tooling.
 
@@ -18,10 +17,8 @@
     consumer is started and installed as the tracer's pause source, so
     every span is charged the real GC pause nanoseconds that landed
     inside it ([pause_ns]; [total_ns - pause_ns] ≈ mutator work time).
-    [gc_major_cycle_gap_ns] remains as a {e cadence (fallback)} signal
-    for environments where the Runtime_events ring cannot start — it
-    measures the gap between consecutive major-cycle completions, not
-    pause duration. *)
+    Runtime_events is the only GC signal: if its ring cannot start,
+    [pause_ns] stays 0. *)
 
 type row = {
   label : string;  (** Span name ([with_span]'s first argument). *)
@@ -35,15 +32,12 @@ type row = {
 }
 
 val enable : ?registry:Ctg_obs.Registry.t -> ?rtev:bool -> unit -> unit
-(** Idempotent.  With [registry], also registers
-    [gc_major_cycle_gap_ns] (histogram, cadence fallback) and
-    [gc_major_cycles_total] (counter) and feeds them from the GC alarm.
-    With [rtev] (default false), starts the {!Ctg_rtev} consumer against
-    the same registry and charges per-span pause time via
+(** Idempotent.  With [rtev] (default false), starts the {!Ctg_rtev}
+    consumer against [registry] and charges per-span pause time via
     {!Ctg_obs.Trace.set_pause_source}. *)
 
 val disable : unit -> unit
-(** Stop capturing (alarm deleted, observer unhooked).  Leaves span
+(** Stop capturing (observer unhooked).  Leaves span
     tracing in whatever state it is — profiling rides on tracing but
     does not own it. *)
 

@@ -106,14 +106,14 @@ let pool_chunkq_abort () =
   Domain.join killer
 
 (* ---------------------------------------------------------------- *)
-(* 3. Engine.Pool work accounting: cursor + orphan re-queue +          *)
-(*    completion wakeup.  Every chunk completes exactly once even      *)
-(*    when one worker crashes at a chunk boundary; first failure wins  *)
+(* 3. Engine.Workforce work accounting: cursor + orphan re-queue +     *)
+(*    completion wakeup.  Every item completes exactly once even       *)
+(*    when one worker crashes at an item boundary; first failure wins  *)
 (*    and unblocks everyone.                                           *)
 (* ---------------------------------------------------------------- *)
 
 let pool_cursor () =
-  let module W = Ctg_engine.Pool.Workq in
+  let module W = Ctg_engine.Workforce.Workq in
   let wq = W.create ~total:2 ~stamp:0 in
   let drain () =
     let continue = ref true in
@@ -139,7 +139,7 @@ let pool_cursor () =
   assert (W.done_count wq = 2)
 
 let pool_cursor_fail () =
-  let module W = Ctg_engine.Pool.Workq in
+  let module W = Ctg_engine.Workforce.Workq in
   let wq = W.create ~total:2 ~stamp:0 in
   let boom = Failure "chunk failed" in
   let w1 =
@@ -166,8 +166,8 @@ let pool_cursor_fail () =
   | None -> assert (W.done_count wq = 2))
 
 (* ---------------------------------------------------------------- *)
-(* 4. Engine.Workforce: parked helpers, generation wakeup, first       *)
-(*    error wins, no lost indices.                                     *)
+(* 4. Engine.Workforce: parked workers, epoch wakeup, first error      *)
+(*    wins, no lost indices.                                           *)
 (* ---------------------------------------------------------------- *)
 
 let workforce () =
@@ -439,7 +439,7 @@ let harnesses =
     {
       h_name = "pool_cursor";
       h_descr =
-        "Engine.Pool.Workq: orphaned chunk re-run, all complete exactly once";
+        "Engine.Workforce.Workq: orphaned item re-run, all complete exactly once";
       h_expect_violation = false;
       h_fn = pool_cursor;
       h_max_execs = 200_000;
@@ -447,7 +447,7 @@ let harnesses =
     };
     {
       h_name = "pool_cursor_fail";
-      h_descr = "Engine.Pool.Workq: first failure wins and releases waiter";
+      h_descr = "Engine.Workforce.Workq: first failure wins and releases waiter";
       h_expect_violation = false;
       h_fn = pool_cursor_fail;
       h_max_execs = 200_000;
@@ -455,7 +455,7 @@ let harnesses =
     };
     {
       h_name = "workforce";
-      h_descr = "Engine.Workforce: parked helpers, no lost indices";
+      h_descr = "Engine.Workforce: parked workers, no lost indices";
       h_expect_violation = false;
       h_fn = workforce;
       h_max_execs = 400_000;

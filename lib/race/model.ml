@@ -16,7 +16,11 @@
    as rmw on the primitive itself.  When a conflicting, unordered pair
    is observed we add the later fiber to the backtrack set of the
    earlier step's pre-state (or, if it was not enabled there, all
-   enabled fibers — the conservative F-G fallback).
+   enabled fibers — the conservative F-G fallback).  Sleep sets prune
+   the branches that would only reorder independent steps: a fiber
+   already explored from a pre-state sleeps in its siblings until a
+   conflicting step runs, and a state whose enabled fibers all sleep is
+   abandoned.
 
    Blocking semantics modeled:
    - Lock is enabled iff the mutex is free; Unlock by a non-owner is a
@@ -118,15 +122,25 @@ type objinfo = {
   o_waiters : int Queue.t;  (* conditions, FIFO *)
 }
 
+(* The objects a pending step touches, each flagged when written. *)
+type footprint = (int * bool) list
+
+let dependent (a : footprint) b =
+  List.exists (fun (o, w) -> List.exists (fun (o', w') -> o = o' && (w || w')) b) a
+
 (* DFS node = pre-state of step [i]; persists across executions. *)
 type node = {
   n_enabled : int list;
+  n_steps : (int * footprint) list;  (* each enabled fiber's next step *)
+  n_sleep : (int * footprint) list;  (* fibers not to start from here *)
   mutable n_chosen : int;
   mutable n_done : int list;
   mutable n_todo : int list;
 }
 
-let dummy_node = { n_enabled = []; n_chosen = -1; n_done = []; n_todo = [] }
+let dummy_node =
+  { n_enabled = []; n_steps = []; n_sleep = []; n_chosen = -1; n_done = [];
+    n_todo = [] }
 
 let dummy_fiber =
   {
@@ -170,6 +184,7 @@ type vkind =
   | Too_long
 
 exception Abort of vkind
+exception Sleep_blocked
 
 let vkind_to_string = function
   | Assertion m -> "assertion: " ^ m
@@ -313,6 +328,19 @@ let enabled_now st f =
   | P_op (O_mem ((SI.Read | SI.Relax), _), _) -> f.f_spins < st.spin_limit
   | _ -> true
 
+let footprint f : footprint =
+  match f.f_pend with
+  | P_done | P_parked _ | P_start _ -> []
+  | P_reacquire (m, _) -> [ (m, true) ]
+  | P_op (op, _) -> (
+    match op with
+    | O_mem ((SI.Read | SI.Relax), o) -> [ (o, false) ]
+    | O_mem ((SI.Write | SI.Rmw), o) -> [ (o, true) ]
+    | O_lock m | O_trylock m | O_unlock m -> [ (m, true) ]
+    | O_wait (c, m) -> [ (c, true); (m, true) ]
+    | O_signal c | O_broadcast c -> [ (c, true) ]
+    | O_spawn _ | O_join _ -> [])
+
 let enabled_list st =
   let acc = ref [] in
   for i = Dyn.length st.fibers - 1 downto 0 do
@@ -331,18 +359,18 @@ let clock_join dst src =
 let insert_backtrack st j p =
   if j >= 0 && j < Dyn.length st.nodes then begin
     let nd = Dyn.get st.nodes j in
-    if List.mem p nd.n_enabled then begin
-      if not (List.mem p nd.n_done) && not (List.mem p nd.n_todo) then
-        nd.n_todo <- p :: nd.n_todo
-    end
+    let add q =
+      if
+        (not (List.mem q nd.n_done))
+        && (not (List.mem q nd.n_todo))
+        && not (List.mem_assoc q nd.n_sleep)
+      then nd.n_todo <- q :: nd.n_todo
+    in
+    if List.mem p nd.n_enabled then add p
     else
       (* Conservative F-G fallback: the racing fiber was not enabled in
          that pre-state, so schedule every alternative from it. *)
-      List.iter
-        (fun q ->
-          if not (List.mem q nd.n_done) && not (List.mem q nd.n_todo) then
-            nd.n_todo <- q :: nd.n_todo)
-        nd.n_enabled
+      List.iter add nd.n_enabled
   end
 
 (* Race-detect one access and fold its happens-before edges into the
@@ -622,10 +650,39 @@ let run_one ~fn ~nodes ~replay ~forced ~max_steps ~spin_limit =
           | None ->
             if depth < replay then (Dyn.get nodes depth).n_chosen
             else begin
-              let c = if List.mem st.cur en then st.cur else List.hd en in
-              Dyn.push nodes
-                { n_enabled = en; n_chosen = c; n_done = [ c ]; n_todo = [] };
-              c
+              (* Fibers explored before the parent's choice, or asleep
+                 there, stay asleep while their next step commutes
+                 with the one just run. *)
+              let sleep =
+                if depth = 0 then []
+                else
+                  let parent = Dyn.get nodes (depth - 1) in
+                  let c = parent.n_chosen in
+                  let fc = List.assoc c parent.n_steps in
+                  List.filter
+                    (fun (q, fq) -> q <> c && not (dependent fq fc))
+                    (parent.n_sleep
+                    @ List.map
+                        (fun q -> (q, List.assoc q parent.n_steps))
+                        parent.n_done)
+              in
+              match
+                List.filter (fun q -> not (List.mem_assoc q sleep)) en
+              with
+              | [] -> raise_notrace Sleep_blocked
+              | awake ->
+                let c = if List.mem st.cur awake then st.cur else List.hd awake in
+                Dyn.push nodes
+                  {
+                    n_enabled = en;
+                    n_steps =
+                      List.map (fun q -> (q, footprint (get_fiber st q))) en;
+                    n_sleep = sleep;
+                    n_chosen = c;
+                    n_done = [ c ];
+                    n_todo = [];
+                  };
+                c
             end
         in
         if not (List.mem choice en) then
@@ -644,6 +701,7 @@ let run_one ~fn ~nodes ~replay ~forced ~max_steps ~spin_limit =
     finish (loop 0)
   with
   | Abort k -> finish (Error k)
+  | Sleep_blocked -> finish (Ok ())
   | e ->
     SI.set_active false;
     raise e

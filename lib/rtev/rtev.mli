@@ -92,9 +92,8 @@ val start : ?registry:Ctg_obs.Registry.t -> ?trace:bool -> unit -> bool
     the metrics [registry] (default {!Obs.Registry.default}) and run a
     first poll to establish the clock offset.  [trace] additionally
     injects GC pause spans into {!Obs.Trace} (they only record while
-    tracing is enabled).  Returns [false] — leaving the cadence fallback
-    as the only GC signal — if the runtime ring cannot be started in
-    this environment. *)
+    tracing is enabled).  Returns [false] — leaving no GC pause signal —
+    if the runtime ring cannot be started in this environment. *)
 
 val active : unit -> bool
 

@@ -18,7 +18,7 @@ module Taint = Ctg_analysis.Taint
 module Lint = Ctg_analysis.Lint
 module Budget = Ctg_analysis.Budget
 module Analyze = Ctg_analysis.Analyze
-module Jsonx = Ctg_analysis.Jsonx
+module Jsonx = Ctg_obs.Jsonx
 module Report = Ctg_analysis.Report
 
 let enum_of ?(tail_cut = 13) sigma precision =

@@ -310,6 +310,23 @@ let pool_tests =
             Alcotest.(check (array int))
               "queue sink" streamed
               (reassemble (List.sort compare !chunks))));
+    Alcotest.test_case "persistent workforce serves the next job after an error"
+      `Quick (fun () ->
+        let w = E.Workforce.create ~domains:2 () in
+        Fun.protect
+          ~finally:(fun () -> E.Workforce.shutdown w)
+          (fun () ->
+            (match E.Workforce.run w ~n:50 (fun i -> if i = 7 then failwith "item 7") with
+            | () -> Alcotest.fail "expected the item failure"
+            | exception Failure msg ->
+              Alcotest.(check string) "error re-raised" "item 7" msg);
+            (* The same team, next job: every index exactly once. *)
+            let hits = Array.init 64 (fun _ -> Atomic.make 0) in
+            E.Workforce.run w ~n:64 (fun i -> Atomic.incr hits.(i));
+            Array.iteri
+              (fun i h ->
+                Alcotest.(check int) (Printf.sprintf "index %d" i) 1 (Atomic.get h))
+              hits));
   ]
 
 (* The sampling hot path allocates nothing: a regression (a fresh array
@@ -476,6 +493,26 @@ let sign_many_tests =
               (F.Verify.verify ~params ~h:kp.F.Keygen.h ~bound_sq:bound
                  ~msg:msgs.(i) ~salt:s.F.Sign.salt ~s2:s.F.Sign.s2))
           one);
+    Alcotest.test_case "one domain signs on the calling domain" `Quick
+      (fun () ->
+        let params = F.Params.custom ~n:16 in
+        let kp =
+          F.Keygen.generate params
+            (Bs.of_chacha (Ctg_prng.Chacha20.of_seed "sign-many-key"))
+        in
+        let master = Lazy.force sampler_16 in
+        let caller = Domain.self () in
+        let elsewhere = Atomic.make 0 in
+        let make_base () =
+          if Domain.self () <> caller then Atomic.incr elsewhere;
+          F.Base_sampler.of_instance
+            (Ctg_samplers.Sampler_sig.of_bitsliced (Ctgauss.Sampler.clone master))
+        in
+        let msgs =
+          Array.init 3 (fun i -> Bytes.of_string (Printf.sprintf "msg %d" i))
+        in
+        ignore (F.Sign.sign_many ~domains:1 kp ~make_base ~seed:"sign-many" ~msgs);
+        Alcotest.(check int) "bases made off the caller" 0 (Atomic.get elsewhere));
   ]
 
 let () =
