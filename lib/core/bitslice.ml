@@ -9,7 +9,9 @@ let all_ones = -1 (* all 63 value bits set; only bitwise use below *)
    interpreter paid a branch misprediction per gate on programs with
    irregular And/Or mixes (exactly what the selector-chain compiler
    emits), which skewed the Table-2 comparison; this form costs the same
-   few ALU ops per gate regardless of the instruction pattern. *)
+   few ALU ops per gate regardless of the instruction pattern.  The
+   decoded table ([xs], [ys], [m1], [m2]) is read-only once built, so
+   {!fork} shares it. *)
 type scratch = {
   xs : int array;
   ys : int array;
@@ -58,6 +60,11 @@ let scratch (p : Gate.t) =
   regs.(ones_reg) <- all_ones;
   let outs = Array.make (Array.length p.Gate.outputs) 0 in
   { xs; ys; m1; m2; regs; outs; num_vars = nv; ones_reg }
+
+let fork s =
+  let regs = Array.make (s.ones_reg + 1) 0 in
+  regs.(s.ones_reg) <- all_ones;
+  { s with regs; outs = Array.make (Array.length s.outs) 0 }
 
 let eval (p : Gate.t) (s : scratch) ~inputs =
   let nv = s.num_vars in

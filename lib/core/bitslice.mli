@@ -14,6 +14,15 @@ type scratch
 (** Reusable register file to keep the hot path allocation-free. *)
 
 val scratch : Gate.t -> scratch
+(** Decode the program into the evaluator's gate table and allocate a
+    register file for it. *)
+
+val fork : scratch -> scratch
+(** A scratch for the same program that shares [s]'s decoded gate table:
+    only the register file and the output words are fresh.  The table is
+    never written after {!scratch} builds it, so forks may run on other
+    domains.  Like [s], a fork evaluates the program as it was decoded;
+    only a new {!scratch} sees a later in-place edit of it. *)
 
 val eval : Gate.t -> scratch -> inputs:int array -> unit
 (** Run the program; [inputs] has [num_vars] lane words. *)

@@ -63,7 +63,7 @@ let of_enum ?(method_ = Split_minimized) ?options (enum : Ctg_kyao.Leaf_enum.t) 
 let clone t =
   {
     t with
-    scratch = Bitslice.scratch t.program;
+    scratch = Bitslice.fork t.scratch;
     inputs = Array.make t.program.Gate.num_vars 0;
     buffer = Array.make Bitslice.lanes 0;
     buffer_pos = Bitslice.lanes;

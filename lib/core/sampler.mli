@@ -39,9 +39,11 @@ val of_enum : ?method_:method_ -> ?options:Compile.options -> Ctg_kyao.Leaf_enum
     comparing compilers on the same σ). *)
 
 val clone : t -> t
-(** A cheap copy sharing the compiled program, matrix and enumeration but
-    with private scratch registers and sample buffers.  The mutable state
-    of [t] is per-instance, so each domain of a parallel engine clones the
+(** A cheap copy sharing the compiled program, matrix, enumeration and
+    the evaluator's decoded gate table ({!Bitslice.fork}), with a private
+    register file and sample buffers: it allocates words in proportion to
+    one register per gate, and decodes nothing.  The mutable state of [t]
+    is per-instance, so each domain of a parallel engine clones the
     registry's master sampler instead of re-running the compile pipeline;
     clones of the same master produce identical output on identical bit
     streams. *)

@@ -2,11 +2,13 @@ type t = { re : float array; im : float array }
 
 let pi = 4.0 *. atan 1.0
 
-(* Per-size trigonometric tables, memoized: cyclic-FFT roots e^{2πik/n}
-   (k < n), coefficient twists e^{iπj/n}, and split/merge factors
-   e^{iπ(2k+1)/n}.  Signing walks the tree thousands of times; recomputing
-   cos/sin per butterfly dominated the profile before this cache. *)
+(* Per-size tables, memoized: the bit-reversal permutation, cyclic-FFT
+   roots e^{2πik/n} (k < n), coefficient twists e^{iπj/n}, and split/merge
+   factors e^{iπ(2k+1)/n}.  Signing walks the tree thousands of times;
+   recomputing cos/sin per butterfly dominated the profile before this
+   cache. *)
 type tables = {
+  rev : int array;
   root_re : float array;
   root_im : float array;
   twist_re : float array;
@@ -16,6 +18,18 @@ type tables = {
 }
 
 let build_tables n =
+  let bits =
+    let rec go b v = if v <= 1 then b else go (b + 1) (v lsr 1) in
+    go 0 n
+  in
+  let rev =
+    Array.init n (fun i ->
+        let r = ref 0 in
+        for b = 0 to bits - 1 do
+          if i land (1 lsl b) <> 0 then r := !r lor (1 lsl (bits - 1 - b))
+        done;
+        !r)
+  in
   let root_re = Array.make n 0.0 and root_im = Array.make n 0.0 in
   for k = 0 to n - 1 do
     let ang = 2.0 *. pi *. float_of_int k /. float_of_int n in
@@ -35,7 +49,7 @@ let build_tables n =
     split_re.(k) <- cos ang;
     split_im.(k) <- sin ang
   done;
-  { root_re; root_im; twist_re; twist_im; split_re; split_im }
+  { rev; root_re; root_im; twist_re; twist_im; split_re; split_im }
 
 (* Shared by all domains: the tables are immutable once built, so only
    publishing a new size needs care.  Lock-free, as {!Ntt.plan}: a losing
@@ -57,34 +71,27 @@ let tables n =
     in
     publish ()
 
-let bit_reverse re im =
-  let n = Array.length re in
-  let bits =
-    let rec go b v = if v <= 1 then b else go (b + 1) (v lsr 1) in
-    go 0 n
-  in
-  for i = 0 to n - 1 do
-    let r = ref 0 in
-    for b = 0 to bits - 1 do
-      if i land (1 lsl b) <> 0 then r := !r lor (1 lsl (bits - 1 - b))
-    done;
-    if i < !r then begin
+(* The swaps depend on the size only, never on the values. *)
+let bit_reverse (rev : int array) (re : float array) (im : float array) =
+  for i = 0 to Array.length re - 1 do
+    let r = rev.(i) in
+    if i < r then begin
       let t = re.(i) in
-      re.(i) <- re.(!r);
-      re.(!r) <- t;
+      re.(i) <- re.(r);
+      re.(r) <- t;
       let t = im.(i) in
-      im.(i) <- im.(!r);
-      im.(!r) <- t
+      im.(i) <- im.(r);
+      im.(r) <- t
     end
   done
 
 (* In-place iterative cyclic transform X_k = Σ_j x_j e^{sign·2πijk/n};
    [scale] divides by n afterwards (the inverse direction). *)
-let cyclic re im ~sign ~scale =
+let cyclic (re : float array) (im : float array) ~sign ~scale =
   let n = Array.length re in
   if n > 1 then begin
     let tb = tables n in
-    bit_reverse re im;
+    bit_reverse tb.rev re im;
     let len = ref 2 in
     while !len <= n do
       let half = !len / 2 in
@@ -120,7 +127,7 @@ let cyclic re im ~sign ~scale =
    negacyclic evaluation points into a plain cyclic FFT: slot k holds the
    value at ζ_k = e^{iπ(2k+1)/n}, so ζ_k² is slot k of the half-size
    convention (what split/merge rely on) and -ζ_k is slot k + n/2. *)
-let of_real coeffs =
+let of_real (coeffs : float array) =
   let n = Array.length coeffs in
   let tb = tables n in
   let re = Array.make n 0.0 and im = Array.make n 0.0 in
@@ -131,14 +138,23 @@ let of_real coeffs =
   cyclic re im ~sign:1.0 ~scale:false;
   { re; im }
 
-let of_int_poly a = of_real (Array.map float_of_int a)
+let of_int_poly a =
+  let n = Array.length a in
+  let coeffs = Array.make n 0.0 in
+  for j = 0 to n - 1 do
+    coeffs.(j) <- float_of_int a.(j)
+  done;
+  of_real coeffs
 
 let to_real { re; im } =
   let n = Array.length re in
   let tb = tables n in
   let re = Array.copy re and im = Array.copy im in
   cyclic re im ~sign:(-1.0) ~scale:true;
-  Array.init n (fun j -> (re.(j) *. tb.twist_re.(j)) +. (im.(j) *. tb.twist_im.(j)))
+  for j = 0 to n - 1 do
+    re.(j) <- (re.(j) *. tb.twist_re.(j)) +. (im.(j) *. tb.twist_im.(j))
+  done;
+  re
 
 let add a b =
   let n = Array.length a.re in
@@ -177,8 +193,22 @@ let div a b =
   done;
   { re; im }
 
-let adjoint a = { re = Array.copy a.re; im = Array.map (fun x -> -.x) a.im }
-let scale a s = { re = Array.map (( *. ) s) a.re; im = Array.map (( *. ) s) a.im }
+let adjoint a =
+  let n = Array.length a.im in
+  let im = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    im.(i) <- -.a.im.(i)
+  done;
+  { re = Array.copy a.re; im }
+
+let scale a s =
+  let n = Array.length a.re in
+  let re = Array.make n 0.0 and im = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    re.(i) <- s *. a.re.(i);
+    im.(i) <- s *. a.im.(i)
+  done;
+  { re; im }
 
 let split a =
   let n = Array.length a.re in

@@ -11,6 +11,7 @@ type keypair = {
   params : Params.t;
   secret : secret;
   h : int array;
+  h_ntt : int array;
   tree : Ldl.t;
   b1_fft : Fftc.t * Fftc.t;
   b2_fft : Fftc.t * Fftc.t;
@@ -75,6 +76,7 @@ let generate params rng =
     params;
     secret = { f; g; big_f; big_g };
     h;
+    h_ntt = Ntt.forward plan h;
     tree;
     b1_fft;
     b2_fft;
@@ -94,6 +96,7 @@ let restore params ~secret ~h =
     params;
     secret;
     h;
+    h_ntt = Ntt.forward (Ntt.plan params.Params.n) h;
     tree;
     b1_fft;
     b2_fft;

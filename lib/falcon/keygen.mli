@@ -13,6 +13,9 @@ type keypair = {
   params : Params.t;
   secret : secret;
   h : int array;  (** Public key, coefficients in [[0, q)]. *)
+  h_ntt : int array;
+      (** {!Ntt.forward} of [h], for verify-after-sign: computed once per
+          keypair, so signers that alternate keys never recompute it. *)
   tree : Ldl.t;
   b1_fft : Fftc.t * Fftc.t;  (** (FFT g, FFT −f). *)
   b2_fft : Fftc.t * Fftc.t;  (** (FFT G, FFT −F). *)

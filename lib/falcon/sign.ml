@@ -74,7 +74,13 @@ let norm_bound_sq (params : Params.t) =
   1.6 *. per_coord *. sum_gs
 
 let round_to_int_array (f : Fftc.t) =
-  Array.map (fun x -> Float.to_int (Float.round x)) (Fftc.to_real f)
+  let x = Fftc.to_real f in
+  let n = Array.length x in
+  let out = Array.make n 0 in
+  for i = 0 to n - 1 do
+    out.(i) <- Float.to_int (Float.round x.(i))
+  done;
+  out
 
 (* Verify-after-sign, the classic fault countermeasure: before a signature
    leaves the signer, check it against the *public* key exactly as a
@@ -85,21 +91,7 @@ let round_to_int_array (f : Fftc.t) =
    that forge a *different valid* signature slip through, and those need
    the lattice problem solved.  (Inlined rather than calling {!Verify} —
    that module depends on this one for the norm helper.) *)
-(* The public key is fixed across the signatures of one keypair, so its
-   forward transform is computed once and keyed on physical equality of
-   the [h] array (stable for a keypair's lifetime).  One slot suffices —
-   signing loops hammer a single key — and a race merely recomputes. *)
-let h_fwd_cache : (int array * int array) option Atomic.t = Atomic.make None
-
-let h_forward plan h =
-  match Atomic.get h_fwd_cache with
-  | Some (h', fh) when h' == h -> fh
-  | _ ->
-    let fh = Ntt.forward plan h in
-    Atomic.set h_fwd_cache (Some (h, fh));
-    fh
-
-let consistent_with_public_key ~params ~h ~c ~s1 ~s2 =
+let consistent_with_public_key ~params ~h_ntt ~c ~s1 ~s2 =
   let n = params.Params.n in
   let plan = Ntt.plan n in
   if Array.length s1 <> n || Array.length s2 <> n || Array.length c <> n then
@@ -107,7 +99,7 @@ let consistent_with_public_key ~params ~h ~c ~s1 ~s2 =
   else begin
     (* s2's small centered coefficients lift inside the transform's copy
        pass; one allocation for the whole product. *)
-    let s2h = Ntt.mul_with_forward plan s2 (h_forward plan h) in
+    let s2h = Ntt.mul_with_forward plan s2 h_ntt in
     (* c and s2h are both in [0, q): the centered difference and the
        comparison run without branches (fresh data every signature would
        mispredict them) and without the divisions of the generic Zq
@@ -172,7 +164,7 @@ let sign ?fault_hook ?(check = true) kp base rng ~msg =
       check
       && not
            (stage "verify_after_sign" (fun () ->
-                consistent_with_public_key ~params ~h:kp.Keygen.h
+                consistent_with_public_key ~params ~h_ntt:kp.Keygen.h_ntt
                   ~c ~s1 ~s2))
     then begin
       (* Faulted signature: count it, burn the salt, try again.  Nothing

@@ -120,8 +120,13 @@ val corrupt_program :
 (** Mutate [flips] distinct instructions of the (shared, mutable) program
     {e in place} with structure-preserving opcode flips — the program
     still passes {!Ctgauss.Gate.validate}, so only semantic defenses can
-    tell.  Affects every {!Ctgauss.Sampler.clone} sharing the program.
-    Returns the undo list for {!restore_program}. *)
+    tell.  The samplers sharing the program see it where they re-read
+    the program: {!Ctgauss.Sampler.integrity_ok}'s digest and the
+    {!Ctgauss.Sampler.eval_bits} known-answer vectors, which decode it
+    afresh, both catch a flipped opcode.  Their batch evaluators do not:
+    a sampler and every {!Ctgauss.Sampler.clone} of it, even one made
+    after the corruption, share the gate table decoded when the sampler
+    was compiled.  Returns the undo list for {!restore_program}. *)
 
 val restore_program : Ctgauss.Gate.t -> gate_corruption list -> unit
 

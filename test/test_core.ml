@@ -234,6 +234,51 @@ let sampler_tests =
         let s = Sampler.create ~sigma:"1.7" ~precision:16 ~tail_cut:13 () in
         Alcotest.(check string) "sigma" "1.7" (Sampler.sigma s);
         Alcotest.(check bool) "has gates" true (Sampler.gate_count s > 0));
+    Alcotest.test_case "interpreter clone = fresh sampler on the same stream"
+      `Quick (fun () ->
+        let master = Sampler.of_enum enum_wide in
+        Alcotest.(check bool) "no kernel" false (Sampler.has_kernel master);
+        (* Dirty the master's registers and buffers first: a clone must
+           not inherit them. *)
+        ignore (Sampler.sample master (Bs.of_chacha (Ctg_prng.Chacha20.of_seed "dirty")));
+        let clone = Sampler.clone master in
+        let fresh = Sampler.of_enum enum_wide in
+        let stream () = Bs.of_chacha (Ctg_prng.Chacha20.of_seed "clone-eq") in
+        let a = stream () and b = stream () in
+        for i = 1 to 40 do
+          Alcotest.(check (array int))
+            (Printf.sprintf "batch %d" i)
+            (Sampler.batch_signed fresh b) (Sampler.batch_signed clone a)
+        done;
+        for i = 1 to 100 do
+          Alcotest.(check int)
+            (Printf.sprintf "sample %d" i)
+            (Sampler.sample fresh b) (Sampler.sample clone a)
+        done;
+        Alcotest.(check int) "resamples" (Sampler.resamples fresh)
+          (Sampler.resamples clone));
+    Alcotest.test_case "a clone allocates one register per gate, no decode"
+      `Quick (fun () ->
+        let master = Sampler.of_enum enum_wide in
+        let n = Array.length (Sampler.program master).Gate.instrs in
+        ignore (Sampler.clone master);
+        (* [Gc.minor_words] is exact; [Gc.counters] counts the arrays too
+           large for the minor heap as major allocations. *)
+        let _, promoted0, major0 = Gc.counters () in
+        let minor0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Sampler.clone master));
+        let minor1 = Gc.minor_words () in
+        let _, promoted1, major1 = Gc.counters () in
+        let words =
+          minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+        in
+        (* The register file (one word per gate and input) and a few
+           hundred words of inputs, buffers and headers; decoding the
+           table as well would cost four more words per gate. *)
+        let bound = float_of_int ((2 * n) + 400) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f words <= %.0f (%d gates)" words bound n)
+          true (words <= bound));
   ]
 
 let contains ~affix s =

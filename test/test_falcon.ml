@@ -293,6 +293,43 @@ let signing_tests =
         Alcotest.(check (float 1e-9)) "sigma_b^2 + 1/12"
           (4.0 +. (1.0 /. 12.0))
           (F.Base_sampler.error_variance base));
+    Alcotest.test_case "two keypairs signed alternately = each one solo"
+      `Quick (fun () ->
+        let other =
+          F.Keygen.generate params
+            (Bs.of_chacha (Ctg_prng.Chacha20.of_seed "falcon-tests-other"))
+        in
+        let plan = F.Ntt.plan params.F.Params.n in
+        List.iter
+          (fun k ->
+            Alcotest.(check (array int))
+              "h_ntt = forward h" (F.Ntt.forward plan k.F.Keygen.h)
+              k.F.Keygen.h_ntt)
+          [ kp; other ];
+        let msg i = Bytes.of_string (Printf.sprintf "alternate %d" i) in
+        let sign k i =
+          F.Sign.sign k (F.Base_sampler.ideal ())
+            (Ctg_engine.Stream_fork.bitstream ~seed:"alternate" ~lane:i ())
+            ~msg:(msg i)
+        in
+        let solo k = List.init 4 (sign k) in
+        let solo_kp = solo kp and solo_other = solo other in
+        let bound_sq = F.Sign.norm_bound_sq params in
+        List.iteri
+          (fun i (a, b) ->
+            let a' = sign kp i in
+            let b' = sign other i in
+            List.iter
+              (fun (k, (s : F.Sign.signature), (r : F.Sign.signature)) ->
+                Alcotest.(check string) "salt" (Bytes.to_string r.F.Sign.salt)
+                  (Bytes.to_string s.F.Sign.salt);
+                Alcotest.(check (array int)) "s1" r.F.Sign.s1 s.F.Sign.s1;
+                Alcotest.(check (array int)) "s2" r.F.Sign.s2 s.F.Sign.s2;
+                Alcotest.(check bool) "verifies" true
+                  (F.Verify.verify ~params ~h:k.F.Keygen.h ~bound_sq
+                     ~msg:(msg i) ~salt:s.F.Sign.salt ~s2:s.F.Sign.s2))
+              [ (kp, a', a); (other, b', b) ])
+          (List.combine solo_kp solo_other));
   ]
 
 let codec_tests =

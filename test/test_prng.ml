@@ -188,6 +188,142 @@ let chacha_tests =
   ]
   @ List.map QCheck_alcotest.to_alcotest [ block_matches_reference ]
 
+(* Spec-level reference sponge: the boxed [int64 array] Keccak-f and the
+   byte-at-a-time absorb and squeeze that the library ran before its
+   permutation moved to unboxed lanes over a byte state.  It shares no code
+   with the library. *)
+module Ref_keccak = struct
+  let round_constants =
+    [|
+      0x0000000000000001L; 0x0000000000008082L; 0x800000000000808aL;
+      0x8000000080008000L; 0x000000000000808bL; 0x0000000080000001L;
+      0x8000000080008081L; 0x8000000000008009L; 0x000000000000008aL;
+      0x0000000000000088L; 0x0000000080008009L; 0x000000008000000aL;
+      0x000000008000808bL; 0x800000000000008bL; 0x8000000000008089L;
+      0x8000000000008003L; 0x8000000000008002L; 0x8000000000000080L;
+      0x000000000000800aL; 0x800000008000000aL; 0x8000000080008081L;
+      0x8000000000008080L; 0x0000000080000001L; 0x8000000080008008L;
+    |]
+
+  let rotations =
+    [| 0; 1; 62; 28; 27; 36; 44; 6; 55; 20; 3; 10; 43; 25; 39; 41; 45; 15;
+       21; 8; 18; 2; 61; 56; 14 |]
+
+  let rotl64 x n =
+    if n = 0 then x
+    else Int64.logor (Int64.shift_left x n) (Int64.shift_right_logical x (64 - n))
+
+  let keccak_f (st : int64 array) =
+    let c = Array.make 5 0L in
+    let b = Array.make 25 0L in
+    for round = 0 to 23 do
+      for x = 0 to 4 do
+        c.(x) <-
+          Int64.logxor st.(x)
+            (Int64.logxor st.(x + 5)
+               (Int64.logxor st.(x + 10) (Int64.logxor st.(x + 15) st.(x + 20))))
+      done;
+      for x = 0 to 4 do
+        let d = Int64.logxor c.((x + 4) mod 5) (rotl64 c.((x + 1) mod 5) 1) in
+        for y = 0 to 4 do
+          st.(x + (5 * y)) <- Int64.logxor st.(x + (5 * y)) d
+        done
+      done;
+      for x = 0 to 4 do
+        for y = 0 to 4 do
+          let src = x + (5 * y) in
+          let dst = y + (5 * (((2 * x) + (3 * y)) mod 5)) in
+          b.(dst) <- rotl64 st.(src) rotations.(src)
+        done
+      done;
+      for x = 0 to 4 do
+        for y = 0 to 4 do
+          let i = x + (5 * y) in
+          st.(i) <-
+            Int64.logxor b.(i)
+              (Int64.logand
+                 (Int64.lognot b.(((x + 1) mod 5) + (5 * y)))
+                 b.(((x + 2) mod 5) + (5 * y)))
+        done
+      done;
+      st.(0) <- Int64.logxor st.(0) round_constants.(round)
+    done
+
+  type xof = {
+    state : int64 array;
+    rate : int;
+    mutable pos : int;
+    mutable perms : int;
+  }
+
+  let xor_byte_into st i v =
+    let lane = i / 8 and off = i mod 8 in
+    st.(lane) <-
+      Int64.logxor st.(lane) (Int64.shift_left (Int64.of_int v) (8 * off))
+
+  let byte_of_state st i =
+    let lane = i / 8 and off = i mod 8 in
+    Int64.to_int (Int64.shift_right_logical st.(lane) (8 * off)) land 0xff
+
+  let absorb ~rate msg =
+    let t = { state = Array.make 25 0L; rate; pos = 0; perms = 0 } in
+    let block_off = ref 0 in
+    Bytes.iter
+      (fun ch ->
+        xor_byte_into t.state !block_off (Char.code ch);
+        incr block_off;
+        if !block_off = rate then begin
+          keccak_f t.state;
+          t.perms <- t.perms + 1;
+          block_off := 0
+        end)
+      msg;
+    xor_byte_into t.state !block_off 0x1f;
+    xor_byte_into t.state (rate - 1) 0x80;
+    keccak_f t.state;
+    t.perms <- t.perms + 1;
+    t
+
+  let squeeze t n =
+    Bytes.init n (fun _ ->
+        if t.pos = t.rate then begin
+          keccak_f t.state;
+          t.perms <- t.perms + 1;
+          t.pos <- 0
+        end;
+        let b = byte_of_state t.state t.pos in
+        t.pos <- t.pos + 1;
+        Char.chr b)
+end
+
+(* Inputs of 0-600 bytes cross both rates (136 and 168) several times, and
+   the output is cut into random pieces, so squeezes start and end on and
+   off block edges. *)
+let sponge_matches_reference =
+  let open QCheck in
+  let gen =
+    Gen.(
+      triple bool
+        (map Bytes.of_string (string_size ~gen:char (int_bound 600)))
+        (list_size (int_range 1 6) (int_bound 400)))
+  in
+  let show (s128, msg, cuts) =
+    Printf.sprintf "%s len %d cuts [%s]"
+      (if s128 then "shake128" else "shake256")
+      (Bytes.length msg)
+      (String.concat "; " (List.map string_of_int cuts))
+  in
+  Test.make ~name:"sponge = reference sponge" ~count:300
+    (make ~print:show gen)
+    (fun (s128, msg, cuts) ->
+      let x = if s128 then Keccak.shake128 msg else Keccak.shake256 msg in
+      let r = Ref_keccak.absorb ~rate:(if s128 then 168 else 136) msg in
+      List.for_all
+        (fun n ->
+          Bytes.equal (Keccak.squeeze x n) (Ref_keccak.squeeze r n)
+          && Keccak.permutations x = r.Ref_keccak.perms)
+        cuts)
+
 let keccak_tests =
   [
     Alcotest.test_case "SHAKE128(empty) first 32 bytes" `Quick (fun () ->
@@ -216,7 +352,40 @@ let keccak_tests =
         Alcotest.(check int) "16 bytes" 16 (Bytes.length d);
         (* Deterministic: same input, same output. *)
         hex "stable" (Hex.encode d) (Hex.encode (Keccak.shake128_digest msg 16)));
+    Alcotest.test_case "one-block squeeze allocates nothing" `Quick (fun () ->
+        let x = Keccak.shake128 (Bytes.of_string "alloc") in
+        let out = Bytes.create 168 in
+        (* Use up the absorb's block, so the timed call permutes once. *)
+        Keccak.squeeze_into x out;
+        let p0 = Keccak.permutations x in
+        let w0 = Gc.minor_words () in
+        Keccak.squeeze_into x out;
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check int) "one permutation" 1 (Keccak.permutations x - p0);
+        Alcotest.(check (float 0.0)) "minor words" 0.0 words);
+    Alcotest.test_case "hash-to-point allocates its output and a constant"
+      `Quick (fun () ->
+        let salt = Bytes.make 40 's' and msg = Bytes.make 32 'm' in
+        let hash () = Ctg_falcon.Hash_point.hash ~n:512 ~salt ~msg in
+        ignore (hash ());
+        (* [Gc.minor_words] is exact; [Gc.counters] counts the output,
+           which is too large for the minor heap, as a major allocation. *)
+        let _, promoted0, major0 = Gc.counters () in
+        let minor0 = Gc.minor_words () in
+        ignore (Sys.opaque_identity (hash ()));
+        let minor1 = Gc.minor_words () in
+        let _, promoted1, major1 = Gc.counters () in
+        let words =
+          minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+        in
+        (* The 513-word output, then the input copy, sponge state, squeeze
+           buffer and their headers: well under 200 words. *)
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f words <= 513 + 200" words)
+          true
+          (words <= 513. +. 200.));
   ]
+  @ List.map QCheck_alcotest.to_alcotest [ sponge_matches_reference ]
 
 let bitstream_tests =
   [
