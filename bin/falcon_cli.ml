@@ -125,7 +125,8 @@ let sign_cmd =
   let trace =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
            ~doc:"Record the sign stages (hash-to-point, ffSampling, NTT, \
-                 encode) as a Chrome trace_event JSON file.")
+                 verify-after-sign) and the encoding as a Chrome \
+                 trace_event JSON file.")
   in
   Cmd.v
     (Cmd.info "sign" ~doc:"Sign a message file.")
