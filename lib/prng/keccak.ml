@@ -37,9 +37,9 @@ let[@inline] chi a b c = Int64.logxor a (Int64.logand (Int64.lognot b) c)
 (* The permutation on 25 local [Int64] refs, which ocamlopt keeps unboxed
    in registers or stack slots because none escapes: no allocation, and
    every round runs the same operations on the same lanes whatever the
-   data.  Lane (x, y) is [a(x + 5y)]; the rotation offsets of rho are
-   folded into the pi step's constants.  The helpers above are top-level
-   so that they inline. *)
+   data.  Lane (x, y) is [a(x + 5y)]; theta's column parities [d] are
+   applied as rho and pi read each lane, with rho's offsets as constants.
+   The helpers above are top-level so that they inline. *)
 let keccak_f st =
   let a0 = ref (load st 0) and a1 = ref (load st 1) in
   let a2 = ref (load st 2) and a3 = ref (load st 3) in
@@ -155,7 +155,8 @@ type xof = {
 }
 
 let[@inline] xor_byte st i v =
-  Bytes.unsafe_set st i (Char.unsafe_chr (Char.code (Bytes.unsafe_get st i) lxor v))
+  Bytes.unsafe_set st i
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get st i) lxor v))
 
 let permute t =
   keccak_f t.state;
