@@ -13,6 +13,7 @@
 module F = Ctg_falcon
 module Sig = Ctg_samplers.Sampler_sig
 module Bs = Ctg_prng.Bitstream
+module H = Ctg_overhead.Harness
 
 let printf = Format.printf
 let line () = printf "%s@." (String.make 72 '-')
@@ -20,34 +21,14 @@ let line () = printf "%s@." (String.make 72 '-')
 let section name =
   printf "@.%s@.== %s ==@.%s@." (String.make 72 '=') name (String.make 72 '=')
 
-let time_once f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-(* ns per call, robust to a noisy shared machine: time [rounds] windows
-   of [min_time] each and keep the fastest window — contention can only
-   inflate a window, never deflate it, so the minimum tracks the true
-   cost. *)
-let ns_per_call ?(min_time = 0.25) ?(rounds = 5) f =
-  ignore (f ());
-  let window () =
-    let t0 = Unix.gettimeofday () in
-    let calls = ref 0 in
-    let elapsed = ref 0.0 in
-    while !elapsed < min_time do
-      f ();
-      incr calls;
-      elapsed := Unix.gettimeofday () -. t0
-    done;
-    !elapsed *. 1e9 /. float_of_int !calls
-  in
-  let best = ref (window ()) in
-  for _ = 2 to rounds do
-    let w = window () in
-    if w < !best then best := w
-  done;
-  !best
+(* ns per call of each thunk, timed as the loops of one paired group
+   (the overhead harness's estimator, which every comparison printed
+   here shares): 100 calls per pass, the loop order rotated per group,
+   and each thunk after the first reported as the first's median times
+   its median ratio to it within a group. *)
+let ns_per_call fs =
+  let loop f = (false, fun ~lane:_ -> for _ = 1 to 100 do f () done) in
+  H.estimate (H.paired_ns ~rounds:5 ~min_time:0.25 ~samples:100 (Array.map loop fs))
 
 let fresh_rng tag = Bs.of_chacha (Ctg_prng.Chacha20.of_seed ("bench-" ^ tag))
 
@@ -88,24 +69,14 @@ let keypair params =
   match Hashtbl.find_opt keypair_cache n with
   | Some kp -> kp
   | None ->
-    let kp, dt =
-      time_once (fun () -> F.Keygen.generate params (fresh_rng "keygen"))
-    in
+    let t0 = Unix.gettimeofday () in
+    let kp = F.Keygen.generate params (fresh_rng "keygen") in
+    let dt = Unix.gettimeofday () -. t0 in
     printf "  [keygen %s: %.1fs, %d draw(s), NTRU eq %b]@." (F.Params.name params)
       dt kp.F.Keygen.attempts
       (F.Keygen.check_ntru_equation kp);
     Hashtbl.replace keypair_cache n kp;
     kp
-
-(* The four Table-1 samplers, freshly instantiated. *)
-let table1_samplers () =
-  let table = Lazy.force cdt_table_sigma2 in
-  [
-    ("byte-scan CDT", `NonCt, Ctg_samplers.Cdt_samplers.byte_scan table);
-    ("CDT", `NonCt, Ctg_samplers.Cdt_samplers.binary_search table);
-    ("linear-search CDT", `Ct, Ctg_samplers.Cdt_samplers.linear_ct table);
-    ("this work", `Ct, Sig.of_bitsliced (Lazy.force bitsliced_sigma2));
-  ]
 
 (* -------------------------------------------------------------------- *)
 (* Table 1: Falcon signing throughput under the four base samplers       *)
@@ -117,42 +88,59 @@ let paper_table1 =
     (512, [ 5220.; 4064.; 3027.; 3527. ]);
     (1024, [ 2640.; 2014.; 1519.; 1754. ]) ]
 
-let signs_per_sec kp inst ~min_time =
-  let base = F.Base_sampler.of_instance inst in
-  let rng = fresh_rng ("table1-" ^ inst.Sig.name) in
-  let counter = ref 0 in
-  let sign () =
-    incr counter;
-    let msg = Bytes.of_string (Printf.sprintf "table1 message %d" !counter) in
-    ignore (F.Sign.sign kp base rng ~msg)
-  in
-  1e9 /. ns_per_call ~min_time sign
-
-let cmd_table1 ?(min_time = 0.4) () =
+(* A level's four samplers are the loops of one paired group (the
+   overhead harness's estimator): every pass signs the same messages from
+   the group's lane, the loop order rotates per group, and each ratio to
+   byte-scan is read within a group, so host drift hits the four alike. *)
+let cmd_table1 () =
   section "Table 1: Falcon-sign throughput, four base samplers";
-  printf "paper reference in parentheses; ratios vs byte-scan in brackets@.@.";
+  printf "paper reference in parentheses; ratios vs byte-scan in brackets:@.";
+  printf "median and interquartile range over paired groups@.@.";
   printf "%-22s %14s %14s %14s %14s@." "" "byte-scan CDT" "CDT"
     "linear CDT(ct)" "this work(ct)";
+  let msgs =
+    Array.init 8 (fun i -> Bytes.of_string (Printf.sprintf "table1 message %d" i))
+  in
+  let table = Lazy.force cdt_table_sigma2 in
   List.iter
     (fun params ->
       let kp = keypair params in
-      let rates =
-        List.map
-          (fun (_, _, inst) -> signs_per_sec kp inst ~min_time)
-          (table1_samplers ())
+      (* One loop per sampler, freshly instantiated, byte-scan first. *)
+      let loop inst =
+        let base = F.Base_sampler.of_instance inst in
+        ( false,
+          fun ~lane ->
+            let rng = fresh_rng (Printf.sprintf "table1-%d" lane) in
+            Array.iter (fun msg -> ignore (F.Sign.sign kp base rng ~msg)) msgs )
       in
-      let paper = List.assoc params.F.Params.n paper_table1 in
-      let base_rate = List.nth rates 0 in
-      let base_paper = List.nth paper 0 in
+      let groups =
+        H.paired_ns ~rounds:5 ~min_time:1.0
+          ~samples:(Array.length msgs)
+          (Array.map loop
+             Ctg_samplers.Cdt_samplers.
+               [|
+                 byte_scan table;
+                 binary_search table;
+                 linear_ct table;
+                 Sig.of_bitsliced (Lazy.force bitsliced_sigma2);
+               |])
+      in
+      let ns = H.estimate groups in
+      let ratios i = Array.map (fun (g : float array) -> g.(0) /. g.(i)) groups in
+      let paper = Array.of_list (List.assoc params.F.Params.n paper_table1) in
       printf "%-22s" (F.Params.name params);
-      List.iter2
-        (fun r p -> printf " %6.0f (%6.0f)" r p)
-        rates paper;
+      Array.iteri (fun i t -> printf " %6.0f (%6.0f)" (1e9 /. t) paper.(i)) ns;
       printf "@.%-22s" "  ratio vs byte-scan";
-      List.iter2
-        (fun r p ->
-          printf " [%4.2f] ((%4.2f))" (r /. base_rate) (p /. base_paper))
-        rates paper;
+      Array.iteri
+        (fun i p ->
+          printf " [%4.2f] ((%4.2f))" (H.quantile (ratios i) 0.5) (p /. paper.(0)))
+        paper;
+      printf "@.%-22s" (Printf.sprintf "  IQR, %d groups" (Array.length groups));
+      Array.iteri
+        (fun i _ ->
+          printf "       %4.2f-%4.2f" (H.quantile (ratios i) 0.25)
+            (H.quantile (ratios i) 0.75))
+        paper;
       printf "@.")
     F.Params.all;
   printf
@@ -190,8 +178,8 @@ let cmd_table2 () =
       let options = { Ctgauss.Compile.default_options with with_valid = false } in
       let ours = Ctgauss.Compile.compile ~options (Ctgauss.Sublist.build enum) in
       let simple = Ctgauss.Compile_simple.compile ~with_valid:false enum in
-      let t_ours = ns_per_call (batch_kernel ours) in
-      let t_simple = ns_per_call (batch_kernel simple) in
+      let t = ns_per_call [| batch_kernel simple; batch_kernel ours |] in
+      let t_simple = t.(0) and t_ours = t.(1) in
       let impr = 100. *. (1. -. (t_ours /. t_simple)) in
       let paper_simple, paper_ours, paper_impr =
         match List.find_opt (fun (s, _, _) -> s = sigma) paper with
@@ -221,8 +209,8 @@ let cmd_table2 () =
       let program = Ctgauss.Sampler.program s in
       let gates = float_of_int (Ctgauss.Gate.gate_count program) in
       let kernel = Ctg_kernels.Kernels.find (Ctgauss.Sampler.digest s) in
-      let t_interp = ns_per_call (batch_kernel program) in
-      let t_gen = ns_per_call (batch_kernel ?kernel program) in
+      let t = ns_per_call [| batch_kernel program; batch_kernel ?kernel program |] in
+      let t_interp = t.(0) and t_gen = t.(1) in
       printf
         "%-10s interpreted %7.0f ns %5.2f ns/gate   generated %7.0f ns %5.2f \
          ns/gate %6.0f pseudo-cycles (paper %.0f)%s@."
@@ -354,18 +342,22 @@ let cmd_prng_overhead () =
       ?kernel:(Ctg_kernels.Kernels.find (Ctgauss.Sampler.digest s))
       (Ctgauss.Sampler.program s)
   in
-  let t_kernel = ns_per_call kernel in
-  let with_prng make_rng name =
-    let rng = make_rng () in
-    let t_total = ns_per_call (fun () -> ignore (Ctgauss.Sampler.batch_magnitude s rng)) in
-    let share = 100. *. (t_total -. t_kernel) /. t_total in
-    printf "  %-10s %8.0f ns/batch total, %6.0f ns kernel -> PRNG+pack %.0f%%@."
-      name t_total t_kernel share
+  let batch rng () = ignore (Ctgauss.Sampler.batch_magnitude s rng) in
+  let t =
+    ns_per_call
+      [|
+        kernel;
+        batch (fresh_rng "prng-chacha");
+        batch (Bs.of_shake (Ctg_prng.Keccak.shake128 (Bytes.of_string "seed")));
+      |]
   in
-  with_prng (fun () -> fresh_rng "prng-chacha") "ChaCha20";
-  with_prng
-    (fun () -> Bs.of_shake (Ctg_prng.Keccak.shake128 (Bytes.of_string "seed")))
-    "SHAKE128";
+  List.iteri
+    (fun i name ->
+      let t_total = t.(i + 1) in
+      printf "  %-10s %8.0f ns/batch total, %6.0f ns kernel -> PRNG+pack %.0f%%@."
+        name t_total t.(0)
+        (100. *. (t_total -. t.(0)) /. t_total))
+    [ "ChaCha20"; "SHAKE128" ];
   printf "@.paper: 80-85%% with Keccak, ~60%% with ChaCha (their C kernel is@.";
   printf "faster than ours, so their PRNG share is higher; the ordering@.";
   printf "Keccak-share > ChaCha-share is the reproduced claim)@."
@@ -426,11 +418,12 @@ let cmd_ablation_min () =
           sublists
       in
       let exact = build true and greedy = build false in
+      let t = ns_per_call [| batch_kernel exact; batch_kernel greedy |] in
       printf "%-10s %8d %8.0f %8d %8.0f@." sigma
         (Ctgauss.Gate.gate_count exact)
-        (ns_per_call (batch_kernel exact))
+        t.(0)
         (Ctgauss.Gate.gate_count greedy)
-        (ns_per_call (batch_kernel greedy)))
+        t.(1))
     [ ("2", enum_sigma2); ("6.15543", enum_sigma6) ];
   printf "@.(the sublist split keeps tables tiny, so greedy is near-exact;@.";
   printf "the win of exactness is real but small — that is itself a finding)@."
@@ -450,12 +443,13 @@ let cmd_ablation_chain () =
       sublists
   in
   let shared = build true and unshared = build false in
+  let t = ns_per_call [| batch_kernel shared; batch_kernel unshared |] in
   printf "  shared:   %6d gates, %.0f ns/batch@."
     (Ctgauss.Gate.gate_count shared)
-    (ns_per_call (batch_kernel shared));
+    t.(0);
   printf "  unshared: %6d gates, %.0f ns/batch@."
     (Ctgauss.Gate.gate_count unshared)
-    (ns_per_call (batch_kernel unshared));
+    t.(1);
   printf "@.(without sharing, every selector c_k rebuilds its own prefix AND@.";
   printf "chain: the quadratic blowup the incremental chain avoids)@."
 
@@ -564,33 +558,10 @@ let cmd_sampler_quality () =
   printf "this is the quality the fixed-sigma plug gives up (DESIGN.md par. 2).@."
 
 (* -------------------------------------------------------------------- *)
-(* Gates: static gate/depth budgets (and BENCH_gates.json)               *)
+(* Overhead gates: the rows of lib/overhead (BENCH_<name>.json)          *)
 (* -------------------------------------------------------------------- *)
 
-let cmd_gates ?(json_path = "BENCH_gates.json") () =
-  section "Gates: compiled program budgets per Table-2 sigma (ctg_lint baseline)";
-  printf "%-10s %6s %8s %8s %14s@." "sigma" "n" "gates" "depth" "simple gates";
-  let entries =
-    List.map
-      (fun (t : Ctg_analysis.Analyze.target) ->
-        let e, dt = time_once (fun () -> Ctg_analysis.Analyze.measure t) in
-        printf "%-10s %6d %8d %8d %14d   (%.1fs)@." e.Ctg_analysis.Budget.sigma
-          e.Ctg_analysis.Budget.precision e.Ctg_analysis.Budget.gates
-          e.Ctg_analysis.Budget.depth e.Ctg_analysis.Budget.simple_gates dt;
-        e)
-      Ctg_analysis.Analyze.default_targets
-  in
-  Ctg_analysis.Budget.save json_path { Ctg_analysis.Budget.entries };
-  printf "@.wrote %s — ctg_lint fails CI when a compiler change regresses@."
-    json_path;
-  printf "these budgets (gate count is the paper's cost proxy)@."
-
-(* -------------------------------------------------------------------- *)
-(* Overhead gates: obs|alloc|fault|assure|pauses (BENCH_<name>.json)     *)
-(* -------------------------------------------------------------------- *)
-
-let cmd_gate ?(smoke = false) (row : Ctg_overhead.Harness.row) =
-  let module H = Ctg_overhead.Harness in
+let cmd_gate ?(smoke = false) (row : H.row) =
   section
     (Printf.sprintf "%s overhead gate%s" (String.capitalize_ascii row.name)
        (if smoke then " (smoke run)" else ""));
@@ -610,31 +581,6 @@ let cmd_gate ?(smoke = false) (row : Ctg_overhead.Harness.row) =
         row.name;
       exit 1
     end
-
-(* -------------------------------------------------------------------- *)
-(* Saga: acceptance-battery cost budget (and BENCH_saga.json)            *)
-(* -------------------------------------------------------------------- *)
-
-let cmd_saga ?(smoke = false) () =
-  section
-    (if smoke then "Saga: acceptance-battery evaluation cost (smoke run)"
-     else "Saga: acceptance-battery evaluation cost vs raw sampling");
-  let samples = if smoke then 50_000 else 200_000 in
-  let rounds = if smoke then 2 else 3 in
-  printf "CDT linear-ct draw loop vs draw + full battery evaluation@.@.";
-  let entries = Ctg_saga.Saga_bench.run ~samples ~rounds () in
-  List.iter (fun e -> printf "  %a@." Ctg_saga.Saga_bench.pp_entry e) entries;
-  let path = if smoke then "BENCH_saga_smoke.json" else "BENCH_saga.json" in
-  Ctg_saga.Saga_bench.save path entries;
-  printf "@.wrote %s@." path;
-  if Ctg_saga.Saga_bench.ok entries then
-    printf "OK: battery evaluation costs < %.0f%% of sampling, all verdicts \
-            clean@."
-      Ctg_saga.Saga_bench.threshold_pct
-  else begin
-    printf "FAIL: battery evaluation over budget or a clean stream failed@.";
-    exit 1
-  end
 
 (* -------------------------------------------------------------------- *)
 (* Serve: signing-daemon SLO gate (and BENCH_serve.json)                 *)
@@ -730,43 +676,33 @@ let cmd_sync () =
     exit 1
   end;
   let ops = 2_000_000 in
-  let shim_pass () =
+  let shim_pass ~lane:_ =
     let open Ctg_sync.Shim in
     let a = Atomic.make 0 in
-    let t0 = Unix.gettimeofday () in
     for i = 0 to ops - 1 do
       Atomic.incr a;
       if Atomic.get a land 65535 = 0 then Atomic.set a (Sys.opaque_identity i)
     done;
-    ignore (Sys.opaque_identity (Atomic.get a));
-    Unix.gettimeofday () -. t0
+    ignore (Sys.opaque_identity (Atomic.get a))
   in
-  let raw_pass () =
+  let raw_pass ~lane:_ =
     let a = Stdlib.Atomic.make 0 in
-    let t0 = Unix.gettimeofday () in
     for i = 0 to ops - 1 do
       Stdlib.Atomic.incr a;
       if Stdlib.Atomic.get a land 65535 = 0 then
         Stdlib.Atomic.set a (Sys.opaque_identity i)
     done;
-    ignore (Sys.opaque_identity (Stdlib.Atomic.get a));
-    Unix.gettimeofday () -. t0
+    ignore (Sys.opaque_identity (Stdlib.Atomic.get a))
   in
-  (* Warm both paths, then interleave paired passes so drift hits both
-     sides equally; the median pass absorbs outliers. *)
-  ignore (shim_pass ());
-  ignore (raw_pass ());
-  let rounds = 9 in
-  let deltas =
-    List.init rounds (fun _ ->
-        let r = raw_pass () in
-        let s = shim_pass () in
-        (s -. r) /. float_of_int ops *. 1e9)
+  (* The harness's paired passes, so drift hits both sides equally; the
+     median per-pair difference absorbs outliers. *)
+  let groups =
+    H.paired_ns ~rounds:5 ~min_time:0.1 ~samples:ops
+      [| (false, raw_pass); (false, shim_pass) |]
   in
-  let sorted = List.sort compare deltas in
-  let median = List.nth sorted (rounds / 2) in
-  printf "shim minus raw, median of %d paired passes: %.2f ns/op@." rounds
-    median;
+  let median = H.quantile (Array.map (fun g -> g.(1) -. g.(0)) groups) 0.5 in
+  printf "shim minus raw, median of %d paired passes: %.2f ns/op@."
+    (Array.length groups) median;
   (* The gate is on *absolute* per-op cost, not a ratio: without flambda
      the wrapper is an un-inlined call around a ~5 ns atomic instruction,
      so a bare back-to-back atomic loop shows a large relative factor
@@ -795,11 +731,11 @@ let usage () =
   printf
     "usage: main.exe [all|table1|table2|fig1|fig2|fig3|fig4|fig5|delta|@.";
   printf "                 prng-overhead|dudect|ablation-min|ablation-chain|@.";
-  printf "                 precision|large-sigma|sampler-quality|gates|@.";
+  printf "                 precision|large-sigma|sampler-quality|@.";
   printf "                 obs|alloc|fault|assure|saga|serve|pauses|history|sync]@.";
   printf "        [--full]        (fig5 at the paper's 64x10^7 samples)@.";
   printf
-    "        [--smoke]       (obs/alloc/fault/assure/serve/pauses: CI-sized \
+    "        [--smoke]       (obs/alloc/fault/assure/saga/serve/pauses: CI-sized \
      windows -> BENCH_*_smoke.json)@.";
   printf "        [--trace FILE]  (record spans, write Chrome trace JSON)@."
 
@@ -843,8 +779,6 @@ let () =
   | "precision" -> cmd_precision ()
   | "large-sigma" -> cmd_large_sigma ()
   | "sampler-quality" -> cmd_sampler_quality ()
-  | "gates" -> cmd_gates ()
-  | "saga" -> cmd_saga ~smoke ()
   | "serve" -> cmd_serve ~smoke ()
   | "history" -> cmd_history ()
   | "sync" -> cmd_sync ()
@@ -862,7 +796,6 @@ let () =
     cmd_ablation_chain ();
     cmd_precision ();
     cmd_large_sigma ();
-    cmd_gates ();
     List.iter (fun row -> cmd_gate row) Ctg_overhead.Rows.[ obs; fault; assure ];
     cmd_table1 ();
     cmd_sampler_quality ();

@@ -3,14 +3,10 @@
      ctg_serve run [--port 8732] [--trace] ...  # serve until SIGINT/SIGTERM
      ctg_serve client --tenant alice -m "msg"   # sign over HTTP and verify
      ctg_serve client --trace req.json          # + merged causal trace
-     ctg_serve smoke [--json FILE]              # in-process e2e for CI
 
    [run] drains gracefully on SIGINT/SIGTERM: the listener closes,
    in-flight batches complete, the drift window flushes, then the final
-   counters are printed.  [smoke] boots a daemon on an ephemeral port,
-   fires concurrent clients from several tenants, verifies every returned
-   signature against the advertised public key, and checks the batching
-   and health invariants CI gates on. *)
+   counters are printed. *)
 
 open Cmdliner
 module Obs = Ctg_obs
@@ -331,112 +327,8 @@ let client_cmd =
     Term.(const client $ host $ port $ tenant $ message $ trace_out)
 
 (* ------------------------------------------------------------------ *)
-(* smoke                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
-
-let smoke json_out =
-  let tenants = [| "alice"; "bob"; "carol" |] in
-  let per_tenant = 12 in
-  let config =
-    { Serve.Daemon.default_config with port = 0; n = 16; queue_capacity = 64;
-      max_batch = 8; linger = 0.01 }
-  in
-  Format.printf "booting daemon on an ephemeral port (n=%d)...@." config.n;
-  let d = Serve.Daemon.create config in
-  let port = Serve.Daemon.port d in
-  Format.printf "up on 127.0.0.1:%d; %d tenants x %d concurrent requests@."
-    port (Array.length tenants) per_tenant;
-  (* One domain per tenant, each with its own keep-alive connection, all
-     hammering concurrently so the linger window actually coalesces. *)
-  let failures = Atomic.make 0 in
-  let signers =
-    Array.map
-      (fun tenant ->
-        Domain.spawn (fun () ->
-            let c = Client.connect_retry ~port () in
-            let params, h, bound_sq = fetch_pubkey c ~tenant in
-            for i = 1 to per_tenant do
-              let msg = Bytes.of_string (Printf.sprintf "%s-msg-%d" tenant i) in
-              let j, _ = sign_once c ~tenant ~msg in
-              ignore (verify_response ~params ~h ~bound_sq ~msg j : int);
-              if str_exn "tenant" j <> tenant then Atomic.incr failures
-            done;
-            Client.close c))
-      tenants
-  in
-  Array.iter Domain.join signers;
-  (* Scrape and check the serving invariants. *)
-  let metrics = Client.get_retry ~port "/metrics" in
-  if metrics.Client.status <> 200 then fail "/metrics -> %d" metrics.Client.status;
-  let health = Client.get_retry ~port "/healthz" in
-  let requests = Serve.Daemon.requests d in
-  let batches = Serve.Daemon.batches d in
-  let shed = Serve.Daemon.batcher_shed d in
-  let mean_batch =
-    if batches = 0 then 0.0 else float_of_int requests /. float_of_int batches
-  in
-  Serve.Daemon.stop d;
-  let expected = Array.length tenants * per_tenant in
-  let checks =
-    [
-      ("all requests served", requests = expected && Atomic.get failures = 0);
-      ("coalescing (mean batch > 1)", mean_batch > 1.0);
-      ("no shedding at this load", shed = 0);
-      ("/healthz 200", health.Client.status = 200);
-      ( "per-tenant metrics exposed",
-        Array.for_all
-          (fun t ->
-            contains metrics.Client.body (Printf.sprintf "tenant=\"%s\"" t))
-          tenants );
-    ]
-  in
-  List.iter
-    (fun (name, ok) ->
-      Format.printf "  %s %s@." (if ok then "ok  " else "FAIL") name)
-    checks;
-  Format.printf
-    "served %d requests in %d batches (mean %.2f), %d shed, healthy=%b@."
-    requests batches mean_batch shed (Serve.Daemon.healthy d);
-  (match json_out with
-  | Some path ->
-    let j =
-      Jsonx.Obj
-        [
-          ("requests", Jsonx.Num (float_of_int requests));
-          ("batches", Jsonx.Num (float_of_int batches));
-          ("mean_batch", Jsonx.Num mean_batch);
-          ("shed", Jsonx.Num (float_of_int shed));
-          ("healthy", Jsonx.Bool (health.Client.status = 200));
-          ( "checks",
-            Jsonx.Obj (List.map (fun (n, ok) -> (n, Jsonx.Bool ok)) checks) );
-        ]
-    in
-    let oc = open_out path in
-    output_string oc (Jsonx.pretty j ^ "\n");
-    close_out oc;
-    Format.printf "wrote %s@." path
-  | None -> ());
-  if not (List.for_all snd checks) then exit 1
-
-let smoke_cmd =
-  let json_out =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-         ~doc:"Write the machine-readable verdict here.")
-  in
-  let doc =
-    "in-process e2e smoke: boot a daemon, sign concurrently from several \
-     tenants over HTTP, verify every signature, check batching and health"
-  in
-  Cmd.v (Cmd.info "smoke" ~doc) Term.(const smoke $ json_out)
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let doc = "multi-tenant Falcon signing daemon with request batching" in
   let info = Cmd.info "ctg_serve" ~version:"1.0" ~doc in
-  exit (Cmd.eval (Cmd.group info [ run_cmd; client_cmd; smoke_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ run_cmd; client_cmd ]))

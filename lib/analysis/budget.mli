@@ -1,9 +1,8 @@
 (** Gate/depth budgets: a committed JSON baseline ([BENCH_gates.json])
-    per Table-2 sigma, regenerated by [bench/main.exe gates] or
-    [ctg_lint --write-baseline], and checked by the lint gate so a
-    compiler change that regresses gate counts fails CI loudly instead of
-    drifting silently.  Compilation is deterministic, so the check is
-    exact by default ([slack_pct = 0]). *)
+    per Table-2 sigma, regenerated by [ctg_lint --write-baseline], and
+    checked by the lint gate so a compiler change that regresses gate
+    counts fails CI loudly instead of drifting silently.  Compilation is
+    deterministic, so the check is exact by default ([slack_pct = 0]). *)
 
 type entry = {
   sigma : string;

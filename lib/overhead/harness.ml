@@ -1,41 +1,16 @@
 module Obs = Ctg_obs
 module Jsonx = Obs.Jsonx
 
-let median a =
+let quantile a q =
   let s = Array.copy a in
   Array.sort compare s;
-  let n = Array.length s in
-  if n land 1 = 1 then s.(n / 2) else 0.5 *. (s.(n / 2 - 1) +. s.(n / 2))
+  let x = q *. float_of_int (Array.length s - 1) in
+  let i = int_of_float x in
+  let j = min (i + 1) (Array.length s - 1) in
+  s.(i) +. ((x -. float_of_int i) *. (s.(j) -. s.(i)))
 
-(* Paired-pass timing.  A 2% budget is far below the noise floor of a
-   shared host, where single timing windows here swing by ±20%, so
-   block timing (all plain windows, then all metered ones) measures the
-   neighbours, not the instrumentation.  Three counter-measures:
-
-   - {e pairing}: each pass index runs every loop back-to-back on the
-     {e same} fork lane, so all loops consume identical random streams
-     (stream-dependent work — fallback resamples at low precision —
-     would otherwise masquerade as overhead) and adjacent-in-time host
-     noise hits them alike; the first loop of each group rotates so no
-     loop systematically rides the front of a noise spike;
-   - {e GC normalisation}: a [Gc.full_major] before every timed pass
-     zeroes inherited collector debt — the σ=215 fallback path
-     allocates, and without this a loop timed later in the sequence
-     pays progressively more GC (observed as a +12% trend on the
-     {e uninstrumented} loop);
-   - {e median-of-ratios} as the estimator: on a host whose absolute
-     speed oscillates by ±30% between runs, per-loop medians of
-     absolute times still diverge, but the within-group ratio
-     [loop_i / loop_0] compares two passes a few milliseconds apart and
-     is stable; loop 0 reports its median ns/sample and every other
-     loop reports [that × its median ratio].
-
-   Groups repeat until at least 5 have run and [rounds × min_time]
-   seconds have elapsed.
-
-   Loops receive the group's lane index and build their own stream from
-   it, so arms that must differ in stream construction (health tests
-   attached or not) still consume the same underlying lane per group. *)
+(* Paired-pass timing: see harness.mli for why pairing, the full major
+   before each pass and the median of ratios. *)
 let paired_ns ~rounds ~min_time ~samples loops =
   let nloops = Array.length loops in
   let group_times = ref [] in
@@ -59,10 +34,12 @@ let paired_ns ~rounds ~min_time ~samples loops =
     group_times := times :: !group_times;
     incr groups
   done;
-  let gs = Array.of_list !group_times in
-  let col i = Array.map (fun g -> g.(i)) gs in
-  let base = median (col 0) in
-  Array.init nloops (fun i ->
+  Array.of_list (List.rev !group_times)
+
+let estimate gs =
+  let median a = quantile a 0.5 in
+  let base = median (Array.map (fun (g : float array) -> g.(0)) gs) in
+  Array.init (Array.length gs.(0)) (fun i ->
       if i = 0 then base
       else
         base
@@ -140,9 +117,10 @@ let measure_case row (s : sizes) c =
   in
   let t =
     converge ~threshold_pct:row.threshold_pct ~attempts:row.attempts (fun k ->
-        paired_ns ~rounds:s.rounds
-          ~min_time:(s.min_time *. float_of_int k)
-          ~samples:c.ops loops)
+        estimate
+          (paired_ns ~rounds:s.rounds
+             ~min_time:(s.min_time *. float_of_int k)
+             ~samples:c.ops loops))
   in
   let fields =
     c.head
@@ -152,7 +130,10 @@ let measure_case row (s : sizes) c =
     @ c.tail ()
   in
   let check (k, pass) =
-    match List.assoc_opt k fields with Some (Jsonx.Num v) -> pass v | _ -> false
+    match List.assoc_opt k fields with
+    | Some (Jsonx.Num v) -> pass v
+    | Some (Jsonx.Bool b) -> pass (if b then 1.0 else 0.0)
+    | _ -> false
   in
   { fields; ok = overhead t 1 < row.threshold_pct && List.for_all check row.checks }
 

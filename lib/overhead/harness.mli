@@ -13,6 +13,39 @@
 
 module Jsonx = Ctg_obs.Jsonx
 
+val paired_ns :
+  rounds:int ->
+  min_time:float ->
+  samples:int ->
+  (bool * (lane:int -> unit)) array ->
+  float array array
+(** The paired passes.  Returns, per group in order, each loop's ns per
+    op ([samples] ops per pass); groups repeat until at least 5 ran and
+    [rounds × min_time] s elapsed.  A loop's [bool] turns span tracing
+    on while it runs.
+
+    A 2% budget is far below the noise floor of a shared host, where
+    single timing windows swing by ±20%, so block timing (all plain
+    windows, then all metered ones) would measure the neighbours:
+    - {e pairing}: a group runs every loop back to back on the same
+      lane (the group index; a loop builds its own stream from it, so
+      arms that differ in stream construction still consume the same
+      lane), so stream-dependent work cancels and adjacent-in-time
+      noise hits the loops alike; the first loop rotates per group;
+    - {e GC normalisation}: a [Gc.full_major] before every pass zeroes
+      inherited collector debt, which otherwise showed as a +12% trend
+      on a loop timed later in the sequence;
+    - {e median of ratios} ({!estimate}): within a group, [loop_i /
+      loop_0] compares passes milliseconds apart and stays stable while
+      the host's absolute speed swings by ±30%. *)
+
+val quantile : float array -> float -> float
+(** Linear-interpolated quantile; [quantile a 0.5] is the median. *)
+
+val estimate : float array array -> float array
+(** Loop 0's median ns per op over {!paired_ns} groups, and for every
+    other loop that times its median within-group ratio to loop 0. *)
+
 val converge :
   threshold_pct:float -> attempts:int -> (int -> float array) -> float array
 (** The retry rule.  [one k] is the [k]-th estimate (callers scale its
@@ -60,7 +93,8 @@ type row = {
   attempts : int;  (** The retry cap of {!converge}. *)
   smoke_set : (string * int) list;  (** σ keys of a [--smoke] run. *)
   checks : (string * (float -> bool)) list;
-      (** Extra pass conditions on numeric entry fields. *)
+      (** Extra pass conditions on numeric entry fields; a [Bool] field
+          reads as 1 or 0. *)
   available : unit -> bool;
       (** Starts what the row needs; [false] skips the gate. *)
   cases : sizes -> (unit -> case) list;

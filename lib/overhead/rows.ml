@@ -316,6 +316,57 @@ let assure =
     ~checks:[ ("alarms", fun v -> v = 0.0) ]
     (per_sigma assure_case)
 
+(* ---- saga: the acceptance battery's cost ---- *)
+
+(* The battery is an offline acceptance gate, not an always-on monitor,
+   so it may cost up to a quarter of the sampling it judges.  Both arms
+   draw the same CDT linear-scan signed stream; the gated arm then runs
+   one full battery evaluation over it, whose last verdict must be
+   clean.  The row measures the four σ at precision 16, the committed
+   baseline's keys, whatever the run's σ set. *)
+let saga_keys = [ ("1", 16); ("2", 16); ("6.15543", 16); ("215", 16) ]
+
+let saga_case (s : H.sizes) ~sigma ~precision =
+  let module Battery = Ctg_saga.Battery in
+  let matrix = Ctg_kyao.Matrix.create ~sigma ~precision ~tail_cut:13 in
+  let model = Battery.model matrix in
+  let inst =
+    Ctg_samplers.(Cdt_samplers.linear_ct (Cdt_table.of_matrix matrix))
+  in
+  let out = Array.make s.samples 0 in
+  let draw ~lane =
+    let seed = Printf.sprintf "saga-bench-%s-%d" sigma lane in
+    let rng = Ctg_prng.(Bitstream.of_chacha (Chacha20.of_seed seed)) in
+    for i = 0 to s.samples - 1 do
+      out.(i) <- Ctg_samplers.Sampler_sig.sample_signed inst rng
+    done
+  in
+  let pass = ref false in
+  let judged ~lane =
+    draw ~lane;
+    pass :=
+      (Battery.evaluate model ~backend:inst.name ~samples:out ~len:s.samples)
+        .pass
+  in
+  judged ~lane:1000;
+  {
+    H.head =
+      [
+        ("sigma", str sigma);
+        ("precision", int precision);
+        ("samples", int s.samples);
+      ];
+    ops = s.samples;
+    base = ("sampling_ns_per_sample", draw);
+    arms = [ arm "battery_ns_per_sample" "overhead_pct" judged ];
+    tail = (fun () -> [ ("pass", Jsonx.Bool !pass) ]);
+  }
+
+let saga =
+  row ~name:"saga" ~benchmark:"saga-battery-cost" ~threshold_pct:25.0
+    ~checks:[ ("pass", fun v -> v = 1.0) ]
+    (fun s -> per_sigma saga_case { s with set = saga_keys })
+
 (* ---- pauses: GC pause baselines + the rtev consumer ---- *)
 
 (* The pause window repeats the fill (fresh fork lane per rep) until
@@ -394,7 +445,6 @@ let pauses_case (s : H.sizes) ~sigma ~precision =
    trend-gate. *)
 let daemon_row () =
   let module Daemon = Ctg_serve.Daemon in
-  let module Client = Ctg_net.Client in
   let d =
     Daemon.create
       {
@@ -405,56 +455,40 @@ let daemon_row () =
         max_batch = 8;
       }
   in
-  if not (Daemon.rtev_active d) then begin
-    Daemon.stop d;
-    []
-  end
-  else begin
-    let port = Daemon.port d in
-    let workers =
-      Array.init 2 (fun t ->
-          Domain.spawn (fun () ->
-              let tenant = Printf.sprintf "pause-t%d" t in
-              let c = Client.connect ~port () in
-              for i = 0 to 7 do
-                let r =
-                  Client.request c ~meth:"POST"
-                    ~path:("/v1/sign?tenant=" ^ tenant)
-                    ~body:(Printf.sprintf "%s-%d" tenant i)
-                    ()
-                in
-                if r.Client.status <> 200 then
-                  failwith (Printf.sprintf "sign -> %d" r.Client.status)
-              done;
-              Client.close c))
-    in
-    Array.iter Domain.join workers;
-    (* One forced major collection while the daemon is still up, so the
-       row always carries a nonzero pause. *)
-    Gc.compact ();
-    ignore (Rtev.poll ());
-    let registry = Daemon.registry d in
-    let summary name =
-      Obs.Registry.histo_summary (Obs.Registry.histo registry name)
-    in
-    let serve = summary "serve_gc_pause_ns" and pause = summary "gc_pause_ns" in
-    let requests = Daemon.requests d and batches = Daemon.batches d in
-    Daemon.stop d;
-    [
-      ( "daemon",
-        Jsonx.Obj
-          [
-            ("requests", int requests);
-            ("batches", int batches);
-            ("gc_pauses", int pause.Obs.Histo.count);
-            ("gc_pause_total", int pause.sum);
-            ("gc_pause_max", int pause.max);
-            ("serve_batches_observed", int serve.count);
-            ("serve_pause_total", int serve.sum);
-            ("serve_pause_max", int serve.max);
-          ] );
-    ]
-  end
+  Fun.protect
+    ~finally:(fun () -> Daemon.stop d)
+    (fun () ->
+      if not (Daemon.rtev_active d) then []
+      else begin
+        ignore
+          (Ctg_serve.Serve_bench.load d ~tenants:[| "pause-t0"; "pause-t1" |]
+             ~per_tenant:8
+            : float array);
+        (* One forced major collection while the daemon is still up, so
+           the row always carries a nonzero pause. *)
+        Gc.compact ();
+        ignore (Rtev.poll ());
+        let registry = Daemon.registry d in
+        let summary name =
+          Obs.Registry.histo_summary (Obs.Registry.histo registry name)
+        in
+        let serve = summary "serve_gc_pause_ns"
+        and pause = summary "gc_pause_ns" in
+        [
+          ( "daemon",
+            Jsonx.Obj
+              [
+                ("requests", int (Daemon.requests d));
+                ("batches", int (Daemon.batches d));
+                ("gc_pauses", int pause.Obs.Histo.count);
+                ("gc_pause_total", int pause.sum);
+                ("gc_pause_max", int pause.max);
+                ("serve_batches_observed", int serve.count);
+                ("serve_pause_total", int serve.sum);
+                ("serve_pause_max", int serve.max);
+              ] );
+        ]
+      end)
 
 let pauses =
   row ~name:"pauses" ~benchmark:"gc-pauses" ~threshold_pct:3.0
@@ -464,5 +498,5 @@ let pauses =
     ~extras:daemon_row
     (per_sigma pauses_case)
 
-let all = [ obs; alloc; fault; assure; pauses ]
+let all = [ obs; alloc; fault; assure; saga; pauses ]
 let find name = List.find_opt (fun (r : H.row) -> r.name = name) all

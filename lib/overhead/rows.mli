@@ -1,4 +1,4 @@
-(** The overhead gates run by [bench obs|alloc|fault|assure|pauses], one
+(** The overhead gates run by [bench obs|alloc|fault|assure|saga|pauses], one
     {!Harness.row} each:
 
     - [obs] (2%): metrics + CT monitor per chunk on the fill loop, with a
@@ -9,17 +9,22 @@
       on a small ring;
     - [assure] (3%, up to 6 estimates): the drift monitor fed per chunk;
       no alarm on the clean streams;
+    - [saga] (25%): one full acceptance-battery evaluation over a CDT
+      linear-scan signed draw, always at σ 1, 2, 6.15543 and 215,
+      precision 16; the timed run's last verdict must pass;
     - [pauses] (3%): the rtev ring live and polled against suspended,
       after a per-σ GC pause window that must see a pause; the report
       adds a [daemon] object (the signing daemon's pause split under
       load).  Skipped when the Runtime_events ring cannot start.
 
-    Seeds are [<gate>-bench-<σ>] ([pause-bench-<σ>] for [pauses]). *)
+    Seeds are [<gate>-bench-<σ>] ([pause-bench-<σ>] for [pauses],
+    [saga-bench-<σ>-<lane>] for [saga]). *)
 
 val obs : Harness.row
 val alloc : Harness.row
 val fault : Harness.row
 val assure : Harness.row
+val saga : Harness.row
 val pauses : Harness.row
 
 val all : Harness.row list

@@ -60,6 +60,41 @@ let direct_baseline ~params ~sigma ~precision ~tail_cut ~msgs () =
   ignore (sigs : F.Sign.signature array);
   float_of_int (t1 - t0) /. float_of_int (Array.length msgs)
 
+let load d ~tenants ~per_tenant =
+  let port = Daemon.port d in
+  let workers =
+    Array.map
+      (fun tenant ->
+        Domain.spawn (fun () ->
+            let c = Client.connect ~port () in
+            let lat = Array.make per_tenant 0.0 in
+            for i = 0 to per_tenant - 1 do
+              let t0 = Obs.Clock.now_ns () in
+              let r =
+                Client.request c ~meth:"POST"
+                  ~path:("/v1/sign?tenant=" ^ tenant)
+                  ~body:(Printf.sprintf "%s-%d" tenant i)
+                  ()
+              in
+              let t1 = Obs.Clock.now_ns () in
+              if r.Client.status <> 200 then
+                failwith
+                  (Printf.sprintf "sign -> %d: %s" r.Client.status r.Client.body);
+              lat.(i) <- float_of_int (t1 - t0)
+            done;
+            Client.close c;
+            lat))
+      tenants
+  in
+  (* Join every worker before re-raising the first failure. *)
+  let joined =
+    Array.map
+      (fun w -> match Domain.join w with l -> Ok l | exception e -> Error e)
+      workers
+  in
+  Array.concat
+    (Array.to_list (Array.map (function Ok l -> l | Error e -> raise e) joined))
+
 let measure ?(n = 16) ?(sigma = "2") ?(precision = 16) ?(tail_cut = 13)
     ?(tenants = 3) ?(per_tenant = 16) () =
   let params = Daemon.params_of_n n in
@@ -83,38 +118,15 @@ let measure ?(n = 16) ?(sigma = "2") ?(precision = 16) ?(tail_cut = 13)
     }
   in
   let d = Daemon.create config in
-  let port = Daemon.port d in
-  let tenant_names = Array.init tenants (Printf.sprintf "bench-t%d") in
-  let workers =
-    Array.map
-      (fun tenant ->
-        Domain.spawn (fun () ->
-            let c = Client.connect ~port () in
-            let lat = Array.make per_tenant 0.0 in
-            for i = 0 to per_tenant - 1 do
-              let t0 = Obs.Clock.now_ns () in
-              let r =
-                Client.request c ~meth:"POST"
-                  ~path:("/v1/sign?tenant=" ^ tenant)
-                  ~body:(Printf.sprintf "%s-%d" tenant i)
-                  ()
-              in
-              let t1 = Obs.Clock.now_ns () in
-              if r.Client.status <> 200 then
-                failwith
-                  (Printf.sprintf "sign -> %d: %s" r.Client.status r.Client.body);
-              lat.(i) <- float_of_int (t1 - t0)
-            done;
-            Client.close c;
-            lat))
-      tenant_names
+  let latencies, requests, batches, shed, healthy =
+    Fun.protect
+      ~finally:(fun () -> Daemon.stop d)
+      (fun () ->
+        let names = Array.init tenants (Printf.sprintf "bench-t%d") in
+        let lat = load d ~tenants:names ~per_tenant in
+        (lat, Daemon.requests d, Daemon.batches d, Daemon.batcher_shed d,
+         Daemon.healthy d))
   in
-  let latencies = Array.concat (Array.to_list (Array.map Domain.join workers)) in
-  let requests = Daemon.requests d in
-  let batches = Daemon.batches d in
-  let shed = Daemon.batcher_shed d in
-  let healthy = Daemon.healthy d in
-  Daemon.stop d;
   Array.sort compare latencies;
   let mean_batch =
     if batches = 0 then 0.0 else float_of_int requests /. float_of_int batches
@@ -155,25 +167,18 @@ let entry_json e =
       ("healthy", Bool e.healthy);
     ]
 
-let to_json entries =
-  Jsonx.Obj
-    [
-      ("bench", Str "serve");
-      ("slo_mult", Num slo_mult);
-      ("floor_ns", Num floor_ns);
-      ("entries", List (List.map entry_json entries));
-    ]
-
 let save path entries =
-  let oc = open_out path in
-  output_string oc (Jsonx.pretty (to_json entries));
-  output_char oc '\n';
-  close_out oc
+  let j =
+    Jsonx.Obj
+      [
+        ("bench", Str "serve");
+        ("slo_mult", Num slo_mult);
+        ("floor_ns", Num floor_ns);
+        ("entries", List (List.map entry_json entries));
+      ]
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Jsonx.pretty j);
+      output_char oc '\n')
 
-let pp_entry fmt e =
-  Format.fprintf fmt
-    "n=%-4d sigma=%-4s %d tenants x %d req: direct=%8.0f ns/sig  p50=%8.0f ns  \
-     p99=%8.0f ns (slo %8.0f)  batch mean=%.2f  shed=%d  healthy=%b"
-    e.n e.sigma e.tenants
-    (if e.tenants = 0 then 0 else e.requests / e.tenants)
-    e.direct_ns e.p50_ns e.p99_ns e.slo_ns e.mean_batch e.shed e.healthy
+let pp_entry fmt e = Format.pp_print_string fmt (Jsonx.to_string (entry_json e))

@@ -30,6 +30,14 @@ type entry = {
 val slo_mult : float
 val floor_ns : float
 
+val load : Daemon.t -> tenants:string array -> per_tenant:int -> float array
+(** The load driver: one domain per tenant, each on its own keep-alive
+    connection to the daemon's port, sends [per_tenant] sign requests
+    back to back.  Returns every client-observed latency in ns (tenants
+    in order).  A non-200 answer fails that tenant's worker; the first
+    failure is re-raised once every worker has been joined, so the
+    caller stops the daemon under [Fun.protect]. *)
+
 val measure :
   ?n:int ->
   ?sigma:string ->
@@ -41,6 +49,6 @@ val measure :
   entry
 
 val ok : entry -> bool
-val to_json : entry list -> Ctg_obs.Jsonx.t
 val save : string -> entry list -> unit
 val pp_entry : Format.formatter -> entry -> unit
+(** The entry as compact JSON, as the overhead gates print theirs. *)

@@ -38,12 +38,62 @@ let test_retry_rule () =
   check_run "assure cap" ~threshold_pct:3.0 ~attempts:6
     [| 9.0; 8.0; 7.0; 6.0; 5.0; 4.0; 0.0 |] ~kept:4.0 ~taken:6
 
+(* ---- The pass rule ---- *)
+
+(* The saga row's pass rule on synthetic cases: both arms run the same
+   spin loop, the gated arm [gated] times per pass, and the tail reports
+   [pass].  Only the gated overhead against the threshold and the row's
+   [pass] check may fail an entry. *)
+let spin ~lane:_ =
+  let x = ref 0 in
+  for i = 1 to 1_000_000 do
+    x := Sys.opaque_identity (!x + i)
+  done
+
+let pass_rule_row cases =
+  {
+    Rows.saga with
+    H.threshold_pct = 50.0;
+    attempts = 1;
+    cases =
+      (fun _ ->
+        List.map
+          (fun (gated, pass) () ->
+            let run =
+              if gated = 1 then spin
+              else fun ~lane -> for _ = 1 to gated do spin ~lane done
+            in
+            {
+              H.head = [];
+              ops = 1;
+              base = ("base_ns", spin);
+              arms =
+                [ { H.ns = "gated_ns"; pct = "overhead_pct"; traced = false; run } ];
+              tail = (fun () -> [ ("pass", Jsonx.Bool pass) ]);
+            })
+          cases);
+  }
+
+let test_pass_rule () =
+  let sizes =
+    { H.set = []; samples = 1; rounds = 1; min_time = 0.01; smoke = true }
+  in
+  let row = pass_rule_row [ (1, true); (1, false); (4, true) ] in
+  match H.measure row sizes with
+  | None -> Alcotest.fail "row unavailable"
+  | Some report ->
+    Alcotest.(check (list bool))
+      "clean / pass false / gated arm 300% over" [ true; false; false ]
+      (List.map (fun (e : H.entry) -> e.ok) report.entries);
+    Alcotest.(check bool) "report fails" false (H.ok report)
+
 (* ---- The trajectory keys survive ---- *)
 
+(* 63 × 16 samples: the saga row's battery judges at least 1000. *)
 let tiny =
   {
     H.set = Ctgauss.Sampler.paper_keys;
-    samples = 63 * 10;
+    samples = 63 * 16;
     rounds = 1;
     min_time = 0.01;
     smoke = true;
@@ -99,7 +149,12 @@ let test_keys (row : H.row) () =
 let () =
   Alcotest.run "overhead"
     [
-      ("retry", [ Alcotest.test_case "shared retry rule" `Quick test_retry_rule ]);
+      ( "retry",
+        [
+          Alcotest.test_case "shared retry rule" `Quick test_retry_rule;
+          Alcotest.test_case "tail check and threshold fail an entry" `Quick
+            test_pass_rule;
+        ] );
       ( "trajectory",
         List.map
           (fun (row : H.row) ->
