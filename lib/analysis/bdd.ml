@@ -118,8 +118,6 @@ let band m a b = apply m op_and a b
 let bor m a b = apply m op_or a b
 let bxor m a b = apply m op_xor a b
 let bnot m a = apply m op_xor a 1
-let implies m a b = bor m (bnot m a) b
-
 let eval m t assignment =
   let rec go t =
     if t < 2 then t = 1

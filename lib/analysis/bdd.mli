@@ -31,7 +31,6 @@ val band : man -> t -> t -> t
 val bor : man -> t -> t -> t
 val bxor : man -> t -> t -> t
 val bnot : man -> t -> t
-val implies : man -> t -> t -> t
 
 val equal : t -> t -> bool
 val is_zero : t -> bool

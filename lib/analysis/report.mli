@@ -22,8 +22,6 @@ type proof = {
 val finding : severity -> rule:string -> where:string -> string -> finding
 val proof : name:string -> holds:bool -> evidence:string -> proof
 
-val severity_to_string : severity -> string
-
 val fails_ci : finding -> bool
 (** [Warning] and [Error] findings fail the lint gate; [Info] does not. *)
 

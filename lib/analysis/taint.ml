@@ -122,14 +122,3 @@ let unused_inputs t =
   done;
   !acc
 
-let output_support t i = support_list t t.program.Gate.outputs.(i)
-
-let valid_support t =
-  match t.program.Gate.valid with None -> [] | Some r -> support_list t r
-
-let max_cone t =
-  let card r = List.length (support_list t r) in
-  let m =
-    Array.fold_left (fun acc r -> max acc (card r)) 0 t.program.Gate.outputs
-  in
-  match t.program.Gate.valid with None -> m | Some r -> max m (card r)

@@ -40,11 +40,3 @@ val unused_inputs : t -> int list
     full precision — strings longer than the deepest leaf never decide
     anything — so this is reporting, not an error. *)
 
-val output_support : t -> int -> int list
-(** Input variables in the structural cone of output bit [i]. *)
-
-val valid_support : t -> int list
-(** Support of the valid flag ([[]] when the program has none). *)
-
-val max_cone : t -> int
-(** Largest support cardinality over outputs + valid. *)

@@ -21,8 +21,6 @@
 
 type outcome = Detected | Contained | Silent
 
-val outcome_name : outcome -> string
-
 type case = {
   name : string;
   fault_class : string;  (** ["rng"], ["gate"], ["worker"] or ["sign"]. *)

@@ -61,7 +61,13 @@ let converge ~threshold_pct ~attempts one =
   in
   go 2 (one 1)
 
-type arm = { ns : string; pct : string; traced : bool; run : lane:int -> unit }
+type arm = {
+  ns : string;
+  pct : string;
+  traced : bool;
+  increment : bool;
+  run : lane:int -> unit;
+}
 
 type case = {
   head : (string * Jsonx.t) list;
@@ -117,10 +123,16 @@ let measure_case row (s : sizes) c =
   in
   let t =
     converge ~threshold_pct:row.threshold_pct ~attempts:row.attempts (fun k ->
-        estimate
-          (paired_ns ~rounds:s.rounds
-             ~min_time:(s.min_time *. float_of_int k)
-             ~samples:c.ops loops))
+        let t =
+          estimate
+            (paired_ns ~rounds:s.rounds
+               ~min_time:(s.min_time *. float_of_int k)
+               ~samples:c.ops loops)
+        in
+        List.iteri
+          (fun i a -> if a.increment then t.(i + 1) <- t.(0) +. t.(i + 1))
+          c.arms;
+        t)
   in
   let fields =
     c.head

@@ -59,6 +59,10 @@ type arm = {
   ns : string;  (** Entry field for this arm's ns per op. *)
   pct : string;  (** Entry field for its overhead over the baseline. *)
   traced : bool;  (** Span tracing on while this arm runs. *)
+  increment : bool;
+      (** [run] is only the work this arm adds to a baseline pass, for
+          work below the baseline's pass-to-pass noise: its overhead is
+          the median ratio of [run] to the baseline, its ns the sum. *)
   run : lane:int -> unit;  (** One pass over the group's lane. *)
 }
 

@@ -9,9 +9,10 @@
       on a small ring;
     - [assure] (3%, up to 6 estimates): the drift monitor fed per chunk;
       no alarm on the clean streams;
-    - [saga] (25%): one full acceptance-battery evaluation over a CDT
-      linear-scan signed draw, always at σ 1, 2, 6.15543 and 215,
-      precision 16; the timed run's last verdict must pass;
+    - [saga] (25%): one full acceptance-battery evaluation, timed as an
+      increment over a CDT linear-scan signed draw of [samples / ⌈σ⌉]
+      (at least 2520), always at σ 1, 2, 6.15543 and 215, precision 16;
+      the timed evaluations' verdict (on lane 0's draw) must pass;
     - [pauses] (3%): the rtev ring live and polled against suspended,
       after a per-σ GC pause window that must see a pause; the report
       adds a [daemon] object (the signing daemon's pause split under

@@ -162,12 +162,3 @@ let pp_row fmt r =
 
 let pp_report fmt () =
   List.iter (fun r -> Format.fprintf fmt "%a@." pp_row r) (report ())
-
-let set_alloc_baseline ?(labels = []) ~registry ~words_per_sample
-    ~words_per_signature () =
-  Obs.Registry.set_gauge
-    (Obs.Registry.gauge registry ~labels "alloc_words_per_sample")
-    words_per_sample;
-  Obs.Registry.set_gauge
-    (Obs.Registry.gauge registry ~labels "alloc_words_per_signature")
-    words_per_signature

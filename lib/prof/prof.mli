@@ -52,14 +52,3 @@ val report : unit -> row list
 val report_json : unit -> Ctg_obs.Jsonx.t
 val pp_row : Format.formatter -> row -> unit
 val pp_report : Format.formatter -> unit -> unit
-
-val set_alloc_baseline :
-  ?labels:Ctg_obs.Registry.labels ->
-  registry:Ctg_obs.Registry.t ->
-  words_per_sample:float ->
-  words_per_signature:float ->
-  unit ->
-  unit
-(** Publish the measured allocation baselines ([alloc_words_per_sample],
-    [alloc_words_per_signature] gauges) — what [/metrics] exposes and
-    the trend gate tracks via [BENCH_alloc.json]. *)

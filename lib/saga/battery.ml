@@ -38,8 +38,6 @@ type verdict = {
   pass : bool;
 }
 
-let families = [ "moments"; "chi-square"; "tails"; "autocorrelation" ]
-
 (* The target law and its signed moments, computed once per matrix.  The
    law is the termination-conditioned model shared with the online
    monitor (Ctg_assure.Drift.expected_model): magnitudes follow

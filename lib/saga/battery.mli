@@ -50,9 +50,6 @@ type verdict = {
   pass : bool;  (** All checks passed. *)
 }
 
-val families : string list
-(** The four family tags, in report order. *)
-
 type model
 (** The exact law of one matrix with its precomputed signed moments —
     build once, evaluate many times (the ratio-attack harness calls
@@ -80,6 +77,5 @@ val run :
 
 val failed_families : verdict -> string list
 
-val check_json : check -> Ctg_obs.Jsonx.t
 val verdict_json : verdict -> Ctg_obs.Jsonx.t
 val pp_verdict : Format.formatter -> verdict -> unit

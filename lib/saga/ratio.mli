@@ -31,9 +31,6 @@ type fault = Value of Ctg_fault.Plan.value_fault | Rng of Ctg_fault.Plan.rng_fau
 
 type severity = { label : string; fault : fault }
 
-val default_severities : severity list
-val smoke_severities : severity list
-
 type config = {
   n : int;  (** Ring degree; 64. *)
   sigma : string;

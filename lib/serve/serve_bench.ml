@@ -167,18 +167,25 @@ let entry_json e =
       ("healthy", Bool e.healthy);
     ]
 
-let save path entries =
-  let j =
-    Jsonx.Obj
-      [
-        ("bench", Str "serve");
-        ("slo_mult", Num slo_mult);
-        ("floor_ns", Num floor_ns);
-        ("entries", List (List.map entry_json entries));
-      ]
-  in
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Jsonx.pretty j);
-      output_char oc '\n')
+let to_json entries =
+  Jsonx.Obj
+    [
+      ("bench", Str "serve");
+      ("slo_mult", Num slo_mult);
+      ("floor_ns", Num floor_ns);
+      ("entries", List (List.map entry_json entries));
+    ]
 
-let pp_entry fmt e = Format.pp_print_string fmt (Jsonx.to_string (entry_json e))
+let save path entries =
+  let oc = open_out path in
+  output_string oc (Jsonx.pretty (to_json entries));
+  output_char oc '\n';
+  close_out oc
+
+let pp_entry fmt e =
+  Format.fprintf fmt
+    "n=%-4d sigma=%-4s %d tenants x %d req: direct=%8.0f ns/sig  p50=%8.0f ns  \
+     p99=%8.0f ns (slo %8.0f)  batch mean=%.2f  shed=%d  healthy=%b"
+    e.n e.sigma e.tenants
+    (if e.tenants = 0 then 0 else e.requests / e.tenants)
+    e.direct_ns e.p50_ns e.p99_ns e.slo_ns e.mean_batch e.shed e.healthy

@@ -49,6 +49,6 @@ val measure :
   entry
 
 val ok : entry -> bool
+val to_json : entry list -> Ctg_obs.Jsonx.t
 val save : string -> entry list -> unit
 val pp_entry : Format.formatter -> entry -> unit
-(** The entry as compact JSON, as the overhead gates print theirs. *)

@@ -40,52 +40,67 @@ let test_retry_rule () =
 
 (* ---- The pass rule ---- *)
 
-(* The saga row's pass rule on synthetic cases: both arms run the same
-   spin loop, the gated arm [gated] times per pass, and the tail reports
-   [pass].  Only the gated overhead against the threshold and the row's
-   [pass] check may fail an entry. *)
+(* Synthetic cases on the saga row: a spin-loop baseline, the arms
+   given, and a tail that reports [pass].  Only the gated overhead
+   against the threshold and the row's [pass] check may fail an entry. *)
 let spin ~lane:_ =
   let x = ref 0 in
   for i = 1 to 1_000_000 do
     x := Sys.opaque_identity (!x + i)
   done
 
-let pass_rule_row cases =
+let spins k ~lane = for _ = 1 to k do spin ~lane done
+
+let spin_arm ?(increment = false) name run =
+  { H.ns = name ^ "_ns"; pct = name ^ "_pct"; traced = false; increment; run }
+
+let spin_case ?(pass = true) arms () =
   {
-    Rows.saga with
-    H.threshold_pct = 50.0;
-    attempts = 1;
-    cases =
-      (fun _ ->
-        List.map
-          (fun (gated, pass) () ->
-            let run =
-              if gated = 1 then spin
-              else fun ~lane -> for _ = 1 to gated do spin ~lane done
-            in
-            {
-              H.head = [];
-              ops = 1;
-              base = ("base_ns", spin);
-              arms =
-                [ { H.ns = "gated_ns"; pct = "overhead_pct"; traced = false; run } ];
-              tail = (fun () -> [ ("pass", Jsonx.Bool pass) ]);
-            })
-          cases);
+    H.head = [];
+    ops = 1;
+    base = ("base_ns", spin);
+    arms;
+    tail = (fun () -> [ ("pass", Jsonx.Bool pass) ]);
   }
 
-let test_pass_rule () =
-  let sizes =
+let measure_spin cases =
+  H.measure
+    { Rows.saga with
+      H.threshold_pct = 50.0; attempts = 1; cases = (fun _ -> cases) }
     { H.set = []; samples = 1; rounds = 1; min_time = 0.01; smoke = true }
-  in
-  let row = pass_rule_row [ (1, true); (1, false); (4, true) ] in
-  match H.measure row sizes with
+
+let test_pass_rule () =
+  match
+    measure_spin
+      [
+        spin_case [ spin_arm "gated" spin ];
+        spin_case ~pass:false [ spin_arm "gated" spin ];
+        spin_case [ spin_arm "gated" (spins 4) ];
+      ]
+  with
   | None -> Alcotest.fail "row unavailable"
   | Some report ->
     Alcotest.(check (list bool))
       "clean / pass false / gated arm 300% over" [ true; false; false ]
       (List.map (fun (e : H.entry) -> e.ok) report.entries);
     Alcotest.(check bool) "report fails" false (H.ok report)
+
+(* An increment arm times only what it adds to the baseline pass: doing
+   nothing it reads 0% (a whole-pass arm doing nothing reads −100%), one
+   more spin about +100%, and its ns is the baseline's plus its own. *)
+let test_increment () =
+  let inc = spin_arm ~increment:true in
+  let case = spin_case [ inc "none" (fun ~lane:_ -> ()); inc "spin" spin ] in
+  match measure_spin [ case ] with
+  | Some { entries = [ e ]; _ } ->
+    let v k =
+      match List.assoc_opt k e.fields with Some (Jsonx.Num v) -> v | _ -> nan
+    in
+    let within k lo hi = Alcotest.(check bool) k true (v k >= lo && v k < hi) in
+    within "none_pct" 0.0 1.0;
+    within "spin_pct" 30.0 300.0;
+    Alcotest.(check bool) "ns over the baseline" true (v "spin_ns" > v "base_ns")
+  | _ -> Alcotest.fail "one entry expected"
 
 (* ---- The trajectory keys survive ---- *)
 
@@ -154,6 +169,8 @@ let () =
           Alcotest.test_case "shared retry rule" `Quick test_retry_rule;
           Alcotest.test_case "tail check and threshold fail an entry" `Quick
             test_pass_rule;
+          Alcotest.test_case "an increment arm adds its run to the baseline"
+            `Quick test_increment;
         ] );
       ( "trajectory",
         List.map
