@@ -20,7 +20,7 @@ module Client = Ctg_net.Client
 (* ------------------------------------------------------------------ *)
 
 let config_of ~n ~sigma ~port ~host ~queue ~batch ~linger ~domains ~workers
-    ~no_check ~trace ~rtev ~rtev_custom ~pause_budget_ms =
+    ~no_check ~trace ~rtev ~pause_budget_ms =
   {
     Serve.Daemon.default_config with
     n;
@@ -34,8 +34,7 @@ let config_of ~n ~sigma ~port ~host ~queue ~batch ~linger ~domains ~workers
     http_workers = workers;
     check = not no_check;
     trace;
-    rtev = rtev || rtev_custom || pause_budget_ms > 0.0;
-    rtev_custom;
+    rtev = rtev || pause_budget_ms > 0.0;
     pause_budget_ms;
   }
 
@@ -56,10 +55,10 @@ let common_args =
 (* ------------------------------------------------------------------ *)
 
 let run n sigma host port queue batch linger domains workers no_check trace
-    rtev rtev_custom pause_budget_ms =
+    rtev pause_budget_ms =
   let config =
     config_of ~n ~sigma ~port ~host ~queue ~batch ~linger ~domains ~workers
-      ~no_check ~trace ~rtev ~rtev_custom ~pause_budget_ms
+      ~no_check ~trace ~rtev ~pause_budget_ms
   in
   Format.printf "compiling sigma=%s sampler and starting daemon...@." sigma;
   let d = Serve.Daemon.create config in
@@ -71,9 +70,8 @@ let run n sigma host port queue batch linger domains workers no_check trace
     Format.printf "  GET /v1/trace[?request_id=R]  (tracing enabled)@.";
   if config.rtev then
     Format.printf
-      "  runtime telemetry: %s (gc_pause_ns, serve_gc_pause_ns%s%s)@."
+      "  runtime telemetry: %s (gc_pause_ns, serve_gc_pause_ns%s)@."
       (if Serve.Daemon.rtev_active d then "on" else "UNAVAILABLE")
-      (if rtev_custom then ", custom span events" else "")
       (if pause_budget_ms > 0.0 then
          Printf.sprintf ", %gms pause budget" pause_budget_ms
        else "");
@@ -147,13 +145,6 @@ let run_cmd =
                    split (serve_gc_pause_ns), and — with $(b,--trace) — GC \
                    pause spans merged into /v1/trace slices.")
   in
-  let rtev_custom =
-    Arg.(value & flag
-         & info [ "rtev-custom" ]
-             ~doc:"Also mirror every trace span begin/end as a Runtime_events \
-                   custom event (ctg.<name>) for external tooling such as \
-                   olly.  Implies $(b,--rtev).")
-  in
   let pause_budget_ms =
     Arg.(value & opt float 0.0
          & info [ "pause-budget-ms" ] ~docv:"MS"
@@ -164,8 +155,7 @@ let run_cmd =
   let doc = "serve Falcon signatures over HTTP until SIGINT/SIGTERM" in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ n $ sigma $ host $ port $ queue $ batch $ linger
-          $ domains $ workers $ no_check $ trace $ rtev $ rtev_custom
-          $ pause_budget_ms)
+          $ domains $ workers $ no_check $ trace $ rtev $ pause_budget_ms)
 
 (* ------------------------------------------------------------------ *)
 (* client                                                              *)

@@ -2,9 +2,7 @@
 
      ctg_stats expose --sigma 2 -n 100000 [--format json]
      ctg_stats ctmon                     # CT monitor across the sampler zoo
-     ctg_stats trace -o trace.json       # demo trace: sign + engine chunks
      ctg_stats prof [--json FILE] [--trace FILE]  # alloc-by-span profile
-     ctg_stats pauses [--json FILE] [--trace FILE]  # real GC pause report
 
    Exit codes: [ctmon] fails (1) when a claimed-CT sampler violates, or
    when the monitor does not fire on the non-CT reference.  The
@@ -186,44 +184,6 @@ let ctmon_cmd =
   Cmd.v (Cmd.info "ctmon" ~doc) Term.(const ctmon $ samples)
 
 (* ------------------------------------------------------------------ *)
-(* trace                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let trace_demo output =
-  Obs.Trace.enable ();
-  (* A small Falcon instance: all four sign stages land in the trace. *)
-  let params = F.Params.custom ~n:64 in
-  let rng = Bs.of_chacha (Ctg_prng.Chacha20.of_seed "ctg-stats-trace") in
-  let kp = F.Keygen.generate params rng in
-  let sampler =
-    Ctg_engine.Registry.lookup Ctg_engine.Registry.global ~sigma:"2"
-      ~precision:16 ~tail_cut:13 ()
-  in
-  let base = F.Base_sampler.of_instance (Sig.of_bitsliced sampler) in
-  let s = F.Sign.sign kp base rng ~msg:(Bytes.of_string "trace demo") in
-  ignore (F.Codec.encode_signature ~salt:s.F.Sign.salt ~s2:s.F.Sign.s2);
-  (* And a parallel engine job for per-domain chunk spans. *)
-  let pool = Ctg_engine.Pool.create ~domains:2 ~seed:"ctg-stats-trace" sampler in
-  ignore (Ctg_engine.Pool.batch_parallel pool ~n:(63 * 64));
-  Ctg_engine.Pool.shutdown pool;
-  Obs.Trace.disable ();
-  Obs.Trace.write output;
-  Format.printf "wrote %s: %d events (%d dropped)@." output
-    (List.length (Obs.Trace.events ()))
-    (Obs.Trace.dropped ())
-
-let trace_cmd =
-  let output =
-    Arg.(value & opt string "trace.json" & info [ "output"; "o" ] ~docv:"FILE"
-           ~doc:"Chrome trace_event JSON output path.")
-  in
-  let doc =
-    "Produce a demonstration trace: one Falcon signature (hash-to-point, \
-     ffSampling, NTT, encode) plus a 2-domain engine job."
-  in
-  Cmd.v (Cmd.info "trace" ~doc) Term.(const trace_demo $ output)
-
-(* ------------------------------------------------------------------ *)
 (* prof                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -232,9 +192,9 @@ let prof_run json_out trace_out =
   Ctg_prof.Prof.enable ~registry ~rtev:true ();
   Ctg_prof.Prof.reset ();
   Obs.Trace.reset ();
-  (* The same demo workload as [trace], now profiled: a Falcon signing
-     batch (per-message "sign" spans) and a 2-domain engine job whose
-     chunk spans are flow-linked to the submitting span. *)
+  (* The demo workload: a Falcon signing batch (per-message "sign" spans)
+     and a 2-domain engine job whose chunk spans are flow-linked to the
+     submitting span. *)
   let params = F.Params.custom ~n:64 in
   let rng = Bs.of_chacha (Ctg_prng.Chacha20.of_seed "ctg-stats-prof") in
   let kp = F.Keygen.generate params rng in
@@ -300,155 +260,6 @@ let prof_cmd =
      allocated, plus the GC pauses from the Runtime_events ring."
   in
   Cmd.v (Cmd.info "prof" ~doc) Term.(const prof_run $ json_out $ trace_out)
-
-(* ------------------------------------------------------------------ *)
-(* pauses                                                              *)
-(* ------------------------------------------------------------------ *)
-
-module Rtev = Ctg_rtev.Rtev
-
-(* Forced-GC workload for the pause report: a single-domain sampling fill
-   (steady allocation pressure), a 2-domain engine job (pauses land on
-   more than one runtime domain slot), and one [Gc.compact] so even a
-   quiet heap reports a deterministic stop-the-world pause. *)
-let pauses_workload ~smoke () =
-  let sampler =
-    Ctg_engine.Registry.lookup Ctg_engine.Registry.global ~sigma:"2"
-      ~precision:16 ~tail_cut:13 ()
-  in
-  let reps = if smoke then 4 else 12 in
-  let n = 63 * (if smoke then 300 else 1000) in
-  for lane = 0 to reps - 1 do
-    let rng =
-      Ctg_engine.Stream_fork.bitstream ~health:false ~seed:"ctg-stats-pauses"
-        ~lane ()
-    in
-    let s = Ctgauss.Sampler.clone sampler in
-    let filled = ref 0 in
-    while !filled < n do
-      filled := !filled + Array.length (Ctgauss.Sampler.batch_signed s rng)
-    done;
-    ignore (Rtev.poll ())
-  done;
-  let pool = Ctg_engine.Pool.create ~domains:2 ~seed:"ctg-stats-pauses" sampler in
-  ignore (Ctg_engine.Pool.batch_parallel pool ~n);
-  Ctg_engine.Pool.shutdown pool;
-  Gc.compact ();
-  ignore (Rtev.poll ())
-
-let pauses_json registry =
-  let stats = Rtev.domain_stats () in
-  let module J = Obs.Jsonx in
-  let agg =
-    Obs.Registry.histo_summary (Obs.Registry.histo registry "gc_pause_ns")
-  in
-  J.Obj
-    [
-      ("report", J.Str "gc-pauses");
-      ("pauses", J.Num (float_of_int (Rtev.pause_count ())));
-      ("minor_pauses", J.Num (float_of_int (Rtev.minor_pause_count ())));
-      ("total_pause", J.Num (float_of_int (Rtev.total_pause_ns ())));
-      ("pause_max", J.Num (float_of_int (Rtev.max_pause_ns ())));
-      ("pause_p50_obs", J.Num (float_of_int agg.Obs.Histo.p50));
-      ("pause_p99_obs", J.Num (float_of_int agg.Obs.Histo.p99));
-      ("lost_events", J.Num (float_of_int (Rtev.lost_events ())));
-      ( "domains",
-        J.List
-          (List.map
-             (fun (d : Rtev.domain_stats) ->
-               J.Obj
-                 [
-                   ("ring", J.Num (float_of_int d.ring));
-                   ("pauses", J.Num (float_of_int d.pauses));
-                   ("minor_pauses", J.Num (float_of_int d.minor_pauses));
-                   ("total_pause", J.Num (float_of_int d.total_ns));
-                   ("pause_max", J.Num (float_of_int d.max_ns));
-                 ])
-             stats) );
-    ]
-
-let pauses_run smoke json_out trace_out =
-  let registry = Obs.Registry.create () in
-  let trace = trace_out <> None in
-  if trace then Obs.Trace.enable ();
-  if not (Rtev.start ~registry ~trace ()) then begin
-    Format.printf
-      "runtime telemetry UNAVAILABLE: the Runtime_events ring could not be \
-       started, so no GC pause can be measured in this environment@.";
-    exit 2
-  end;
-  pauses_workload ~smoke ();
-  Format.printf "gc pauses by runtime domain slot (forced-GC workload):@.@.";
-  Format.printf "  %4s %8s %8s %14s %14s@." "ring" "pauses" "minor" "total ns"
-    "max ns";
-  List.iter
-    (fun (d : Rtev.domain_stats) ->
-      Format.printf "  %4d %8d %8d %14d %14d@." d.ring d.pauses d.minor_pauses
-        d.total_ns d.max_ns)
-    (Rtev.domain_stats ());
-  let agg =
-    Obs.Registry.histo_summary (Obs.Registry.histo registry "gc_pause_ns")
-  in
-  Format.printf
-    "@.total: %d pauses (%d minor), %.3f ms paused, max %.3f ms, p50 %d ns, \
-     p99 %d ns%s@."
-    (Rtev.pause_count ())
-    (Rtev.minor_pause_count ())
-    (float_of_int (Rtev.total_pause_ns ()) /. 1e6)
-    (float_of_int (Rtev.max_pause_ns ()) /. 1e6)
-    agg.Obs.Histo.p50 agg.Obs.Histo.p99
-    (if Rtev.lost_events () > 0 then
-       Printf.sprintf " (%d lost event words)" (Rtev.lost_events ())
-     else "");
-  (match json_out with
-  | None -> ()
-  | Some path ->
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (Obs.Jsonx.pretty (pauses_json registry));
-        output_char oc '\n');
-    Format.printf "wrote %s@." path);
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-    Obs.Trace.write path;
-    Format.printf "wrote %s: %d events (%d dropped)@." path
-      (List.length (Obs.Trace.events ()))
-      (Obs.Trace.dropped ());
-    Obs.Trace.disable ());
-  let pauses = Rtev.pause_count () in
-  Rtev.stop ();
-  if pauses = 0 then begin
-    Format.printf
-      "FAIL: no GC pause decoded from the runtime ring on a forced-GC \
-       workload@.";
-    exit 1
-  end
-  else Format.printf "OK: real per-domain pause telemetry captured@."
-
-let pauses_cmd =
-  let smoke =
-    Arg.(value & flag
-         & info [ "smoke" ]
-             ~doc:"CI-sized run: fewer fill reps, smaller batches.")
-  in
-  let json_out =
-    Arg.(value & opt (some string) None
-         & info [ "json" ] ~docv:"FILE"
-             ~doc:"Write the per-domain pause report as JSON.")
-  in
-  let trace_out =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write a Chrome trace with GC pause spans on synthetic \
-                   per-domain tracks (tid = 1000 + ring).")
-  in
-  let doc =
-    "Consume the Runtime_events ring over a forced-GC workload and report \
-     true per-domain GC pause durations (count/minor/total/max plus \
-     registry quantiles).  Exits 1 when no pause was decoded, 2 when the \
-     ring cannot start."
-  in
-  Cmd.v (Cmd.info "pauses" ~doc) Term.(const pauses_run $ smoke $ json_out $ trace_out)
 
 (* ------------------------------------------------------------------ *)
 (* watch / serve / assure: the continuous-assurance commands            *)
@@ -938,14 +749,14 @@ let saga_cmd =
 
 let () =
   let doc =
-    "observability companion: exposition, CT monitor, traces, \
-     continuous assurance, acceptance battery"
+    "observability companion: exposition, CT monitor, allocation \
+     profile, continuous assurance, acceptance battery"
   in
   let info = Cmd.info "ctg_stats" ~version:"1.0" ~doc in
   exit
     (Cmd.eval
        (Cmd.group info
           [
-            expose_cmd; ctmon_cmd; trace_cmd; prof_cmd;
-            pauses_cmd; watch_cmd; serve_cmd; assure_cmd; saga_cmd;
+            expose_cmd; ctmon_cmd; prof_cmd; watch_cmd; serve_cmd;
+            assure_cmd; saga_cmd;
           ]))

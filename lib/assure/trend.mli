@@ -30,9 +30,6 @@ type record = {
           ["BENCH_gates.json.entries[sigma=1,precision=16].gates"]. *)
 }
 
-val default_files : string list
-(** The BENCH baselines scanned, in scan order. *)
-
 val collect : ?files:string list -> dir:string -> unit -> record
 (** Read and flatten the baselines present under [dir] (missing or
     unparseable files are skipped), stamped with the current time and

@@ -64,11 +64,6 @@ let rounded_div a b =
   let a_adj = if sign b >= 0 then a else neg a in
   fdiv (add (shift_left a_adj 1) b_pos) (shift_left b_pos 1)
 
-let divexact a b =
-  let q, r = ediv_rem a b in
-  assert (is_zero r);
-  q
-
 let equal a b = a.neg = b.neg && Nat.equal a.mag b.mag
 
 let compare a b =

@@ -40,9 +40,6 @@ val cdiv : t -> t -> t
 val rounded_div : t -> t -> t
 (** Division rounded to the nearest integer (ties toward +inf). *)
 
-val divexact : t -> t -> t
-(** Exact division; asserts remainder is zero. *)
-
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val is_zero : t -> bool

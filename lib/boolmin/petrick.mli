@@ -6,7 +6,3 @@
 val cover : ones:int list -> primes:Cube.t list -> Cube.t list
 (** Minimum-cardinality cover of [ones] (ties broken by literal count).
     Assumes every minterm of [ones] is covered by some prime. *)
-
-val max_products : int ref
-(** Expansion budget before falling back to the greedy cover (default
-    4_000 partial products, checked before the quadratic absorption pass). *)

@@ -19,31 +19,6 @@ let collect t want =
 let ones t = collect t On
 let dontcares t = collect t Dc
 
-let of_cubes ~vars ~on ~dc =
-  let t = create ~vars ~default:Off in
-  List.iter (fun c -> List.iter (fun m -> set t m Dc) (Cube.minterms ~vars c)) dc;
-  List.iter (fun c -> List.iter (fun m -> set t m On) (Cube.minterms ~vars c)) on;
-  t
-
-let equal_function a b =
-  a.vars = b.vars
-  && begin
-       let n = 1 lsl a.vars in
-       let rec go m =
-         if m >= n then true
-         else begin
-           let ok =
-             match (a.cells.(m), b.cells.(m)) with
-             | On, On | Off, Off -> true
-             | Dc, _ | _, Dc -> true
-             | On, Off | Off, On -> false
-           in
-           ok && go (m + 1)
-         end
-       in
-       go 0
-     end
-
 let implements t f =
   let n = 1 lsl t.vars in
   let rec go m =

@@ -13,12 +13,6 @@ val get : t -> int -> value
 val ones : t -> int list
 val dontcares : t -> int list
 
-val of_cubes : vars:int -> on:Cube.t list -> dc:Cube.t list -> t
-(** Don't-cares that collide with on-set minterms resolve to [On]. *)
-
-val equal_function : t -> t -> bool
-(** Same on-set and off-set (don't-cares may differ). *)
-
 val implements : t -> (int -> bool) -> bool
 (** [implements t f]: [f] agrees with [t] on every non-don't-care minterm.
     Exhaustive over the 2^vars inputs. *)

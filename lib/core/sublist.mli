@@ -24,6 +24,3 @@ type t = {
 }
 
 val build : Ctg_kyao.Leaf_enum.t -> t
-
-val payload_of_leaf : window:int -> Ctg_kyao.Leaf_enum.leaf -> Ctg_boolmin.Cube.t
-(** The cube over window variables fixed by a leaf's payload bits. *)

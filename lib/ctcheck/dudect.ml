@@ -3,11 +3,10 @@ type clazz = Fix | Random
 type config = {
   measurements : int;
   threshold : float;
-  crop_percentile : float;
 }
 
 let default_config =
-  { measurements = 50_000; threshold = 4.5; crop_percentile = 0.95 }
+  { measurements = 50_000; threshold = 4.5 }
 
 type report = {
   t_statistic : float;
@@ -74,63 +73,12 @@ let acc_report a =
 (* One-shot runs                                                     *)
 (* ---------------------------------------------------------------- *)
 
-let run_classes ~config ~measure =
-  let rng = Ctg_prng.Splitmix64.create default_seed in
-  let fix = ref [] and rnd = ref [] in
-  for _ = 1 to 2 * config.measurements do
-    let clazz = if Ctg_prng.Splitmix64.next_int rng 2 = 0 then Fix else Random in
-    let v = measure clazz in
-    match clazz with
-    | Fix -> fix := v :: !fix
-    | Random -> rnd := v :: !rnd
-  done;
-  (Array.of_list !fix, Array.of_list !rnd)
-
-let percentile arr p =
-  let sorted = Array.copy arr in
-  Array.sort Stdlib.compare sorted;
-  let idx =
-    min (Array.length sorted - 1)
-      (int_of_float (p *. float_of_int (Array.length sorted)))
-  in
-  sorted.(idx)
-
-let report_of ~config ~crop fix rnd =
-  let fix, rnd =
-    if crop then begin
-      let all = Array.append fix rnd in
-      let cut = percentile all config.crop_percentile in
-      let keep a = Array.of_list (List.filter (fun x -> x <= cut) (Array.to_list a)) in
-      (keep fix, keep rnd)
-    end
-    else (fix, rnd)
-  in
-  let mf = Ctg_stats.Moments.of_array fix in
-  let mr = Ctg_stats.Moments.of_array rnd in
-  let t = Ctg_stats.Welch.t_statistic mf mr in
-  {
-    t_statistic = t;
-    leaky = abs_float t > config.threshold;
-    samples_per_class = min (Array.length fix) (Array.length rnd);
-    mean_fix = Ctg_stats.Moments.mean mf;
-    mean_random = Ctg_stats.Moments.mean mr;
-  }
-
 let test_ops ?(config = default_config) f =
   let a = acc ~config () in
   for _ = 1 to 2 * config.measurements do
     acc_step a (fun c -> float_of_int (f c))
   done;
   acc_report a
-
-let test_time ?(config = default_config) f =
-  let measure c =
-    let t0 = Unix.gettimeofday () in
-    f c;
-    (Unix.gettimeofday () -. t0) *. 1e9
-  in
-  let fix, rnd = run_classes ~config ~measure in
-  report_of ~config ~crop:true fix rnd
 
 let pp_report fmt r =
   Format.fprintf fmt "t=%+.2f %s (n=%d/class, mean fix=%.2f random=%.2f)"

@@ -4,19 +4,15 @@
 
     Two input classes (fix vs. random) are interleaved randomly and a
     Welch t-test compares their measurement distributions.  Because OCaml's
-    GC makes wall-clock noisy, measurements can be either [`Time] (cycles
-    via [Unix.gettimeofday], with the usual percentile cropping) or
-    [`Ops] (the deterministic work counters every sampler exposes), the
-    latter giving an exact witness; see DESIGN.md. *)
+    GC makes wall-clock noisy, the measurements are the deterministic work
+    counters every sampler exposes, which give an exact witness; see
+    DESIGN.md. *)
 
 type clazz = Fix | Random
 
 type config = {
   measurements : int;  (** per class, default 50_000 *)
   threshold : float;  (** |t| above this flags a leak; dudect uses 4.5 *)
-  crop_percentile : float;
-      (** Discard measurements above this sample percentile before the
-          test (time mode only, tames GC/interrupt outliers); 0.95. *)
 }
 
 val default_config : config
@@ -40,9 +36,8 @@ type report = {
     Determinism: a whole run is a pure function of [(seed, config,
     measure)] — feeding the same deterministic measure twice from the same
     seed produces {e bit-identical} reports (same class sequence, same
-    Welford fold order).  No cropping is applied, which matches Ops-counter
-    measurements (they have no GC/interrupt outliers to tame); use
-    {!test_time} for wall-clock data. *)
+    Welford fold order).  No cropping is applied: Ops-counter measurements
+    have no GC/interrupt outliers to tame. *)
 
 type acc
 
@@ -51,15 +46,12 @@ val acc : ?config:config -> ?seed:int64 -> unit -> acc
     interleaving. *)
 
 val acc_next_class : acc -> clazz
-(** Draw the next class from the interleaving stream.  Pair each call with
-    exactly one {!acc_add} of that class to keep the balanced-classes
-    property of the seeded stream. *)
-
-val acc_add : acc -> clazz -> float -> unit
-(** Fold one measurement into its class moments. *)
+(** Draw the next class from the interleaving stream (what {!acc_step}
+    measures next). *)
 
 val acc_step : acc -> (clazz -> float) -> unit
-(** [acc_next_class] + measure + [acc_add] in one call. *)
+(** [acc_next_class] + measure + fold the measurement into its class
+    moments, in one call. *)
 
 val acc_count : acc -> int
 (** Total measurements folded so far (both classes). *)
@@ -73,9 +65,5 @@ val test_ops : ?config:config -> (clazz -> int) -> report
 (** [test_ops f]: [f clazz] performs one operation of the given input class
     and returns its deterministic work count.  Runs [2 × measurements]
     steps of a fresh default-seeded accumulator. *)
-
-val test_time : ?config:config -> (clazz -> unit) -> report
-(** Wall-clock variant; measures [f clazz] in nanoseconds and crops above
-    [crop_percentile] before the test. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -10,19 +10,6 @@ type failure = {
 
 exception Failed of failure
 
-let pp_failure fmt f =
-  if f.index < 0 then
-    Format.fprintf fmt
-      "selftest integrity check failed for sigma=%s: gate-table digest \
-       differs from the one recorded at compile time"
-      f.sigma
-  else begin
-    let show = function Some v -> string_of_int v | None -> "-" in
-    Format.fprintf fmt
-      "selftest KAT %d failed for sigma=%s: reference %s, compiled %s" f.index
-      f.sigma (show f.expected) (show f.got)
-  end
-
 let default_strings = 512
 
 (* KAT inputs are fixed for all time: the all-zeros and all-ones strings

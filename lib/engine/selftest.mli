@@ -37,13 +37,10 @@ type failure = {
 
 exception Failed of failure
 
-val pp_failure : Format.formatter -> failure -> unit
-
-val default_strings : int
-(** 512 vectors — sub-millisecond at Falcon parameters, and ample to catch
-    any single-gate corruption that survives structural validation. *)
-
 val run : ?strings:int -> Ctgauss.Sampler.t -> (unit, failure) result
+(** [strings] defaults to 512 vectors — sub-millisecond at Falcon
+    parameters, and ample to catch any single-gate corruption that
+    survives structural validation. *)
 
 val check : ?strings:int -> Ctgauss.Sampler.t -> unit
 (** @raise Failed on the first disagreeing vector. *)

@@ -51,9 +51,6 @@ module Workq : sig
   val aborted : t -> bool
   val done_count : t -> int
 
-  val last_progress : t -> int
-  (** Stamp passed to the most recent {!complete} (or {!create}). *)
-
   val claim : t -> int option
   (** Next item to run: orphans first, then the cursor; [None] once the
       job is exhausted or aborted. *)

@@ -24,7 +24,6 @@ let make level n =
 let level1 = make Level1 256
 let level2 = make Level2 512
 let level3 = make Level3 1024
-let of_level = function Level1 -> level1 | Level2 -> level2 | Level3 -> level3
 let all = [ level1; level2; level3 ]
 
 let name t =

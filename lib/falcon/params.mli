@@ -21,7 +21,6 @@ type t = {
 val level1 : t
 val level2 : t
 val level3 : t
-val of_level : level -> t
 val all : t list
 val name : t -> string
 

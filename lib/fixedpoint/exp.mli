@@ -8,6 +8,3 @@
 
 val exp_neg : Fixed.t -> Fixed.t
 (** [exp_neg x] is [e^-x] at the precision of [x], for [x >= 0]. *)
-
-val taylor_terms : int ref
-(** Diagnostic: number of Taylor terms used by the last call. *)

@@ -32,19 +32,12 @@ val response :
   string -> response
 (** Defaults: status 200, [text/plain; charset=utf-8], no extra headers. *)
 
-val status_text : int -> string
-(** Reason phrase for the status codes this stack emits. *)
-
 type handler = request -> response
 (** Runs on a worker domain; exceptions become a 500. *)
 
 type route = string * (unit -> response)
 (** Exact path (query string stripped before matching) and its handler —
     the legacy GET-only route table of the metrics endpoint. *)
-
-val handler_of_routes : route list -> handler
-(** GET-only routing: non-GET methods yield 405, unknown paths 404,
-    handler exceptions 500. *)
 
 val query_param : request -> string -> string option
 val header : request -> string -> string option
@@ -64,17 +57,14 @@ val gen_request_id : unit -> string
 
 val valid_request_id : string -> bool
 
-val percent_decode : string -> string
-val parse_query : string -> (string * string) list
-
 val handle : routes:route list -> string -> response
 (** Pure routing step: look up the path, run the handler, wrap handler
     exceptions as 500.  Unknown paths yield 404. *)
 
 val handle_request : routes:route list -> string -> response
-(** [handler_of_routes] applied to a raw request text; non-GET methods
-    yield 405 and malformed request lines 400.  Exposed for in-process
-    tests. *)
+(** GET-only routing over a raw request text: non-GET methods yield 405,
+    unknown paths 404, malformed request lines 400 and handler exceptions
+    500.  Exposed for in-process tests. *)
 
 type server
 

@@ -1,3 +1,2 @@
 let t0 = Unix.gettimeofday ()
 let now_ns () = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
-let now_us () = (Unix.gettimeofday () -. t0) *. 1e6

@@ -10,7 +10,3 @@
 val now_ns : unit -> int
 (** Nanoseconds since the process loaded this module.  Fits an OCaml int
     for ~292 years of uptime. *)
-
-val now_us : unit -> float
-(** Microseconds since load, fractional — the unit Chrome's trace viewer
-    expects in [ts] and [dur] fields. *)

@@ -149,7 +149,6 @@ type gc_observer =
 let gc_observer : gc_observer option Atomic.t = Atomic.make None
 
 let set_gc_capture on = Atomic.set gc_capture on
-let gc_capture_enabled () = Atomic.get gc_capture
 let set_gc_observer obs = Atomic.set gc_observer obs
 
 (* Cumulative process-wide GC pause counter, installed by Ctg_rtev.  When
@@ -159,27 +158,18 @@ let set_gc_observer obs = Atomic.set gc_observer obs
 let pause_source : (unit -> int) option Atomic.t = Atomic.make None
 let set_pause_source src = Atomic.set pause_source src
 
-(* Span begin/end mirror, installed by Ctg_rtev when [--rtev-custom] asks
-   for spans to be re-emitted as Runtime_events custom events.  Called as
-   [sink name is_begin] on the recording domain. *)
-let span_sink : (string -> bool -> unit) option Atomic.t = Atomic.make None
-let set_span_sink sink = Atomic.set span_sink sink
-
 let words w = Printf.sprintf "%.0f" w
 
 let with_span ?(cat = "ctg") ?args name f =
   if not (Atomic.get enabled) then f ()
   else begin
     let gc = Atomic.get gc_capture in
-    let sink = Atomic.get span_sink in
-    (match sink with Some s -> s name true | None -> ());
     let psrc = if gc then Atomic.get pause_source else None in
     let m0, p0, j0 = if gc then Gc.counters () else (0.0, 0.0, 0.0) in
     let z0 = match psrc with Some f -> f () | None -> 0 in
     let t0 = Clock.now_ns () in
     let finish () =
       let dur_ns = Clock.now_ns () - t0 in
-      (match sink with Some s -> s name false | None -> ());
       let gc_args =
         if not gc then []
         else begin

@@ -102,8 +102,6 @@ val set_gc_capture : bool -> unit
 (** Capture per-span [Gc.counters] word deltas (only while tracing is
     enabled; the disabled fast path is unchanged).  Off by default. *)
 
-val gc_capture_enabled : unit -> bool
-
 type gc_observer =
   name:string -> minor:float -> promoted:float -> major:float ->
   pause_ns:int -> dur_ns:int -> unit
@@ -121,12 +119,6 @@ val set_pause_source : (unit -> int) option -> unit
     it to the {!gc_observer} — wall time minus that delta approximates
     the span's mutator work time.  Installed by [Ctg_rtev] (obs cannot
     depend on rtev, so the dependency is inverted through this hook). *)
-
-val set_span_sink : (string -> bool -> unit) option -> unit
-(** Mirror every span begin/end to [sink name is_begin] (only while
-    tracing is enabled).  [Ctg_rtev] installs a sink that re-emits spans
-    as Runtime_events {e custom} events so external tooling (e.g. olly)
-    can observe sampler batch and sign phases without our trace format. *)
 
 val inject : event -> unit
 (** Push a fully-specified event into the calling domain's ring (no-op

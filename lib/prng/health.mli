@@ -60,7 +60,6 @@ val units_checked : t -> int
 
 val rct_cutoff : int
 val apt_window : int
-val apt_cutoff : int
 
 val stuck_window : int
 (** In sampled units: one window spans [4 * stuck_window] scanned units. *)
@@ -68,5 +67,3 @@ val stuck_window : int
 val ones_window_units : int
 (** In sampled units: one window spans [4 * ones_window_units] scanned
     units. *)
-
-val ones_slack : int

@@ -95,21 +95,6 @@ end
 (* Consumer state                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type domain_stats = {
-  ring : int;
-  pauses : int;
-  minor_pauses : int;
-  total_ns : int;
-  max_ns : int;
-}
-
-type ring_acc = {
-  mutable a_pauses : int;
-  mutable a_minor : int;
-  mutable a_total : int;
-  mutable a_max : int;
-}
-
 type ring_handles = {
   h_pause : Obs.Registry.histo;
   h_minor : Obs.Registry.histo;
@@ -135,14 +120,12 @@ type state = {
   mutable trace : bool;
   mutable offset_ns : int option;  (* Obs clock - runtime clock *)
   mutable decode : Decode.t;
-  mutable per_ring : (int * ring_acc) list;
   mutable handles : (int * ring_handles) list;
   mutable agg : agg_handles option;
   mutable pending_trace : Decode.pause list;  (* pauses awaiting the offset *)
   mutable budget_ns : int option;
   mutable rid_source : (unit -> string option) option;
   mutable pause_observer : (Decode.pause -> unit) option;
-  mutable custom_counts : (string * int ref) list;
   mutable poller : unit Domain.t option;
   poller_stop : bool Atomic.t;
   (* Readable without the lock (trace pause source, /metrics glue). *)
@@ -150,7 +133,6 @@ type state = {
   c_count : int Atomic.t;
   c_minor : int Atomic.t;
   c_max : int Atomic.t;
-  c_lost : int Atomic.t;
   c_breach : int Atomic.t;
 }
 
@@ -166,46 +148,26 @@ let st =
     trace = false;
     offset_ns = None;
     decode = Decode.create ();
-    per_ring = [];
     handles = [];
     agg = None;
     pending_trace = [];
     budget_ns = None;
     rid_source = None;
     pause_observer = None;
-    custom_counts = [];
     poller = None;
     poller_stop = Atomic.make false;
     c_total = Atomic.make 0;
     c_count = Atomic.make 0;
     c_minor = Atomic.make 0;
     c_max = Atomic.make 0;
-    c_lost = Atomic.make 0;
     c_breach = Atomic.make 0;
   }
 
-(* Custom-event tags.  [Ctg_clock_sync] carries an Obs.Clock timestamp to
-   solve the monotonic-vs-epoch clock offset; [Ctg_span] mirrors trace
-   spans for external tooling. *)
-type RE.User.tag += Ctg_clock_sync | Ctg_span
+(* Custom-event tag: [Ctg_clock_sync] carries an Obs.Clock timestamp to
+   solve the monotonic-vs-epoch clock offset. *)
+type RE.User.tag += Ctg_clock_sync
 
 let sync_event = lazy (RE.User.register "ctg.sync" Ctg_clock_sync RE.Type.int)
-
-let span_events : (string, RE.Type.span RE.User.t) Hashtbl.t = Hashtbl.create 32
-let span_events_mu = Mutex.create ()
-
-let span_event name =
-  Mutex.lock span_events_mu;
-  let ev =
-    match Hashtbl.find_opt span_events name with
-    | Some ev -> ev
-    | None ->
-      let ev = RE.User.register ("ctg." ^ name) Ctg_span RE.Type.span in
-      Hashtbl.add span_events name ev;
-      ev
-  in
-  Mutex.unlock span_events_mu;
-  ev
 
 let ts_to_ns ts = Int64.to_int (RE.Timestamp.to_int64 ts)
 
@@ -244,14 +206,6 @@ let ring_handles ring =
     st.handles <- (ring, h) :: st.handles;
     h
 
-let ring_acc ring =
-  match List.assoc_opt ring st.per_ring with
-  | Some a -> a
-  | None ->
-    let a = { a_pauses = 0; a_minor = 0; a_total = 0; a_max = 0 } in
-    st.per_ring <- (ring, a) :: st.per_ring;
-    a
-
 (* ---------------- pause handling (under st.mu) --------------------- *)
 
 let inject_pause (p : Decode.pause) offset =
@@ -276,11 +230,6 @@ let handle_pause (p : Decode.pause) =
   Atomic.set st.c_count (Atomic.get st.c_count + 1);
   if p.minor then Atomic.set st.c_minor (Atomic.get st.c_minor + 1);
   if p.dur_ns > Atomic.get st.c_max then Atomic.set st.c_max p.dur_ns;
-  let acc = ring_acc p.ring in
-  acc.a_pauses <- acc.a_pauses + 1;
-  if p.minor then acc.a_minor <- acc.a_minor + 1;
-  acc.a_total <- acc.a_total + p.dur_ns;
-  if p.dur_ns > acc.a_max then acc.a_max <- p.dur_ns;
   let agg = agg_handles () in
   let h = ring_handles p.ring in
   let rid =
@@ -308,53 +257,31 @@ let handle_pause (p : Decode.pause) =
   end;
   match st.pause_observer with Some f -> f p | None -> ()
 
-let bump_custom name =
-  match List.assoc_opt name st.custom_counts with
-  | Some r -> incr r
-  | None -> st.custom_counts <- (name, ref 1) :: st.custom_counts
-
 let make_callbacks () =
-  let consumed = ref 0 in
   let cb =
     RE.Callbacks.create
       ~runtime_begin:(fun ring ts phase ->
-        incr consumed;
         Decode.on_begin st.decode ~ring ~ts_ns:(ts_to_ns ts)
           ~phase:(RE.runtime_phase_name phase)
           ~cls:(Decode.classify phase))
       ~runtime_end:(fun ring ts _phase ->
-        incr consumed;
         match Decode.on_end st.decode ~ring ~ts_ns:(ts_to_ns ts) with
         | Some p -> handle_pause p
         | None -> ())
       ~lost_events:(fun ring n ->
         Decode.on_lost st.decode ~ring;
-        Atomic.set st.c_lost (Atomic.get st.c_lost + n);
         Obs.Registry.add (agg_handles ()).g_lost n)
       ()
   in
-  let cb =
-    (* Clock sync: payload is Obs.Clock.now_ns at write time; the event's
-       own timestamp is the runtime clock — their difference is the
-       offset trace injection needs. *)
-    RE.Callbacks.add_user_event RE.Type.int
-      (fun _ring ts user v ->
-        incr consumed;
-        match RE.User.tag user with
-        | Ctg_clock_sync -> st.offset_ns <- Some (v - ts_to_ns ts)
-        | _ -> ())
-      cb
-  in
-  let cb =
-    RE.Callbacks.add_user_event RE.Type.span
-      (fun _ring _ts user _v ->
-        incr consumed;
-        match RE.User.tag user with
-        | Ctg_span -> bump_custom (RE.User.name user)
-        | _ -> ())
-      cb
-  in
-  (cb, consumed)
+  (* Clock sync: payload is Obs.Clock.now_ns at write time; the event's
+     own timestamp is the runtime clock — their difference is the offset
+     trace injection needs. *)
+  RE.Callbacks.add_user_event RE.Type.int
+    (fun _ring ts user v ->
+      match RE.User.tag user with
+      | Ctg_clock_sync -> st.offset_ns <- Some (v - ts_to_ns ts)
+      | _ -> ())
+    cb
 
 (* ---------------- polling ------------------------------------------ *)
 
@@ -426,8 +353,7 @@ let start ?registry ?(trace = false) () =
       (match st.callbacks with
       | Some _ -> ()
       | None ->
-        let cb, _consumed = make_callbacks () in
-        st.callbacks <- Some cb);
+        st.callbacks <- Some (make_callbacks ()));
       ignore (agg_handles ());
       st.active <- true;
       ignore (poll_locked ());
@@ -490,25 +416,7 @@ let pause_count () = Atomic.get st.c_count
 let minor_pause_count () = Atomic.get st.c_minor
 let total_pause_ns () = Atomic.get st.c_total
 let max_pause_ns () = Atomic.get st.c_max
-let lost_events () = Atomic.get st.c_lost
 let budget_breaches () = Atomic.get st.c_breach
-
-let domain_stats () =
-  Mutex.lock st.mu;
-  let rows =
-    List.map
-      (fun (ring, a) ->
-        {
-          ring;
-          pauses = a.a_pauses;
-          minor_pauses = a.a_minor;
-          total_ns = a.a_total;
-          max_ns = a.a_max;
-        })
-      st.per_ring
-  in
-  Mutex.unlock st.mu;
-  List.sort (fun a b -> compare a.ring b.ring) rows
 
 let reset_stats () =
   Mutex.lock st.mu;
@@ -516,9 +424,7 @@ let reset_stats () =
   Atomic.set st.c_count 0;
   Atomic.set st.c_minor 0;
   Atomic.set st.c_max 0;
-  Atomic.set st.c_lost 0;
   Atomic.set st.c_breach 0;
-  st.per_ring <- [];
   Mutex.unlock st.mu
 
 let set_rid_source src =
@@ -535,29 +441,6 @@ let set_pause_observer obs =
   Mutex.lock st.mu;
   st.pause_observer <- obs;
   Mutex.unlock st.mu
-
-(* ---------------- custom span mirroring ---------------------------- *)
-
-let span_sink name is_begin =
-  if st.ring_started then
-    try
-      RE.User.write (span_event name)
-        (if is_begin then RE.Type.Begin else RE.Type.End)
-    with _ -> ()
-
-let enable_custom_spans () =
-  Mutex.lock st.mu;
-  (try ensure_ring_started () with _ -> ());
-  Mutex.unlock st.mu;
-  Obs.Trace.set_span_sink (Some span_sink)
-
-let disable_custom_spans () = Obs.Trace.set_span_sink None
-
-let custom_span_counts () =
-  Mutex.lock st.mu;
-  let counts = List.map (fun (n, r) -> (n, !r)) st.custom_counts in
-  Mutex.unlock st.mu;
-  List.sort compare counts
 
 (* ---------------- overhead-bench toggles --------------------------- *)
 

@@ -79,14 +79,6 @@ module Decode : sig
       half-observed span can no longer be timed truthfully. *)
 end
 
-type domain_stats = {
-  ring : int;
-  pauses : int;
-  minor_pauses : int;
-  total_ns : int;
-  max_ns : int;
-}
-
 val start : ?registry:Ctg_obs.Registry.t -> ?trace:bool -> unit -> bool
 (** Start the runtime ring (idempotent), create the self cursor, bind
     the metrics [registry] (default {!Obs.Registry.default}) and run a
@@ -118,14 +110,9 @@ val total_pause_ns : unit -> int
     the last {!reset_stats}) — the value behind the trace pause source. *)
 
 val max_pause_ns : unit -> int
-val lost_events : unit -> int
-
-val domain_stats : unit -> domain_stats list
-(** Per-ring pause accounting, sorted by ring. *)
-
 val reset_stats : unit -> unit
-(** Zero the counters and per-ring stats (registry metrics and the
-    decoder state are untouched) — used by bench to window per-σ runs. *)
+(** Zero the counters (registry metrics and the decoder state are
+    untouched) — used by bench to window per-σ runs. *)
 
 val set_rid_source : (unit -> string option) option -> unit
 (** Ask the embedding layer (the daemon) which request id is currently
@@ -151,20 +138,6 @@ val install_trace_pause_source : unit -> unit
     deltas are visible even without the background poller). *)
 
 val pause_source_value : unit -> int
-
-val enable_custom_spans : unit -> unit
-(** Mirror every {!Obs.Trace.with_span} begin/end as a Runtime_events
-    {e custom} event named [ctg.<span-name>] (type [span]), so external
-    consumers ([olly], custom cursors) can observe sampler-batch and
-    sign phases without our trace file format.  Starts the runtime ring
-    if needed. *)
-
-val disable_custom_spans : unit -> unit
-
-val custom_span_counts : unit -> (string * int) list
-(** How many of our own custom span events the consumer has read back
-    per event name (begins + ends) — proves the external-tooling path
-    round-trips. *)
 
 val suspend_collection : unit -> unit
 (** [Runtime_events.pause]: stop the runtime writing to the ring (the

@@ -38,7 +38,6 @@ type config = {
   key_seed : string;
   trace : bool;
   rtev : bool;
-  rtev_custom : bool;
   pause_budget_ms : float;
 }
 
@@ -62,7 +61,6 @@ let default_config =
     key_seed = "ctg-serve-key";
     trace = false;
     rtev = false;
-    rtev_custom = false;
     pause_budget_ms = 0.0;
   }
 
@@ -210,8 +208,9 @@ let run_batch_traced t (reqs : sign_request array) : sign_result array =
    service histograms, [serve_gc_pause_ns] records the GC pause time that
    landed during each batch run (the rtev cumulative counter sampled
    around it, with an opportunistic consumer poll on each read), carrying
-   the batch's first request id as exemplar — a pause outlier in
-   /metrics links to a real request's trace slice. *)
+   the batch's first request id as exemplar — a pause outlier names a
+   real request's trace slice (through Registry.exemplars; /metrics
+   prints no exemplars). *)
 let run_batch t (reqs : sign_request array) : sign_result array =
   match t.serve_gc_pause with
   | None -> run_batch_traced t reqs
@@ -544,7 +543,6 @@ let create ?(listen = true) config =
                   config.pause_budget_ms)
            else None)
      end);
-    if config.rtev_custom then Rtev.enable_custom_spans ();
     Rtev.start_poller ()
   end;
   if listen then
@@ -587,7 +585,6 @@ let stop t =
     if t.rtev_on then begin
       Rtev.set_rid_source None;
       if t.config.pause_budget_ms > 0.0 then Rtev.set_pause_budget_ns None;
-      if t.config.rtev_custom then Rtev.disable_custom_spans ();
       Rtev.stop ()
     end;
     ignore (Assure.Drift.flush (Assure.Monitor.drift t.monitor));

@@ -28,7 +28,9 @@
     Every [POST /v1/sign] response carries [X-Request-Id] (adopted from
     the client or generated — see {!Ctg_net.Http.request_id}); the
     latency histogram keeps the ids of its largest observations as
-    exemplars, so a p99 outlier in [/metrics] links to its trace slice.
+    exemplars.  [/metrics] prints none of them: read them through
+    {!Ctg_obs.Registry.exemplars} or {!Ctg_obs.Registry.to_json} on
+    {!registry}.
 
     Determinism: each request gets a {!Ctg_engine.Stream_fork} lane from
     an atomic counter at submit time, so its signature depends only on
@@ -61,11 +63,6 @@ type config = {
           request id as exemplar), a background poller, and — with
           [trace] — GC pause spans merged into [/v1/trace] slices.
           Default off. *)
-  rtev_custom : bool;
-      (** Additionally mirror every trace span begin/end as a
-          Runtime_events {e custom} event ([ctg.<name>], type [span])
-          for external tooling such as olly.  Implies nothing without
-          [rtev]. *)
   pause_budget_ms : float;
       (** When > 0 (and [rtev]), any single GC pause longer than this
           budget registers a [gc_pause_budget] monitor failure — i.e.

@@ -28,7 +28,6 @@ type entry = {
 }
 
 val slo_mult : float
-val floor_ns : float
 
 val load : Daemon.t -> tenants:string array -> per_tenant:int -> float array
 (** The load driver: one domain per tenant, each on its own keep-alive

@@ -27,8 +27,6 @@ module Internal : sig
     | Broadcast_op : Obj.t -> unit Effect.t
     | Spawn_op : (unit -> unit) -> int Effect.t
     | Join_op : int -> unit Effect.t
-
-  val relax_token : Obj.t
 end
 
 module Atomic : sig

@@ -1,11 +1,12 @@
 (* Tests for the ctg_rtev Runtime_events consumer: the pure pause decoder
    (driven by a synthetic feed — runtime timestamps cannot be fabricated),
    live forced-GC capture from the process's own ring, per-domain
-   attribution, trace injection on the synthetic per-domain tracks,
-   custom span round-trips and the pause budget. *)
+   attribution, trace injection on the synthetic per-domain tracks and
+   the pause budget. *)
 
 module Obs = Ctg_obs
 module Registry = Ctg_obs.Registry
+module Promtext = Ctg_obs.Promtext
 module Trace = Ctg_obs.Trace
 module Rtev = Ctg_rtev.Rtev
 module Decode = Ctg_rtev.Rtev.Decode
@@ -141,6 +142,22 @@ let churn () =
   ignore (Sys.opaque_identity !keep);
   Gc.compact ()
 
+(* The per-domain pause series [handle_pause] writes to [registry]:
+   [(domain, sample)] for every [name] sample labelled with a domain,
+   e.g. [gc_pauses_total] or [gc_pause_ns_sum]. *)
+let domain_series registry name =
+  match Promtext.parse (Registry.expose_text registry) with
+  | Error e -> Alcotest.failf "exposition does not parse: %s" e
+  | Ok items ->
+    List.filter_map
+      (fun (n, labels, v) ->
+        match List.assoc_opt "domain" labels with
+        | Some d when n = name -> Some (d, int_of_float v)
+        | _ -> None)
+      (Promtext.samples items)
+
+let sum_series = List.fold_left (fun a (_, v) -> a + v) 0
+
 let test_live_forced_gc_capture () =
   let registry = Registry.create () in
   Alcotest.(check bool) "consumer starts" true
@@ -162,12 +179,12 @@ let test_live_forced_gc_capture () =
     (agg.Obs.Histo.count > 0);
   Alcotest.(check bool) "registry max nonzero" true (agg.Obs.Histo.max > 0);
   (* Per-ring attribution adds up to the aggregate. *)
-  let stats = Rtev.domain_stats () in
-  Alcotest.(check bool) "per-ring stats exist" true (stats <> []);
-  let sum = List.fold_left (fun a d -> a + d.Rtev.pauses) 0 stats in
-  Alcotest.(check int) "ring pauses sum to total" (Rtev.pause_count ()) sum;
-  let total = List.fold_left (fun a d -> a + d.Rtev.total_ns) 0 stats in
-  Alcotest.(check int) "ring ns sum to total" (Rtev.total_pause_ns ()) total
+  let counts = domain_series registry "gc_pauses_total" in
+  Alcotest.(check bool) "per-ring series exist" true (counts <> []);
+  Alcotest.(check int) "ring pauses sum to total" agg.Obs.Histo.count
+    (sum_series counts);
+  Alcotest.(check int) "ring ns sum to total" agg.Obs.Histo.sum
+    (sum_series (domain_series registry "gc_pause_ns_sum"))
 
 let test_live_multi_domain_attribution () =
   let registry = Registry.create () in
@@ -181,19 +198,21 @@ let test_live_multi_domain_attribution () =
   churn ();
   Array.iter Domain.join workers;
   ignore (Rtev.poll ());
-  let stats = Rtev.domain_stats () in
+  let counts = domain_series registry "gc_pauses_total" in
   Alcotest.(check bool)
     (Printf.sprintf "pauses attributed to >= 2 rings (saw %d)"
-       (List.length stats))
+       (List.length counts))
     true
-    (List.length stats >= 2);
+    (List.length counts >= 2);
+  let maxes = domain_series registry "gc_pause_ns_max" in
   List.iter
-    (fun d ->
+    (fun (ring, total) ->
+      let max_ns = List.assoc ring maxes in
       Alcotest.(check bool)
-        (Printf.sprintf "ring %d total covers its max" d.Rtev.ring)
+        (Printf.sprintf "ring %s total covers its max" ring)
         true
-        (d.Rtev.total_ns >= d.Rtev.max_ns && d.Rtev.max_ns > 0))
-    stats
+        (total >= max_ns && max_ns > 0))
+    (domain_series registry "gc_pause_ns_sum")
 
 let test_live_trace_injection () =
   let registry = Registry.create () in
@@ -229,25 +248,6 @@ let test_live_trace_injection () =
         (abs (now - e.Trace.ts_ns) < 600 * 1_000_000_000))
     gc_spans
 
-let test_live_custom_span_roundtrip () =
-  let registry = Registry.create () in
-  Trace.reset ();
-  Trace.enable ();
-  Alcotest.(check bool) "consumer starts" true (Rtev.start ~registry ());
-  Rtev.enable_custom_spans ();
-  Trace.with_span "rtev_probe" (fun () ->
-      Trace.with_span "rtev_inner" (fun () -> ()));
-  ignore (Rtev.poll ());
-  Rtev.disable_custom_spans ();
-  Trace.disable ();
-  let counts = Rtev.custom_span_counts () in
-  let count name =
-    match List.assoc_opt name counts with Some n -> n | None -> 0
-  in
-  (* Begin + end for each span; both came back through the ring. *)
-  Alcotest.(check int) "outer span round-trips" 2 (count "ctg.rtev_probe");
-  Alcotest.(check int) "inner span round-trips" 2 (count "ctg.rtev_inner")
-
 let test_live_pause_budget () =
   let registry = Registry.create () in
   Alcotest.(check bool) "consumer starts" true (Rtev.start ~registry ());
@@ -265,8 +265,7 @@ let test_live_pause_budget () =
   (* reset_stats clears the glue counters. *)
   Rtev.reset_stats ();
   Alcotest.(check int) "breaches reset" 0 (Rtev.budget_breaches ());
-  Alcotest.(check int) "pauses reset" 0 (Rtev.pause_count ());
-  Alcotest.(check (list reject)) "rings reset" [] (Rtev.domain_stats ())
+  Alcotest.(check int) "pauses reset" 0 (Rtev.pause_count ())
 
 let test_pause_source_counts_up () =
   let registry = Registry.create () in
@@ -303,7 +302,6 @@ let () =
           live "forced-GC capture" test_live_forced_gc_capture;
           live "multi-domain attribution" test_live_multi_domain_attribution;
           live "trace injection" test_live_trace_injection;
-          live "custom span round-trip" test_live_custom_span_roundtrip;
           live "pause budget" test_live_pause_budget;
           live "opportunistic pause source" test_pause_source_counts_up;
         ] );
