@@ -1,12 +1,15 @@
-(* ctg_stats: the observability companion tool.
+(* ctg_stats: the statistical-assurance companion tool.
 
-     ctg_stats expose --sigma 2 -n 100000 [--format json]
      ctg_stats ctmon                     # CT monitor across the sampler zoo
      ctg_stats prof [--json FILE] [--trace FILE]  # alloc-by-span profile
+     ctg_stats assure [--json FILE]      # soak + leak and drift controls
+     ctg_stats saga [--smoke] [--json FILE]  # acceptance battery
 
    Exit codes: [ctmon] fails (1) when a claimed-CT sampler violates, or
-   when the monitor does not fire on the non-CT reference.  The
-   instrumentation-overhead gate is [bench obs]. *)
+   when the monitor does not fire on the non-CT reference; [assure] and
+   [saga] fail (1) when a clean run alarms or a control does not fire.
+   The timing-channel audit is [bench dudect]; the instrumentation-overhead
+   gate is [bench obs]. *)
 
 open Cmdliner
 module Obs = Ctg_obs
@@ -15,91 +18,8 @@ module Sig = Ctg_samplers.Sampler_sig
 module F = Ctg_falcon
 
 (* ------------------------------------------------------------------ *)
-(* expose                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let expose sigma precision tail_cut count domains format =
-  let sampler =
-    Ctg_engine.Registry.lookup Ctg_engine.Registry.global ~sigma ~precision
-      ~tail_cut ()
-  in
-  let pool = Ctg_engine.Pool.create ~domains ~seed:"ctg-stats-expose" sampler in
-  ignore (Ctg_engine.Pool.batch_parallel pool ~n:count);
-  let registry = Ctg_engine.Metrics.registry (Ctg_engine.Pool.metrics pool) in
-  Ctg_engine.Pool.shutdown pool;
-  (match format with
-  | "text" ->
-    print_string (Obs.Registry.expose_text registry);
-    (* The process-wide registry carries the compile-cache and Falcon
-       series; only print it when something landed there. *)
-    let global = Obs.Registry.expose_text Obs.Registry.default in
-    if global <> "" then print_string global
-  | "json" ->
-    let j =
-      Obs.Jsonx.Obj
-        [
-          ("pool", Obs.Registry.to_json registry);
-          ("process", Obs.Registry.to_json Obs.Registry.default);
-        ]
-    in
-    print_endline (Obs.Jsonx.pretty j)
-  | other -> failwith (Printf.sprintf "unknown format %S" other))
-
-let expose_cmd =
-  let sigma =
-    Arg.(value & opt string "2" & info [ "sigma" ] ~docv:"SIGMA"
-           ~doc:"Standard deviation of the sampler to exercise.")
-  in
-  let precision =
-    Arg.(value & opt int 16 & info [ "precision"; "p" ] ~docv:"N"
-           ~doc:"Probability precision.")
-  in
-  let tail_cut =
-    Arg.(value & opt int 13 & info [ "tail-cut" ] ~docv:"TAU" ~doc:"Tail cut.")
-  in
-  let count =
-    Arg.(value & opt int 63_000 & info [ "count"; "n" ] ~docv:"COUNT"
-           ~doc:"Samples to draw before exposing.")
-  in
-  let domains =
-    Arg.(value & opt int 2 & info [ "domains"; "d" ] ~docv:"P"
-           ~doc:"Worker domains.")
-  in
-  let format =
-    Arg.(value & opt string "text" & info [ "format"; "f" ] ~docv:"FMT"
-           ~doc:"Exposition format: text or json.")
-  in
-  let doc =
-    "Run a short batch job and print the metrics registry (deterministic \
-     Prometheus-style text, or JSON)."
-  in
-  Cmd.v (Cmd.info "expose" ~doc)
-    Term.(const expose $ sigma $ precision $ tail_cut $ count $ domains $ format)
-
-(* ------------------------------------------------------------------ *)
 (* ctmon                                                               *)
 (* ------------------------------------------------------------------ *)
-
-(* Monitor the bitsliced sampler per batch, replicating the engine's
-   fallback attribution. *)
-let monitor_bitsliced registry sampler ~batches =
-  let ctmon =
-    Obs.Ctmon.create ~registry
-      ~labels:[ ("sampler", "bitsliced"); ("sigma", Ctgauss.Sampler.sigma sampler) ]
-      ()
-  in
-  let rng = Bs.of_chacha (Ctg_prng.Chacha20.of_seed "ctmon-bitsliced") in
-  for _ = 1 to batches do
-    let bits0 = Bs.bits_consumed rng in
-    let res0 = Ctgauss.Sampler.resamples sampler in
-    ignore (Ctgauss.Sampler.batch_signed sampler rng);
-    Obs.Ctmon.observe_batch ctmon
-      ~bits:(Bs.bits_consumed rng - bits0)
-      ~samples:Ctgauss.Bitslice.lanes
-      ~fallback:(Ctgauss.Sampler.resamples sampler > res0)
-      ()
-  done;
-  ctmon
 
 (* Monitor a scalar sampler instance per sample ("batch" of one). *)
 let monitor_instance registry (inst : Sig.instance) ~samples =
@@ -116,10 +36,10 @@ let monitor_instance registry (inst : Sig.instance) ~samples =
 
 let ctmon samples =
   let registry = Obs.Registry.create () in
-  let matrix = Ctg_kyao.Matrix.create ~sigma:"2" ~precision:24 ~tail_cut:13 in
-  let enum = Ctg_kyao.Leaf_enum.enumerate matrix in
-  let bitsliced = Ctgauss.Sampler.of_enum enum in
-  let table = Ctg_samplers.Cdt_table.of_matrix matrix in
+  let sampler =
+    Ctg_engine.Registry.lookup Ctg_engine.Registry.global ~sigma:"2"
+      ~precision:128 ~tail_cut:13 ()
+  in
   let failures = ref [] in
   let check name ~claimed_ct ctmon =
     let v = Obs.Ctmon.violations ctmon in
@@ -135,32 +55,33 @@ let ctmon samples =
     fires
   in
   Format.printf "CT monitor: bits drawn per batch must be constant@.@.";
-  ignore
-    (check "bitsliced(2)" ~claimed_ct:true
-       (monitor_bitsliced registry bitsliced ~batches:(samples / 63)));
-  let zoo =
-    [
-      Ctg_samplers.Cdt_samplers.linear_ct table;
-      Ctg_samplers.Cdt_samplers.binary_search table;
-      Ctg_samplers.Cdt_samplers.byte_scan table;
-    ]
+  let bitsliced, scalars =
+    match Ctg_samplers.Cdt_samplers.zoo sampler with
+    | b :: rest -> (b, rest)
+    | [] -> assert false
   in
+  (* The bitsliced row is the engine's own monitor: a pool over the
+     registry's kernel-bound sampler, as the daemon runs it, whose worker
+     checks the bits of every batch. *)
+  let pool = Ctg_engine.Pool.create ~domains:1 ~seed:"ctmon-bitsliced" sampler in
+  ignore (Ctg_engine.Pool.batch_parallel pool ~n:samples);
+  ignore
+    (check bitsliced.Sig.name ~claimed_ct:bitsliced.Sig.constant_time
+       (Ctg_engine.Pool.ctmon pool));
+  Ctg_engine.Pool.shutdown pool;
   List.iter
     (fun (inst : Sig.instance) ->
-      ignore
-        (check inst.Sig.name ~claimed_ct:inst.Sig.constant_time
-           (monitor_instance registry inst ~samples)))
-    zoo;
-  (* The deliberately non-constant-time reference: the scalar Knuth-Yao
-     walk consumes one bit per tree level, so its draw length varies and
-     the monitor must fire. *)
-  let reference = Sig.knuth_yao_reference matrix in
-  let fired =
-    check reference.Sig.name ~claimed_ct:false
-      (monitor_instance registry reference ~samples)
-  in
-  if not fired then
-    failures := "knuth-yao-ref: monitor failed to fire on a non-CT walk" :: !failures;
+      let fired =
+        check inst.Sig.name ~claimed_ct:inst.Sig.constant_time
+          (monitor_instance registry inst ~samples)
+      in
+      (* The deliberately non-constant-time reference: the scalar
+         Knuth-Yao walk consumes one bit per tree level, so its draw
+         length varies and the monitor must fire. *)
+      if inst.Sig.name = "knuth-yao-ref" && not fired then
+        failures :=
+          "knuth-yao-ref: monitor failed to fire on a non-CT walk" :: !failures)
+    scalars;
   Format.printf
     "@.(the CDT variants all draw one fixed-width value per attempt: their \
      randomness@.channel is constant even when their *time* is not — the \
@@ -174,7 +95,7 @@ let ctmon samples =
 let ctmon_cmd =
   let samples =
     Arg.(value & opt int 63_000 & info [ "samples"; "n" ] ~docv:"N"
-           ~doc:"Samples (or batches x 63) per monitored sampler.")
+           ~doc:"Samples per monitored sampler.")
   in
   let doc =
     "Run the constant-time monitor across the sampler zoo: claimed-CT \
@@ -262,7 +183,7 @@ let prof_cmd =
   Cmd.v (Cmd.info "prof" ~doc) Term.(const prof_run $ json_out $ trace_out)
 
 (* ------------------------------------------------------------------ *)
-(* watch / serve / assure: the continuous-assurance commands            *)
+(* assure: the continuous-assurance smoke                              *)
 (* ------------------------------------------------------------------ *)
 
 module Assure = Ctg_assure
@@ -298,121 +219,6 @@ let print_status soak ~elapsed =
   | Assure.Monitor.Healthy -> Format.printf "  verdict HEALTHY@."
   | Assure.Monitor.Failing fs ->
     List.iter (fun f -> Format.printf "  verdict FAILING: %s@." f) fs
-
-let soak_loop soak ~duration ~on_frame =
-  let t0 = Unix.gettimeofday () in
-  let last_frame = ref 0.0 in
-  let continue = ref true in
-  while !continue do
-    Assure.Soak.tick soak;
-    let now = Unix.gettimeofday () in
-    if now -. !last_frame >= 1.0 then begin
-      last_frame := now;
-      on_frame (now -. t0)
-    end;
-    if duration > 0.0 && now -. t0 >= duration then continue := false
-  done;
-  Unix.gettimeofday () -. t0
-
-let watch sigma precision tail_cut duration domains window =
-  let soak = make_soak ~sigma ~precision ~tail_cut ~window ~domains () in
-  let elapsed =
-    soak_loop soak ~duration ~on_frame:(fun elapsed ->
-        (* Home + clear-to-end keeps the frame in place on a terminal and
-           degrades to plain appended frames when piped. *)
-        if Unix.isatty Unix.stdout then Format.printf "\x1b[H\x1b[2J";
-        Format.printf "ctg_stats watch — continuous assurance@.@.";
-        print_status soak ~elapsed)
-  in
-  print_status soak ~elapsed;
-  let healthy = Assure.Monitor.healthy (Assure.Soak.monitor soak) in
-  Assure.Soak.shutdown soak;
-  if not healthy then exit 1
-
-let watch_cmd =
-  let sigma =
-    Arg.(value & opt string "2" & info [ "sigma" ] ~docv:"SIGMA"
-           ~doc:"Standard deviation of the monitored sampler.")
-  in
-  let precision =
-    Arg.(value & opt int 128 & info [ "precision"; "p" ] ~docv:"N"
-           ~doc:"Probability precision.")
-  in
-  let tail_cut =
-    Arg.(value & opt int 13 & info [ "tail-cut" ] ~docv:"TAU" ~doc:"Tail cut.")
-  in
-  let duration =
-    Arg.(value & opt float 0.0 & info [ "duration"; "t" ] ~docv:"SECONDS"
-           ~doc:"Stop after this long; 0 runs until interrupted.")
-  in
-  let domains =
-    Arg.(value & opt (some int) None & info [ "domains"; "d" ] ~docv:"P"
-           ~doc:"Worker domains (default: recommended count).")
-  in
-  let window =
-    Arg.(value & opt int 100_000 & info [ "window" ] ~docv:"N"
-           ~doc:"Samples per drift test window.")
-  in
-  let doc =
-    "Live terminal view of the assurance monitors: drift windows, running \
-     dudect |t|, CT monitor and the rolled-up health verdict, refreshed \
-     every second over an in-process soak."
-  in
-  Cmd.v (Cmd.info "watch" ~doc)
-    Term.(const watch $ sigma $ precision $ tail_cut $ duration $ domains $ window)
-
-let serve sigma precision tail_cut port duration domains window =
-  let soak = make_soak ~sigma ~precision ~tail_cut ~window ~domains () in
-  let server =
-    Ctg_net.Http.start ~port ~routes:(Assure.Soak.routes soak) ()
-  in
-  Format.printf
-    "serving http://127.0.0.1:%d/metrics (also /healthz, /drift.json)@."
-    (Ctg_net.Http.port server);
-  Format.printf "%s@."
-    (if duration > 0.0 then Printf.sprintf "soaking for %.0fs" duration
-     else "soaking until interrupted");
-  ignore (soak_loop soak ~duration ~on_frame:(fun _ -> ()));
-  let healthy = Assure.Monitor.healthy (Assure.Soak.monitor soak) in
-  Ctg_net.Http.stop server;
-  Assure.Soak.shutdown soak;
-  if not healthy then exit 1
-
-let serve_cmd =
-  let sigma =
-    Arg.(value & opt string "2" & info [ "sigma" ] ~docv:"SIGMA"
-           ~doc:"Standard deviation of the monitored sampler.")
-  in
-  let precision =
-    Arg.(value & opt int 128 & info [ "precision"; "p" ] ~docv:"N"
-           ~doc:"Probability precision.")
-  in
-  let tail_cut =
-    Arg.(value & opt int 13 & info [ "tail-cut" ] ~docv:"TAU" ~doc:"Tail cut.")
-  in
-  let port =
-    Arg.(value & opt int 9464 & info [ "port" ] ~docv:"PORT"
-           ~doc:"Listen port; 0 picks a free one.")
-  in
-  let duration =
-    Arg.(value & opt float 0.0 & info [ "duration"; "t" ] ~docv:"SECONDS"
-           ~doc:"Stop after this long; 0 runs until interrupted.")
-  in
-  let domains =
-    Arg.(value & opt (some int) None & info [ "domains"; "d" ] ~docv:"P"
-           ~doc:"Worker domains (default: recommended count).")
-  in
-  let window =
-    Arg.(value & opt int 100_000 & info [ "window" ] ~docv:"N"
-           ~doc:"Samples per drift test window.")
-  in
-  let doc =
-    "Soak the sampler while serving /metrics (Prometheus text), /healthz \
-     (verdict JSON; 503 when failing) and /drift.json over HTTP."
-  in
-  Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const serve $ sigma $ precision $ tail_cut $ port $ duration
-          $ domains $ window)
 
 (* The CI smoke: a clean soak must stay quiet, and both controls — the
    non-CT Knuth-Yao reference for the leak assessor, a bias-injected lane
@@ -607,18 +413,7 @@ let saga smoke samples seed json_out =
           Ctg_engine.Registry.lookup Ctg_engine.Registry.global ~sigma
             ~precision ~tail_cut:13 ()
         in
-        let matrix = Ctgauss.Sampler.matrix sampler in
-        let model = Battery.model matrix in
-        let table = Ctg_samplers.Cdt_table.of_matrix matrix in
-        let zoo =
-          [
-            Sig.of_bitsliced (Ctgauss.Sampler.clone sampler);
-            Ctg_samplers.Cdt_samplers.linear_ct table;
-            Ctg_samplers.Cdt_samplers.binary_search table;
-            Ctg_samplers.Cdt_samplers.byte_scan table;
-            Sig.knuth_yao_reference matrix;
-          ]
-        in
+        let model = Battery.model (Ctgauss.Sampler.matrix sampler) in
         List.map
           (fun inst ->
             let v = Battery.run ~config ~seed model inst in
@@ -629,7 +424,7 @@ let saga smoke samples seed json_out =
                   v.Battery.backend sigma
                 :: !failures;
             v)
-          zoo)
+          (Ctg_samplers.Cdt_samplers.zoo sampler))
       set
   in
   (* Seeded-bias controls: each family must fire on the fault built to
@@ -749,14 +544,11 @@ let saga_cmd =
 
 let () =
   let doc =
-    "observability companion: exposition, CT monitor, allocation \
-     profile, continuous assurance, acceptance battery"
+    "statistical-assurance companion: CT monitor, allocation profile, \
+     continuous assurance, acceptance battery"
   in
   let info = Cmd.info "ctg_stats" ~version:"1.0" ~doc in
   exit
     (Cmd.eval
        (Cmd.group info
-          [
-            expose_cmd; ctmon_cmd; prof_cmd; watch_cmd; serve_cmd;
-            assure_cmd; saga_cmd;
-          ]))
+          [ ctmon_cmd; prof_cmd; assure_cmd; saga_cmd ]))

@@ -30,8 +30,13 @@ let read_key file =
 let make_base sampler =
   match sampler with
   | "bitsliced" ->
-    let s = Ctgauss.Sampler.create ~sigma:"2" ~precision:128 ~tail_cut:13 () in
-    F.Base_sampler.of_instance (Ctg_samplers.Sampler_sig.of_bitsliced s)
+    (* The serving sampler: kernel-bound and self-tested by the registry. *)
+    let s =
+      Ctg_engine.Registry.lookup Ctg_engine.Registry.global ~sigma:"2"
+        ~precision:128 ~tail_cut:13 ()
+    in
+    F.Base_sampler.of_instance
+      (Ctg_samplers.Sampler_sig.of_bitsliced (Ctgauss.Sampler.clone s))
   | "byte-scan" | "cdt" | "linear-ct" ->
     let m = Ctg_kyao.Matrix.create ~sigma:"2" ~precision:128 ~tail_cut:13 in
     let table = Ctg_samplers.Cdt_table.of_matrix m in

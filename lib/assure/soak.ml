@@ -69,5 +69,4 @@ let leak t = t.leak
 let ticks t = t.ticks
 let samples t = Drift.samples (Monitor.drift t.monitor)
 let registry t = Ctg_engine.Metrics.registry (Pool.metrics t.pool)
-let routes t = Monitor.routes t.monitor ~registry:(registry t)
 let shutdown t = Pool.shutdown t.pool

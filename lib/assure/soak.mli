@@ -4,8 +4,8 @@
     Each {!tick} pushes [batch] samples through the pool (feeding the
     drift monitor via the chunk observers) and runs [leak_steps]
     background dudect probes, so a long {!run} interleaves production-like
-    sampling with continuous leakage assessment — the process behind both
-    [ctg_stats watch] and the CI soak. *)
+    sampling with continuous leakage assessment — the process behind
+    [ctg_stats assure], the CI soak. *)
 
 type t
 
@@ -44,9 +44,6 @@ val samples : t -> int
 val registry : t -> Ctg_obs.Registry.t
 (** The pool's metrics registry — engine, ctmon and assure series
     together; what [/metrics] exposes. *)
-
-val routes : t -> Ctg_net.Http.route list
-(** {!Monitor.routes} over {!registry}. *)
 
 val shutdown : t -> unit
 

@@ -44,7 +44,7 @@ val create : domains:int -> ?labels:Ctg_obs.Registry.labels -> unit -> t
     (convention: [sigma], [sampler]) are stamped on every series. *)
 
 val registry : t -> Ctg_obs.Registry.t
-(** The backing registry, for exposition ([ctg_stats expose]-style). *)
+(** The backing registry, for exposition ([/metrics]). *)
 
 val totals : t -> Ctg_obs.Ctmon.totals
 (** The batch, bit and sample counters {!record} adds to, for a

@@ -9,11 +9,11 @@ type key = {
 }
 
 (* Cache traffic and compile latency go to the process-wide registry:
-   the compile cache is effectively a singleton ([global]), and exposing
-   its counters there lets [ctg_stats expose] show them without a handle
-   on the engine.  Eager, not lazy: [Lazy.force] is not domain-safe in
-   OCaml 5 (two domains forcing concurrently can raise [Undefined]), and
-   these were forced from worker domains on the first cache access. *)
+   the compile cache is effectively a singleton ([global]), so its
+   counters live where no engine handle is needed to read them.  Eager,
+   not lazy: [Lazy.force] is not domain-safe in OCaml 5 (two domains
+   forcing concurrently can raise [Undefined]), and these were forced
+   from worker domains on the first cache access. *)
 let hits_counter = Obs.Registry.counter Obs.Registry.default "registry_cache_hits_total"
 
 let misses_counter =

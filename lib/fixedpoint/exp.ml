@@ -1,7 +1,5 @@
 module Nat = Ctg_bigint.Nat
 
-let taylor_terms = ref 0
-
 (* e^-y for 0 <= y < 1 by the alternating Taylor series, summed as two
    non-negative partial sums so everything stays in Nat. *)
 let taylor_exp_neg (y : Fixed.t) : Fixed.t =
@@ -18,7 +16,6 @@ let taylor_exp_neg (y : Fixed.t) : Fixed.t =
     if !i land 1 = 1 then neg := Nat.add !neg !term
     else pos := Nat.add !pos !term
   done;
-  taylor_terms := !i;
   Fixed.create ~frac_bits:f (Nat.sub !pos !neg)
 
 let exp_neg (x : Fixed.t) : Fixed.t =

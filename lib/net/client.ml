@@ -1,6 +1,6 @@
-(* Minimal HTTP/1.1 client over one keep-alive connection: what the smoke
-   clients, the serve bench and the tests use to talk to the daemon without
-   shelling out to curl. *)
+(* Minimal HTTP/1.1 client over one keep-alive connection: what
+   [ctg_serve client], the serve bench and the tests use to talk to the
+   daemon without shelling out to curl. *)
 
 type response = {
   status : int;
@@ -148,8 +148,8 @@ let post ?host ~port ?body path =
   one_shot ?host ~port ?body ~meth:"POST" ~path ()
 
 (* ------------------------------------------------------------------ *)
-(* Retry layer: bounded exponential backoff with jitter, per-request
-   deadline, idempotent-only by default.                               *)
+(* Retry layer: bounded exponential backoff with jitter and a deadline,
+   around connect.                                                     *)
 (* ------------------------------------------------------------------ *)
 
 type retry_policy = {
@@ -157,7 +157,6 @@ type retry_policy = {
   base_delay : float;
   max_delay : float;
   deadline : float option;
-  retry_non_idempotent : bool;
   jitter : attempt:int -> cap:float -> float;
   sleep : float -> unit;
 }
@@ -180,7 +179,6 @@ let default_policy =
     base_delay = 0.05;
     max_delay = 1.0;
     deadline = Some 5.0;
-    retry_non_idempotent = false;
     jitter = default_jitter;
     sleep = Unix.sleepf;
   }
@@ -204,13 +202,12 @@ let transient = function
 let backoff_cap p attempt =
   Float.min p.max_delay (p.base_delay *. (2.0 ** float_of_int (attempt - 1)))
 
-(* Run [f ~timeout] up to [max_attempts] times.  [timeout] is the time
-   left on the request deadline, applied as socket send/receive timeouts
-   by [connect]; the deadline also bounds the backoff sleeps, so a
-   request never outlives [deadline] by more than one socket timeout. *)
-let with_retry (p : retry_policy) ~meth f =
-  let idempotent = meth = "GET" || meth = "HEAD" in
-  let allow_retry = idempotent || p.retry_non_idempotent in
+(* Connect up to [max_attempts] times.  The time left on the deadline
+   is each attempt's socket send/receive timeout, and it also bounds the
+   backoff sleeps, so a call never outlives [deadline] by more than one
+   socket timeout. *)
+let connect_retry ?(policy = default_policy) ?host ~port () =
+  let p = policy in
   let deadline_at =
     Option.map (fun d -> Unix.gettimeofday () +. d) p.deadline
   in
@@ -222,8 +219,8 @@ let with_retry (p : retry_policy) ~meth f =
     (match remaining () with
     | Some r when r <= 0.0 -> failwith "Client: request deadline exceeded"
     | _ -> ());
-    try f ~timeout:(remaining ())
-    with e when allow_retry && n < p.max_attempts && transient e ->
+    try connect ?host ?timeout:(remaining ()) ~port ()
+    with e when n < p.max_attempts && transient e ->
       let d = p.jitter ~attempt:n ~cap:(backoff_cap p n) in
       let d =
         match remaining () with
@@ -234,17 +231,3 @@ let with_retry (p : retry_policy) ~meth f =
       attempt (n + 1)
   in
   attempt 1
-
-let connect_retry ?(policy = default_policy) ?host ~port () =
-  with_retry policy ~meth:"GET" (fun ~timeout -> connect ?host ?timeout ~port ())
-
-let one_shot_retry ?(policy = default_policy) ?host ~port ?headers ?body ~meth
-    ~path () =
-  with_retry policy ~meth (fun ~timeout ->
-      let t = connect ?host ?timeout ~port () in
-      Fun.protect
-        ~finally:(fun () -> close t)
-        (fun () -> request t ?headers ?body ~meth ~path ()))
-
-let get_retry ?policy ?host ~port path =
-  one_shot_retry ?policy ?host ~port ~meth:"GET" ~path ()

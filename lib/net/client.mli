@@ -1,5 +1,5 @@
 (** Minimal HTTP/1.1 client over one keep-alive connection (blocking,
-    stdlib-[Unix]) — for the smoke clients, the serve bench and tests.
+    stdlib-[Unix]) — for [ctg_serve client], the serve bench and tests.
     Not a general client: responses must be [Content-Length]-framed or
     close-delimited, which is all {!Http} emits. *)
 
@@ -49,22 +49,18 @@ val post : ?host:string -> port:int -> ?body:string -> string -> response
 
 (** {1 Retries}
 
-    Bounded exponential backoff with jitter around the one-shot
-    entrypoints.  Only transport and protocol failures are retried — a
-    received HTTP response of any status is the answer (a 503 from
-    [/healthz] reports failing monitors; retrying it would mask the
-    signal).  Non-idempotent methods are never retried unless the policy
-    explicitly opts in, because a lost response does not mean the daemon
-    did not sign. *)
+    Bounded exponential backoff with jitter around {!connect}: only
+    transport failures are retried.  Requests are never retried — a
+    received HTTP response of any status is the answer, and a lost
+    response to a signing POST does not mean the daemon did not sign. *)
 
 type retry_policy = {
   max_attempts : int;  (** Total attempts including the first; >= 1. *)
   base_delay : float;  (** First backoff step, seconds. *)
   max_delay : float;  (** Backoff cap, seconds. *)
   deadline : float option;
-      (** Wall-clock budget for the whole request across all attempts,
-          also applied as per-attempt socket timeouts. *)
-  retry_non_idempotent : bool;  (** Retry POST too (default no). *)
+      (** Wall-clock budget across all attempts, also applied as
+          per-attempt socket timeouts. *)
   jitter : attempt:int -> cap:float -> float;
       (** Sleep for this attempt given the backoff cap.  The default is
           equal jitter: [cap/2 + uniform(0, cap/2)].  Seam for tests. *)
@@ -72,8 +68,7 @@ type retry_policy = {
 }
 
 val default_policy : retry_policy
-(** 3 attempts, 50 ms doubling to a 1 s cap, 5 s deadline, GET/HEAD
-    only. *)
+(** 3 attempts, 50 ms doubling to a 1 s cap, 5 s deadline. *)
 
 val transient : exn -> bool
 (** Would the policy retry this exception? *)
@@ -84,18 +79,3 @@ val backoff_cap : retry_policy -> int -> float
 val connect_retry : ?policy:retry_policy -> ?host:string -> port:int -> unit -> t
 (** [connect] under the policy — retries refused/reset connects while a
     daemon boots.  The deadline becomes the connection's socket timeout. *)
-
-val one_shot_retry :
-  ?policy:retry_policy ->
-  ?host:string ->
-  port:int ->
-  ?headers:(string * string) list ->
-  ?body:string ->
-  meth:string ->
-  path:string ->
-  unit ->
-  response
-(** [one_shot] under the policy.  Each attempt uses a fresh connection
-    whose socket timeout is the time left on the deadline. *)
-
-val get_retry : ?policy:retry_policy -> ?host:string -> port:int -> string -> response

@@ -68,3 +68,14 @@ let linear_ct table =
     sample_magnitude = (fun rng -> fst (sample rng 0));
     sample_traced = (fun rng -> sample rng 0);
   }
+
+let zoo s =
+  let matrix = Ctgauss.Sampler.matrix s in
+  let table = Cdt_table.of_matrix matrix in
+  [
+    Sampler_sig.of_bitsliced (Ctgauss.Sampler.clone s);
+    linear_ct table;
+    binary_search table;
+    byte_scan table;
+    Sampler_sig.knuth_yao_reference matrix;
+  ]

@@ -14,3 +14,12 @@ val byte_scan : Cdt_table.t -> Sampler_sig.instance
 val linear_ct : Cdt_table.t -> Sampler_sig.instance
 (** Linear-search constant-time CDT [7]: every call scans the whole table
     with branch-free full-width compares. *)
+
+val zoo : Ctgauss.Sampler.t -> Sampler_sig.instance list
+(** Every sampler the constant-time audits and the acceptance battery
+    sweep, all over the matrix of the given bitsliced sampler: first
+    {!Sampler_sig.of_bitsliced} of a {!Ctgauss.Sampler.clone} of it (the
+    clone keeps a bound kernel, so a [Ctg_engine.Registry.lookup] sampler
+    audits the code that serves), then {!linear_ct}, {!binary_search}
+    and {!byte_scan} over its CDT, then the non-constant-time
+    {!Sampler_sig.knuth_yao_reference} control. *)

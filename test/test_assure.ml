@@ -378,7 +378,10 @@ let test_soak_smoke () =
       Alcotest.(check bool) "windows evaluated" true
         (Drift.windows (Monitor.drift (Soak.monitor soak)) >= 1);
       Alcotest.(check bool) "healthy" true (Monitor.healthy (Soak.monitor soak));
-      let metrics = Http.handle ~routes:(Soak.routes soak) "/metrics" in
+      let routes =
+        Monitor.routes (Soak.monitor soak) ~registry:(Soak.registry soak)
+      in
+      let metrics = Http.handle ~routes "/metrics" in
       Alcotest.(check int) "soak /metrics" 200 metrics.Http.status)
 
 (* --------------------------------------------------------------------- *)

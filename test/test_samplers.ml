@@ -140,6 +140,31 @@ let sampler_tests =
           let v = inst.Sig.sample_magnitude bs in
           Alcotest.(check bool) "in support" true (v >= 0 && v <= m.Matrix.support)
         done);
+    Alcotest.test_case "zoo: unique names, CT claims, serving kernel" `Quick
+      (fun () ->
+        let s =
+          Ctg_engine.Registry.lookup Ctg_engine.Registry.global ~sigma:"2"
+            ~precision:128 ~tail_cut:13 ()
+        in
+        let zoo = Cdt.zoo s in
+        let names = List.map (fun (i : Sig.instance) -> i.Sig.name) zoo in
+        Alcotest.(check int) "names unique" (List.length names)
+          (List.length (List.sort_uniq compare names));
+        Alcotest.(check (list string)) "claim constant time"
+          [ "bitsliced(2)"; "cdt-linear-ct" ]
+          (List.filter_map
+             (fun (i : Sig.instance) ->
+               if i.Sig.constant_time then Some i.Sig.name else None)
+             zoo);
+        let clone = Ctgauss.Sampler.clone s in
+        Alcotest.(check bool) "kernel bound" true (Ctgauss.Sampler.has_kernel clone);
+        let bitsliced = List.hd zoo in
+        let rng () = Bs.of_chacha (Ctg_prng.Chacha20.of_seed "zoo") in
+        let r = rng () in
+        let drawn = Array.init 63 (fun _ -> Sig.sample_signed bitsliced r) in
+        Alcotest.(check (array int)) "one batch of the kernel-bound clone"
+          (Ctgauss.Sampler.batch_signed clone (rng ()))
+          drawn);
   ]
 
 let convolution_tests =

@@ -795,8 +795,7 @@ let dead_port () =
 let pinned_policy ?(max_attempts = 3) ?deadline () =
   let slept = ref [] in
   ( {
-      Client.default_policy with
-      max_attempts;
+      Client.max_attempts;
       base_delay = 0.05;
       max_delay = 0.15;
       deadline;
@@ -808,58 +807,35 @@ let pinned_policy ?(max_attempts = 3) ?deadline () =
 let test_retry_backoff_schedule () =
   let policy, slept = pinned_policy ~max_attempts:4 () in
   let port = dead_port () in
-  (try ignore (Client.get_retry ~policy ~port "/x" : Client.response);
-       Alcotest.fail "dead port should not answer"
+  (try
+     Client.close (Client.connect_retry ~policy ~port ());
+     Alcotest.fail "dead port should not answer"
    with Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ());
   (* Three retries slept the doubling-then-capped schedule (reversed). *)
   Alcotest.(check (list (float 1e-9)))
     "bounded exponential backoff" [ 0.15; 0.1; 0.05 ] !slept
 
-let test_retry_post_not_retried () =
-  let policy, slept = pinned_policy () in
-  let port = dead_port () in
-  (try
-     ignore
-       (Client.one_shot_retry ~policy ~port ~meth:"POST" ~path:"/x" ()
-         : Client.response);
-     Alcotest.fail "dead port should not answer"
-   with Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ());
-  Alcotest.(check (list (float 1e-9))) "no retry for POST" [] !slept;
-  (* Opting in retries POSTs too. *)
-  let policy, slept = pinned_policy () in
-  let policy = { policy with Client.retry_non_idempotent = true } in
-  (try
-     ignore
-       (Client.one_shot_retry ~policy ~port ~meth:"POST" ~path:"/x" ()
-         : Client.response);
-     Alcotest.fail "dead port should not answer"
-   with Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ());
-  Alcotest.(check int) "opted-in POST retried" 2 (List.length !slept)
-
 let test_retry_deadline () =
   (* An already-expired deadline fails before any socket work. *)
   let policy, slept = pinned_policy ~deadline:(-1.0) () in
   (try
-     ignore (Client.get_retry ~policy ~port:1 "/x" : Client.response);
+     Client.close (Client.connect_retry ~policy ~port:1 ());
      Alcotest.fail "expired deadline must not attempt"
    with Failure msg ->
      Alcotest.(check string) "deadline error" "Client: request deadline exceeded"
        msg);
   Alcotest.(check (list (float 1e-9))) "no sleeps" [] !slept
 
-let test_retry_succeeds_against_live_server () =
+let test_retry_live_server () =
   let srv = Http.start_handler ~port:0 ~workers:1 echo_handler in
   let port = Http.port srv in
   let policy, slept = pinned_policy ~deadline:5.0 () in
-  let r = Client.get_retry ~policy ~port "/greet?who=retry" in
+  let c = Client.connect_retry ~policy ~port () in
+  let r = Client.request c ~meth:"GET" ~path:"/greet?who=retry" () in
+  Client.close c;
   Alcotest.(check int) "200 first try" 200 r.Client.status;
   Alcotest.(check string) "body" "hello retry" r.Client.body;
   Alcotest.(check (list (float 1e-9))) "no retries needed" [] !slept;
-  (* A 503-class answer is a response, not a transport failure: the
-     policy must hand it back untouched rather than burn retries. *)
-  let r = Client.get_retry ~policy ~port "/missing" in
-  Alcotest.(check int) "404 returned as-is" 404 r.Client.status;
-  Alcotest.(check (list (float 1e-9))) "HTTP errors never retried" [] !slept;
   Http.stop srv
 
 let test_retry_classification () =
@@ -883,12 +859,10 @@ let () =
         [
           Alcotest.test_case "backoff schedule on refused connects" `Quick
             test_retry_backoff_schedule;
-          Alcotest.test_case "POST not retried unless opted in" `Quick
-            test_retry_post_not_retried;
           Alcotest.test_case "deadline bounds the whole request" `Quick
             test_retry_deadline;
-          Alcotest.test_case "responses (any status) end the retry loop"
-            `Quick test_retry_succeeds_against_live_server;
+          Alcotest.test_case "live server connects first try" `Quick
+            test_retry_live_server;
           Alcotest.test_case "transient classification and caps" `Quick
             test_retry_classification;
         ] );
