@@ -109,7 +109,7 @@ let ratio_cmd =
   in
   let doc =
     "Race a Ratio-attack-style key-recovery estimator against the \
-     drift/leak monitors and the acceptance battery over deliberately \
+     drift monitor and the acceptance battery over deliberately \
      biased samplers; fail on any attack-wins-first outcome."
   in
   Cmd.v (Cmd.info "ratio-attack" ~doc)

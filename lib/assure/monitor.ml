@@ -4,16 +4,14 @@ module Pool = Ctg_engine.Pool
 
 type t = {
   drift : Drift.t;
-  leak : Leak.t option;
   mutable pools : Pool.t list;  (* for CT-monitor and degradation verdicts *)
   mutable checks : (string * (unit -> string option)) list;
       (* custom named probes (e.g. the daemon's GC pause budget) *)
 }
 
-let create ?config ?registry ?labels ?leak ~matrix () =
+let create ?config ?registry ?labels ~matrix () =
   {
     drift = Drift.create ?config ?registry ?labels ~matrix ();
-    leak;
     pools = [];
     checks = [];
   }
@@ -29,7 +27,6 @@ let failing_checks t =
     t.checks
 
 let drift t = t.drift
-let leak t = t.leak
 
 let attach_pool t pool =
   t.pools <- pool :: t.pools;
@@ -43,12 +40,6 @@ let verdict t =
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let alarms = Drift.alarms t.drift in
   if alarms > 0 then fail "drift: %d window alarm(s)" alarms;
-  (match t.leak with
-  | None -> ()
-  | Some l ->
-    let r = Leak.report l in
-    if r.Ctg_ctcheck.Dudect.leaky then
-      fail "leak: |t|=%.2f over threshold" (abs_float r.Ctg_ctcheck.Dudect.t_statistic));
   List.iteri
     (fun i pool ->
       let v = Obs.Ctmon.violations (Pool.ctmon pool) in
@@ -66,9 +57,6 @@ let failing_monitors t =
   let names = ref [] in
   let add n = if not (List.mem n !names) then names := n :: !names in
   if Drift.alarms t.drift > 0 then add "drift";
-  (match t.leak with
-  | Some l when (Leak.report l).Ctg_ctcheck.Dudect.leaky -> add "leak"
-  | _ -> ());
   List.iter
     (fun pool ->
       if Obs.Ctmon.violations (Pool.ctmon pool) > 0 then add "ct";
@@ -79,18 +67,6 @@ let failing_monitors t =
 
 let healthz_json t =
   let v = verdict t in
-  let leak_json =
-    match t.leak with
-    | None -> Jsonx.Null
-    | Some l ->
-      let r = Leak.report l in
-      Jsonx.Obj
-        [
-          ("t", Num r.Ctg_ctcheck.Dudect.t_statistic);
-          ("leaky", Bool r.Ctg_ctcheck.Dudect.leaky);
-          ("measurements", Num (float_of_int (Leak.count l)));
-        ]
-  in
   let pools_json =
     Jsonx.List
       (List.rev_map
@@ -127,7 +103,6 @@ let healthz_json t =
               | None -> Jsonx.Null
               | Some r -> Drift.result_json r );
           ] );
-      ("leak", leak_json);
       ("pools", pools_json);
     ]
 

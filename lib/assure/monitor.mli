@@ -1,7 +1,7 @@
-(** The statistical-assurance bundle for one sampler: a {!Drift} monitor,
-    an optional background {!Leak} assessor, and the CT monitors of every
-    attached engine pool, rolled into one health verdict and the JSON
-    bodies the {!Ctg_net.Http} endpoint serves. *)
+(** The statistical-assurance bundle for one sampler: a {!Drift} monitor
+    and the CT monitors of every attached engine pool, rolled into one
+    health verdict and the JSON bodies the {!Ctg_net.Http} endpoint
+    serves. *)
 
 type t
 
@@ -9,13 +9,11 @@ val create :
   ?config:Drift.config ->
   ?registry:Ctg_obs.Registry.t ->
   ?labels:Ctg_obs.Registry.labels ->
-  ?leak:Leak.t ->
   matrix:Ctg_kyao.Matrix.t ->
   unit ->
   t
 
 val drift : t -> Drift.t
-val leak : t -> Leak.t option
 
 val attach_pool : t -> Ctg_engine.Pool.t -> unit
 (** Register a chunk observer on [pool] feeding the drift monitor, and
@@ -33,16 +31,15 @@ val add_check : t -> name:string -> (unit -> string option) -> unit
 type verdict = Healthy | Failing of string list
 
 val verdict : t -> verdict
-(** Healthy iff: no drift window alarm, the leak assessor (when present)
-    is under its |t| threshold, every attached pool has zero CT-monitor
-    violations and is not degraded, and every {!add_check} probe returns
-    [None]. *)
+(** Healthy iff: no drift window alarm, every attached pool has zero
+    CT-monitor violations and is not degraded, and every {!add_check}
+    probe returns [None]. *)
 
 val healthy : t -> bool
 
 val failing_monitors : t -> string list
 (** Short names of the monitors currently failing, in a fixed order:
-    ["drift"], ["leak"], ["ct"], ["degraded"], then failing
+    ["drift"], ["ct"], ["degraded"], then failing
     {!add_check} names in registration order.  Empty iff [healthy]. *)
 
 (** [healthz_json] is the [/healthz] body.  On failure it carries, beyond

@@ -16,69 +16,30 @@ type report = {
   mean_random : float;
 }
 
-let default_seed = 0x0DDC0FFEEL
-
-(* ---------------------------------------------------------------- *)
-(* Incremental accumulator (Ops-counter mode)                        *)
-(* ---------------------------------------------------------------- *)
-
-(* The class sequence comes from the accumulator's own seeded Splitmix
-   stream and the moments are Welford-updated in feed order, so a whole
-   run is a pure function of (seed, measure): two runs with the same seed
-   produce bit-identical reports — the determinism test_ctcheck checks. *)
-type acc = {
-  a_config : config;
-  a_rng : Ctg_prng.Splitmix64.t;
-  a_fix : Ctg_stats.Moments.t;
-  a_rnd : Ctg_stats.Moments.t;
-}
-
-let acc ?(config = default_config) ?(seed = default_seed) () =
-  {
-    a_config = config;
-    a_rng = Ctg_prng.Splitmix64.create seed;
-    a_fix = Ctg_stats.Moments.create ();
-    a_rnd = Ctg_stats.Moments.create ();
-  }
-
-let acc_next_class a =
-  if Ctg_prng.Splitmix64.next_int a.a_rng 2 = 0 then Fix else Random
-
-let acc_add a clazz v =
-  match clazz with
-  | Fix -> Ctg_stats.Moments.add a.a_fix v
-  | Random -> Ctg_stats.Moments.add a.a_rnd v
-
-let acc_step a measure =
-  let clazz = acc_next_class a in
-  acc_add a clazz (measure clazz)
-
-let acc_count a =
-  Ctg_stats.Moments.count a.a_fix + Ctg_stats.Moments.count a.a_rnd
-
-let acc_report a =
-  let t = Ctg_stats.Welch.t_statistic a.a_fix a.a_rnd in
+(* The class sequence comes from a fixed-seed Splitmix stream and the
+   moments are Welford-updated in feed order, so a whole run is a pure
+   function of the measure: two runs of the same deterministic measure
+   produce bit-identical reports — the determinism test_ctcheck checks.
+   No cropping is applied: op counts have no GC/interrupt outliers to
+   tame. *)
+let test_ops ?(config = default_config) f =
+  let rng = Ctg_prng.Splitmix64.create 0x0DDC0FFEEL in
+  let fix = Ctg_stats.Moments.create () in
+  let rnd = Ctg_stats.Moments.create () in
+  for _ = 1 to 2 * config.measurements do
+    if Ctg_prng.Splitmix64.next_int rng 2 = 0 then
+      Ctg_stats.Moments.add fix (float_of_int (f Fix))
+    else Ctg_stats.Moments.add rnd (float_of_int (f Random))
+  done;
+  let t = Ctg_stats.Welch.t_statistic fix rnd in
   {
     t_statistic = t;
-    leaky = abs_float t > a.a_config.threshold;
+    leaky = abs_float t > config.threshold;
     samples_per_class =
-      min
-        (Ctg_stats.Moments.count a.a_fix)
-        (Ctg_stats.Moments.count a.a_rnd);
-    mean_fix = Ctg_stats.Moments.mean a.a_fix;
-    mean_random = Ctg_stats.Moments.mean a.a_rnd;
+      min (Ctg_stats.Moments.count fix) (Ctg_stats.Moments.count rnd);
+    mean_fix = Ctg_stats.Moments.mean fix;
+    mean_random = Ctg_stats.Moments.mean rnd;
   }
-
-(* ---------------------------------------------------------------- *)
-(* One-shot runs                                                     *)
-(* ---------------------------------------------------------------- *)
-
-let test_ops ?(config = default_config) f =
-  let a = acc ~config () in
-  for _ = 1 to 2 * config.measurements do
-    acc_step a (fun c -> float_of_int (f c))
-  done;
-  acc_report a
 
 let pp_report fmt r =
   Format.fprintf fmt "t=%+.2f %s (n=%d/class, mean fix=%.2f random=%.2f)"

@@ -8,30 +8,6 @@ type key = {
   method_ : Ctgauss.Sampler.method_;
 }
 
-(* Cache traffic and compile latency go to the process-wide registry:
-   the compile cache is effectively a singleton ([global]), so its
-   counters live where no engine handle is needed to read them.  Eager,
-   not lazy: [Lazy.force] is not domain-safe in OCaml 5 (two domains
-   forcing concurrently can raise [Undefined]), and these were forced
-   from worker domains on the first cache access. *)
-let hits_counter = Obs.Registry.counter Obs.Registry.default "registry_cache_hits_total"
-
-let misses_counter =
-  Obs.Registry.counter Obs.Registry.default "registry_cache_misses_total"
-
-let evictions_counter =
-  Obs.Registry.counter Obs.Registry.default
-    "registry_selftest_evictions_total"
-
-let selftest_failures_counter =
-  Obs.Registry.counter Obs.Registry.default
-    "registry_selftest_failures_total"
-
-let compile_histo sigma =
-  Obs.Registry.histo Obs.Registry.default
-    ~labels:[ ("sigma", sigma) ]
-    "registry_compile_ns"
-
 (* [Building] marks an in-flight compile: the key is claimed but the
    sampler is not ready.  Waiters sleep on [cond] and re-check. *)
 type entry = Ready of Ctgauss.Sampler.t | Building
@@ -71,12 +47,8 @@ let lookup t ?(method_ = Ctgauss.Sampler.Split_minimized) ?(self_test = true)
       `Compile
   in
   match claim () with
-  | `Done s ->
-    Obs.Registry.incr hits_counter;
-    s
+  | `Done s -> s
   | `Compile -> (
-    Obs.Registry.incr misses_counter;
-    let t_compile = Obs.Clock.now_ns () in
     (* Compile outside the lock so unrelated keys stay responsive. *)
     match
       Obs.Trace.with_span "registry_compile" ~cat:"engine"
@@ -84,7 +56,6 @@ let lookup t ?(method_ = Ctgauss.Sampler.Split_minimized) ?(self_test = true)
         (fun () -> Ctgauss.Sampler.create ~method_ ~sigma ~precision ~tail_cut ())
     with
     | s -> (
-      Obs.Registry.observe (compile_histo sigma) (Obs.Clock.now_ns () - t_compile);
       (* Bind the build-time kernel of this exact program, if any, before
          the self-test, so the KAT runs the code that will serve. *)
       let s =
@@ -104,7 +75,6 @@ let lookup t ?(method_ = Ctgauss.Sampler.Split_minimized) ?(self_test = true)
         Mutex.unlock t.mutex;
         s
       | exception e ->
-        Obs.Registry.incr selftest_failures_counter;
         Mutex.lock t.mutex;
         Hashtbl.remove t.table key;
         Condition.broadcast t.cond;
@@ -154,11 +124,7 @@ let revalidate ?strings t =
         | _ -> false
       in
       Mutex.unlock t.mutex;
-      if evicted then begin
-        Obs.Registry.incr evictions_counter;
-        Some (key, f)
-      end
-      else None)
+      if evicted then Some (key, f) else None)
     failed
 
 let size t =

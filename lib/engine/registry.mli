@@ -55,8 +55,7 @@ val revalidate : ?strings:int -> t -> (key * Selftest.failure) list
     [lookup]s of an evicted key race for one [Building] claim and
     recompile {e exactly once}.  Entries mid-compile are skipped (they
     will be self-tested by their own [lookup]).  Returns the evicted
-    keys with their first failing vector; each eviction increments
-    [registry_selftest_evictions_total] in {!Ctg_obs.Registry.default}. *)
+    keys with their first failing vector. *)
 
 val size : t -> int
 (** Distinct parameter sets currently cached. *)

@@ -183,11 +183,11 @@ let default_policy =
     sleep = Unix.sleepf;
   }
 
-(* Transport and protocol failures are worth retrying: the daemon may be
-   mid-restart, shedding, or have closed a keep-alive socket under us.
-   Anything else (bad arguments, out of descriptors) is not transient.
-   A received HTTP response — any status, including 503 — is never
-   retried here: a 503 from /healthz is the answer, not a failure. *)
+(* Transport failures are worth retrying: the daemon may be mid-restart
+   or shedding connections.  Anything else (bad arguments, out of
+   descriptors) is not transient.  A received HTTP response — any
+   status, including 503 — is never retried here: a 503 from /healthz is
+   the answer, not a failure. *)
 let transient = function
   | Unix.Unix_error
       ( ( Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.ECONNABORTED | Unix.EPIPE
@@ -196,7 +196,6 @@ let transient = function
         _,
         _ ) ->
     true
-  | Failure msg -> String.length msg >= 7 && String.sub msg 0 7 = "Client:"
   | _ -> false
 
 let backoff_cap p attempt =

@@ -68,8 +68,7 @@ type row = {
   drift_sigs : int option;
   battery_sigs : int option;
   battery_families : string list;  (** Families failing at first battery alarm. *)
-  leak_sigs : int option;
-  monitor_sigs : int option;  (** Earliest of the three monitors. *)
+  monitor_sigs : int option;  (** Earlier of the two monitors. *)
   winner : string;  (** "monitor" | "attack" | "neither". *)
   attack_wins_first : bool;
 }
@@ -186,7 +185,6 @@ type arm = {
   a_drift_sigs : int option;
   a_battery_sigs : int option;
   a_battery_families : string list;
-  a_leak_sigs : int option;
   a_cross_mean : float array;  (** mean of s1 * adj(s2) over the arm. *)
 }
 
@@ -220,11 +218,6 @@ let run_arm ~(config : config) ~model ~kp ~(tpl : templates) ~baseline
         }
       ~registry ~matrix:(Battery.matrix model) ()
   in
-  let leak =
-    Ctg_assure.Leak.create ~registry
-      ~probe:(Ctg_assure.Leak.ops_probe inst)
-      ()
-  in
   let draws = draws_create () in
   let chunk = Array.make 256 0 and chunk_len = ref 0 in
   let flush_chunk () =
@@ -247,7 +240,7 @@ let run_arm ~(config : config) ~model ~kp ~(tpl : templates) ~baseline
   let sum_vec = Array.make two_n 0.0 in
   let cross_acc = Array.make n 0.0 in
   let attack_sigs = ref None and attack_z = ref 0.0 in
-  let drift_sigs = ref None and leak_sigs = ref None in
+  let drift_sigs = ref None in
   let battery_sigs = ref None and battery_families = ref [] in
   let i = ref 0 in
   let continue () =
@@ -297,12 +290,7 @@ let run_arm ~(config : config) ~model ~kp ~(tpl : templates) ~baseline
           battery_sigs := Some !i;
           battery_families := Battery.failed_families v
         end
-      end;
-      Ctg_assure.Leak.step ~n:64 leak;
-      if
-        !leak_sigs = None
-        && (Ctg_assure.Leak.report leak).Ctg_ctcheck.Dudect.leaky
-      then leak_sigs := Some !i
+      end
     end
   done;
   flush_chunk ();
@@ -313,7 +301,6 @@ let run_arm ~(config : config) ~model ~kp ~(tpl : templates) ~baseline
     a_drift_sigs = !drift_sigs;
     a_battery_sigs = !battery_sigs;
     a_battery_families = !battery_families;
-    a_leak_sigs = !leak_sigs;
     a_cross_mean = Array.map (fun s -> s /. total) cross_acc;
   }
 
@@ -325,9 +312,7 @@ let min_opt a b =
   | Some a, Some b -> Some (min a b)
 
 let row_of_arm ~label ~fault_name (a : arm) =
-  let monitor_sigs =
-    min_opt a.a_drift_sigs (min_opt a.a_battery_sigs a.a_leak_sigs)
-  in
+  let monitor_sigs = min_opt a.a_drift_sigs a.a_battery_sigs in
   let attack_wins_first, winner =
     match (a.a_attack_sigs, monitor_sigs) with
     | None, None -> (false, "neither")
@@ -343,7 +328,6 @@ let row_of_arm ~label ~fault_name (a : arm) =
     drift_sigs = a.a_drift_sigs;
     battery_sigs = a.a_battery_sigs;
     battery_families = a.a_battery_families;
-    leak_sigs = a.a_leak_sigs;
     monitor_sigs;
     winner;
     attack_wins_first;
@@ -464,7 +448,6 @@ let row_json r =
       ("battery_sigs", opt_json r.battery_sigs);
       ( "battery_families",
         List (List.map (fun f -> Jsonx.Str f) r.battery_families) );
-      ("leak_sigs", opt_json r.leak_sigs);
       ("monitor_sigs", opt_json r.monitor_sigs);
       ("winner", Str r.winner);
       ("attack_wins_first", Bool r.attack_wins_first);
@@ -491,14 +474,14 @@ let to_json r =
 
 let pp_row fmt r =
   Format.fprintf fmt
-    "%-18s %-16s attack=%-5s(z=%5.1f)  drift=%-5s battery=%-5s%s leak=%-4s -> %s%s"
+    "%-18s %-16s attack=%-5s(z=%5.1f)  drift=%-5s battery=%-5s%s -> %s%s"
     r.label r.fault_name (opt_sigs r.attack_sigs) r.attack_z_final
     (opt_sigs r.drift_sigs)
     (opt_sigs r.battery_sigs)
     (match r.battery_families with
     | [] -> ""
     | fs -> Printf.sprintf "[%s]" (String.concat "," fs))
-    (opt_sigs r.leak_sigs) r.winner
+    r.winner
     (if r.attack_wins_first then "  ATTACK-WINS-FIRST" else "")
 
 let pp_report fmt r =

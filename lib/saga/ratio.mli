@@ -8,10 +8,8 @@
     two observers over the same signature stream:
 
     - the {e defense}: the online {!Ctg_assure.Drift} monitor fed from
-      the base-draw tap, the {!Battery} re-evaluated at every checkpoint
-      on the accumulated draws, and a {!Ctg_assure.Leak} assessor (the
-      timing channel — included for completeness; distributional faults
-      have no timing signature, so it is expected to stay quiet);
+      the base-draw tap, and the {!Battery} re-evaluated at every
+      checkpoint on the accumulated draws;
     - the {e attack}: a first-moment estimator correlating the mean
       signature vector against the secret-key template the mean shift
       projects onto, plus a second-moment estimator correlating the
@@ -55,7 +53,6 @@ type row = {
   drift_sigs : int option;
   battery_sigs : int option;
   battery_families : string list;
-  leak_sigs : int option;
   monitor_sigs : int option;
   winner : string;
   attack_wins_first : bool;

@@ -33,7 +33,6 @@ type config = {
   sign_domains : int option;
   check : bool;
   drift_window : int;
-  leak_steps : int;
   seed : string;
   key_seed : string;
   trace : bool;
@@ -56,7 +55,6 @@ let default_config =
     sign_domains = None;
     check = true;
     drift_window = 50_000;
-    leak_steps = 8;
     seed = "ctg-serve";
     key_seed = "ctg-serve-key";
     trace = false;
@@ -85,7 +83,6 @@ type t = {
   params : F.Params.t;
   registry : Obs.Registry.t;
   monitor : Assure.Monitor.t;
-  leak : Assure.Leak.t;
   keyring : Keyring.t;
   workforce : Ctg_engine.Workforce.t;
   master : Ctgauss.Sampler.t;
@@ -176,8 +173,6 @@ let run_batch_inner t (reqs : sign_request array) : sign_result array =
               })
         idxs)
     (List.rev !order);
-  (* Interleave the background leak probes with real work, Soak-style. *)
-  if t.config.leak_steps > 0 then Assure.Leak.step ~n:t.config.leak_steps t.leak;
   Array.map
     (function Some r -> r | None -> failwith "Daemon.run_batch: missing result")
     out
@@ -464,17 +459,11 @@ let create ?(listen = true) config =
       ~precision:config.precision ~tail_cut:config.tail_cut ()
   in
   let labels = [ ("sigma", config.sigma) ] in
-  let leak =
-    Assure.Leak.create ~registry ~labels
-      ~probe:
-        (Assure.Leak.ops_probe (Sig.of_bitsliced (Ctgauss.Sampler.clone master)))
-      ()
-  in
   let drift_config =
     { Assure.Drift.default_config with window = config.drift_window }
   in
   let monitor =
-    Assure.Monitor.create ~config:drift_config ~registry ~labels ~leak
+    Assure.Monitor.create ~config:drift_config ~registry ~labels
       ~matrix:(Ctgauss.Sampler.matrix master) ()
   in
   let keyring =
@@ -507,7 +496,6 @@ let create ?(listen = true) config =
       params;
       registry;
       monitor;
-      leak;
       keyring;
       workforce;
       master;

@@ -4,11 +4,10 @@
     {!Ctg_net.Http} server for the request path, a per-tenant {!Keyring},
     a {!Batcher} that coalesces concurrent sign requests into
     {!Ctg_falcon.Sign.sign_many} runs on a persistent
-    {!Ctg_engine.Workforce}, and the PR-5 assurance monitors
+    {!Ctg_engine.Workforce}, and the assurance monitors
     ({!Ctg_assure.Monitor}) fed from {e live} signing traffic — every
     base-sampler draw made while signing streams into the drift
-    chi-square, and dudect leak probes interleave with real batches, so
-    [/healthz] guards the actual serving path.
+    chi-square, so [/healthz] guards the actual serving path.
 
     HTTP surface:
     - [POST /v1/sign?tenant=T] (body = message bytes) → JSON with the
@@ -50,7 +49,6 @@ type config = {
   sign_domains : int option;  (** Workforce size; default [Pool] default. *)
   check : bool;  (** Verify-after-sign inside the batch run. *)
   drift_window : int;
-  leak_steps : int;  (** Dudect probes interleaved per batch cycle. *)
   seed : string;  (** Master signing seed (lanes fork from it). *)
   key_seed : string;  (** Keyring derivation prefix. *)
   trace : bool;

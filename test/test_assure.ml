@@ -1,16 +1,13 @@
 (* Tests for the ctg_assure statistical-assurance layer: sketch merge
    algebra and its domain-count invariance under the engine pool hook,
    the alpha-spending drift monitor (quiet on clean streams, loud on
-   biased ones), the background leak assessor with its positive and
-   negative controls, monitor verdicts and endpoint routing, the live
-   HTTP scrape, and perf-trajectory records. *)
+   biased ones), monitor verdicts and endpoint routing, the live HTTP
+   scrape, and perf-trajectory records. *)
 
 module Sketch = Ctg_assure.Sketch
 module Drift = Ctg_assure.Drift
-module Leak = Ctg_assure.Leak
 module Monitor = Ctg_assure.Monitor
 module Trend = Ctg_assure.Trend
-module Soak = Ctg_assure.Soak
 module Jsonx = Ctg_obs.Jsonx
 module Http = Ctg_net.Http
 module Promtext = Ctg_obs.Promtext
@@ -227,44 +224,6 @@ let test_drift_flush_partial_window () =
   Alcotest.(check int) "flush spent a window" 1 (Drift.windows d)
 
 (* --------------------------------------------------------------------- *)
-(* Leak *)
-
-let test_leak_positive_control () =
-  (* The Knuth-Yao reference walk consumes input-dependent bit counts —
-     the assessor must flag it. *)
-  let inst =
-    Ctg_samplers.Sampler_sig.knuth_yao_reference (Lazy.force matrix_16)
-  in
-  let l = Leak.create ~probe:(Leak.ops_probe inst) () in
-  Leak.step ~n:4_000 l;
-  let r = Leak.report l in
-  Alcotest.(check bool) "reference walk is flagged" true
-    r.Ctg_ctcheck.Dudect.leaky;
-  Alcotest.(check int) "count advances" 4_000 (Leak.count l)
-
-let test_leak_negative_control () =
-  (* The bitsliced batch consumes a fixed bit budget regardless of input:
-     the probe measure is constant, |t| stays under threshold. *)
-  let registry = Registry.create () in
-  let l =
-    Leak.create ~registry
-      ~labels:[ ("sigma", "2") ]
-      ~probe:(Soak.batch_bits_probe (Ctgauss.Sampler.clone (Lazy.force sampler_16)))
-      ()
-  in
-  Leak.step ~n:2_000 l;
-  let r = Leak.report l in
-  Alcotest.(check bool) "CT sampler is clean" false r.Ctg_ctcheck.Dudect.leaky;
-  Alcotest.(check bool) "|t| under threshold" true
-    (abs_float r.Ctg_ctcheck.Dudect.t_statistic <= 4.5);
-  match Promtext.parse (Registry.expose_text registry) with
-  | Error e -> Alcotest.failf "metrics text unparseable: %s" e
-  | Ok items ->
-    Alcotest.(check bool) "assure_leak_t gauge published" true
-      (Promtext.value items ~name:"assure_leak_t" ~labels:[ ("sigma", "2") ]
-      <> None)
-
-(* --------------------------------------------------------------------- *)
 (* Monitor + routes *)
 
 let test_monitor_verdict_and_routes () =
@@ -356,31 +315,32 @@ let test_http_live_scrape () =
             Alcotest.(check (option (float 1e-9))) "counter scraped" (Some 7.0)
               (Promtext.value items ~name:"assure_scrape_total" ~labels:[])))
 
-(* A short end-to-end soak at tiny batch size: engine pool feeding the
-   drift monitor through the chunk hook, leak probes interleaved. *)
+(* A short end-to-end soak at tiny batch size: an engine pool feeding
+   the drift monitor through the chunk hook, its CT monitor in the
+   verdict. *)
 let test_soak_smoke () =
-  let soak =
-    Soak.create
-      ~drift_config:(drift_config 2_000)
-      ~domains:2 ~batch:(63 * 32) ~leak_steps:32 ~sigma:"2" ~precision:16
-      ~tail_cut:13 ()
+  let pool =
+    E.Pool.create ~domains:2 ~seed:"assure-soak-2" (Lazy.force sampler_16)
   in
+  let registry = E.Metrics.registry (E.Pool.metrics pool) in
+  let monitor =
+    Monitor.create ~config:(drift_config 2_000) ~registry
+      ~labels:[ ("sigma", "2") ]
+      ~matrix:(Lazy.force matrix_16) ()
+  in
+  Monitor.attach_pool monitor pool;
   Fun.protect
-    ~finally:(fun () -> Soak.shutdown soak)
+    ~finally:(fun () -> E.Pool.shutdown pool)
     (fun () ->
       for _ = 1 to 2 do
-        Soak.tick soak
+        ignore (E.Pool.batch_parallel pool ~n:(63 * 32))
       done;
-      Alcotest.(check int) "two ticks" 2 (Soak.ticks soak);
-      Alcotest.(check int) "samples accounted" (2 * 63 * 32) (Soak.samples soak);
       Alcotest.(check int) "drift fed through the pool hook" (2 * 63 * 32)
-        (Drift.samples (Monitor.drift (Soak.monitor soak)));
+        (Drift.samples (Monitor.drift monitor));
       Alcotest.(check bool) "windows evaluated" true
-        (Drift.windows (Monitor.drift (Soak.monitor soak)) >= 1);
-      Alcotest.(check bool) "healthy" true (Monitor.healthy (Soak.monitor soak));
-      let routes =
-        Monitor.routes (Soak.monitor soak) ~registry:(Soak.registry soak)
-      in
+        (Drift.windows (Monitor.drift monitor) >= 1);
+      Alcotest.(check bool) "healthy" true (Monitor.healthy monitor);
+      let routes = Monitor.routes monitor ~registry in
       let metrics = Http.handle ~routes "/metrics" in
       Alcotest.(check int) "soak /metrics" 200 metrics.Http.status)
 
@@ -511,13 +471,6 @@ let () =
             test_drift_alarms_on_biased_stream;
           Alcotest.test_case "flush evaluates the partial window" `Quick
             test_drift_flush_partial_window;
-        ] );
-      ( "leak",
-        [
-          Alcotest.test_case "positive control: reference walk" `Quick
-            test_leak_positive_control;
-          Alcotest.test_case "negative control: bitsliced batch" `Quick
-            test_leak_negative_control;
         ] );
       ( "monitor",
         [

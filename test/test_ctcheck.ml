@@ -77,24 +77,70 @@ let tests =
         Alcotest.(check bool) "constant" false r.Dudect.leaky);
   ]
 
-(* The incremental accumulator: the base of the continuous assessor. *)
+(* The bitsliced trace is the bits one whole batch draws, and the
+   Knuth-Yao reference is the non-CT control: the fix class of each is
+   one call on an all-zero stream rebuilt for the call. *)
+let audit (inst : Ctg_samplers.Sampler_sig.instance) =
+  let rnd =
+    Ctg_prng.Bitstream.of_chacha (Ctg_prng.Chacha20.of_seed "ctcheck-rnd")
+  in
+  let f clazz =
+    let bs =
+      match clazz with
+      | Dudect.Fix -> Ctg_prng.Bitstream.of_byte_fn (fun () -> 0)
+      | Dudect.Random -> rnd
+    in
+    snd (inst.Ctg_samplers.Sampler_sig.sample_traced bs)
+  in
+  Dudect.test_ops ~config:{ config with measurements = 2_000 } f
+
+let registry_instance ~sigma ~precision =
+  Ctg_samplers.Sampler_sig.of_bitsliced
+    (Ctgauss.Sampler.clone
+       (Ctg_engine.Registry.lookup Ctg_engine.Registry.global ~sigma
+          ~precision ~tail_cut:13 ()))
+
+let sampler_tests =
+  [
+    Alcotest.test_case "knuth-yao-ref bit trace is flagged" `Quick (fun () ->
+        let m = Ctg_kyao.Matrix.create ~sigma:"2" ~precision:16 ~tail_cut:13 in
+        let r = audit (Ctg_samplers.Sampler_sig.knuth_yao_reference m) in
+        Alcotest.(check bool) "reference walk is flagged" true r.Dudect.leaky);
+    Alcotest.test_case "bitsliced batch bits: 2/128 is clean" `Quick
+      (fun () ->
+        let r = audit (registry_instance ~sigma:"2" ~precision:128) in
+        Alcotest.(check bool) "clean" false r.Dudect.leaky;
+        (* 128 input words of 64 drawn bits each, the same every batch. *)
+        Alcotest.(check (float 0.)) "bits per batch" 8192. r.Dudect.mean_fix;
+        Alcotest.(check (float 0.)) "same on random input" 8192.
+          r.Dudect.mean_random);
+    Alcotest.test_case "bitsliced batch bits: 215/16 flagged" `Quick
+      (fun () ->
+        (* About a third of sigma=215/16 batches rescue a lane with the
+           scalar walk, which draws extra bits: the trace must show it. *)
+        let r = audit (registry_instance ~sigma:"215" ~precision:16) in
+        Alcotest.(check bool) "flagged" true r.Dudect.leaky;
+        Alcotest.(check bool) "random batches draw more" true
+          (r.Dudect.mean_random > r.Dudect.mean_fix));
+  ]
+
+(* The whole run is a pure function of the measure: a fixed-seed class
+   interleaving and an in-order Welford fold. *)
 let acc_tests =
   [
     Alcotest.test_case "two same-seed runs are bit-identical" `Quick (fun () ->
         (* The determinism contract of the .mli, checked at the bit level:
-           same seed + same deterministic measure => identical class
-           sequence, identical Welford fold order, identical float bits. *)
+           the same deterministic measure => identical class sequence,
+           identical Welford fold order, identical float bits. *)
         let run () =
-          let a = Dudect.acc ~seed:42L () in
           let rng = Ctg_prng.Splitmix64.create 1234L in
-          for _ = 1 to 5_000 do
-            Dudect.acc_step a (fun clazz ->
-                let noise = float_of_int (Ctg_prng.Splitmix64.next_int rng 7) in
-                match clazz with
-                | Dudect.Fix -> 100.0 +. noise
-                | Dudect.Random -> 101.5 +. noise)
-          done;
-          Dudect.acc_report a
+          Dudect.test_ops
+            ~config:{ config with measurements = 2_500 }
+            (fun clazz ->
+              let noise = Ctg_prng.Splitmix64.next_int rng 7 in
+              match clazz with
+              | Dudect.Fix -> 100 + noise
+              | Dudect.Random -> 101 + noise)
         in
         let r1 = run () and r2 = run () in
         let bits = Int64.bits_of_float in
@@ -107,50 +153,38 @@ let acc_tests =
         Alcotest.(check int) "samples" r1.Dudect.samples_per_class
           r2.Dudect.samples_per_class;
         Alcotest.(check bool) "leaky" r1.Dudect.leaky r2.Dudect.leaky);
-    Alcotest.test_case "different seeds interleave differently" `Quick
-      (fun () ->
-        let classes seed =
-          let a = Dudect.acc ~seed () in
-          List.init 64 (fun _ -> Dudect.acc_next_class a)
-        in
-        Alcotest.(check bool) "sequences differ" true
-          (classes 1L <> classes 2L));
     Alcotest.test_case "test_ops equals a manual accumulator run" `Quick
       (fun () ->
-        (* test_ops is specified as 2 x measurements steps of a fresh
-           default-seeded accumulator — pin that equivalence down. *)
+        (* test_ops is specified as 2 x measurements class draws folded
+           in order into per-class moments: record what it measured and
+           fold it by hand. *)
         let cfg = { config with Dudect.measurements = 3_000 } in
-        let f = function Dudect.Fix -> 5 | Dudect.Random -> 9 in
+        let rng = Ctg_prng.Splitmix64.create 5L in
+        let seen = ref [] in
+        let f clazz =
+          let v =
+            (match clazz with Dudect.Fix -> 5 | Dudect.Random -> 9)
+            + Ctg_prng.Splitmix64.next_int rng 3
+          in
+          seen := (clazz, v) :: !seen;
+          v
+        in
         let one = Dudect.test_ops ~config:cfg f in
-        let a = Dudect.acc ~config:cfg () in
-        for _ = 1 to 2 * cfg.Dudect.measurements do
-          Dudect.acc_step a (fun c -> float_of_int (f c))
-        done;
-        let two = Dudect.acc_report a in
+        let fix = Ctg_stats.Moments.create () in
+        let rnd = Ctg_stats.Moments.create () in
+        List.iter
+          (fun (clazz, v) ->
+            Ctg_stats.Moments.add
+              (match clazz with Dudect.Fix -> fix | Dudect.Random -> rnd)
+              (float_of_int v))
+          (List.rev !seen);
         Alcotest.(check int64) "t bits"
           (Int64.bits_of_float one.Dudect.t_statistic)
-          (Int64.bits_of_float two.Dudect.t_statistic);
-        Alcotest.(check int) "count" (Dudect.acc_count a)
+          (Int64.bits_of_float (Ctg_stats.Welch.t_statistic fix rnd));
+        Alcotest.(check int) "count" (List.length !seen)
           (2 * cfg.Dudect.measurements));
-    Alcotest.test_case "running report converges on a planted leak" `Quick
-      (fun () ->
-        let a = Dudect.acc () in
-        let rng = Ctg_prng.Splitmix64.create 99L in
-        let below = ref 0 and above = ref 0 in
-        for _ = 1 to 4_000 do
-          Dudect.acc_step a (fun clazz ->
-              let noise = float_of_int (Ctg_prng.Splitmix64.next_int rng 4) in
-              match clazz with
-              | Dudect.Fix -> 10.0 +. noise
-              | Dudect.Random -> 12.0 +. noise);
-          let r = Dudect.acc_report a in
-          if Dudect.acc_count a < 20 then ignore r
-          else if r.Dudect.leaky then incr above
-          else incr below
-        done;
-        Alcotest.(check bool) "eventually flags" true (!above > 0);
-        let final = Dudect.acc_report a in
-        Alcotest.(check bool) "final verdict leaky" true final.Dudect.leaky);
   ]
 
-let () = Alcotest.run "ctcheck" [ ("dudect", tests); ("accumulator", acc_tests) ]
+let () =
+  Alcotest.run "ctcheck"
+    [ ("dudect", tests @ sampler_tests); ("accumulator", acc_tests) ]

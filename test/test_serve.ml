@@ -841,8 +841,6 @@ let test_retry_live_server () =
 let test_retry_classification () =
   Alcotest.(check bool) "ECONNREFUSED transient" true
     (Client.transient (Unix.Unix_error (Unix.ECONNREFUSED, "connect", "")));
-  Alcotest.(check bool) "protocol failure transient" true
-    (Client.transient (Failure "Client: truncated headers"));
   Alcotest.(check bool) "other failures not transient" false
     (Client.transient (Failure "something else"));
   Alcotest.(check bool) "EBADF not transient" false
