@@ -9,11 +9,11 @@ type t = {
   reports : stage_report list;
 }
 
-let run ?options ~sigma ~precision ~tail_cut () =
+let run ~sigma ~precision ~tail_cut () =
   let matrix = Ctg_kyao.Matrix.create ~sigma ~precision ~tail_cut in
   let enum = Ctg_kyao.Leaf_enum.enumerate matrix in
   let sublists = Sublist.build enum in
-  let program = Compile.compile ?options sublists in
+  let program = Compile.compile sublists in
   let simple_program = Compile_simple.compile enum in
   let non_empty =
     Array.fold_left
@@ -46,7 +46,7 @@ let run ?options ~sigma ~precision ~tail_cut () =
       {
         stage = "minimize per-sublist functions f^{i,k}_delta";
         detail =
-          (let reports = Compile.sop_report ?options sublists in
+          (let reports = Compile.sop_report sublists in
            let terms = Array.fold_left (fun a (_, t, _) -> a + t) 0 reports in
            let lits = Array.fold_left (fun a (_, _, l) -> a + l) 0 reports in
            Printf.sprintf "%d terms, %d literals after exact minimization"

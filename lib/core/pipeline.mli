@@ -13,8 +13,7 @@ type t = {
   reports : stage_report list;  (** In execution order. *)
 }
 
-val run :
-  ?options:Compile.options -> sigma:string -> precision:int -> tail_cut:int -> unit -> t
+val run : sigma:string -> precision:int -> tail_cut:int -> unit -> t
 
 val pp : Format.formatter -> t -> unit
 (** Print the flowchart with measured sizes at each arrow. *)

@@ -1,8 +1,6 @@
 module Bs = Ctg_prng.Bitstream
 module Trace = Ctg_obs.Trace
 
-type method_ = Split_minimized | Simple
-
 let paper_keys = [ ("1", 128); ("2", 128); ("6.15543", 128); ("215", 16) ]
 
 type t = {
@@ -28,19 +26,12 @@ type t = {
   mutable resamples : int; (* lanes rescued by the scalar fallback walk *)
 }
 
-let of_enum ?(method_ = Split_minimized) ?options (enum : Ctg_kyao.Leaf_enum.t) =
+let of_enum (enum : Ctg_kyao.Leaf_enum.t) =
   let sigma = enum.Ctg_kyao.Leaf_enum.matrix.Ctg_kyao.Matrix.sigma in
   let program =
     Trace.with_span "compile_program" ~cat:"compile"
       ~args:(fun () -> [ ("sigma", sigma) ])
-      (fun () ->
-        match method_ with
-        | Split_minimized -> Compile.compile ?options (Sublist.build enum)
-        | Simple ->
-          let with_valid =
-            match options with None -> true | Some o -> o.Compile.with_valid
-          in
-          Compile_simple.compile ~with_valid enum)
+      (fun () -> Compile.compile (Sublist.build enum))
   in
   let support = enum.Ctg_kyao.Leaf_enum.matrix.Ctg_kyao.Matrix.support in
   {
@@ -75,7 +66,7 @@ let clone t =
 let with_kernel t kernel = { (clone t) with kernel = Some kernel }
 let has_kernel t = Option.is_some t.kernel
 
-let create ?method_ ?options ~sigma ~precision ~tail_cut () =
+let create ~sigma ~precision ~tail_cut () =
   let matrix =
     Trace.with_span "build_matrix" ~cat:"compile"
       ~args:(fun () -> [ ("sigma", sigma); ("precision", string_of_int precision) ])
@@ -86,7 +77,7 @@ let create ?method_ ?options ~sigma ~precision ~tail_cut () =
       ~args:(fun () -> [ ("sigma", sigma) ])
       (fun () -> Ctg_kyao.Leaf_enum.enumerate matrix)
   in
-  of_enum ?method_ ?options enum
+  of_enum enum
 
 (* Magnitudes of one program run into [dst.(off .. off + 62)], fallback
    lanes resampled with the reference walk in lane order. *)

@@ -8,10 +8,6 @@
       let zs = Sampler.batch_signed s rng (* 63 samples per program run *)
     ]} *)
 
-type method_ =
-  | Split_minimized  (** This paper: sublist split + exact minimization. *)
-  | Simple  (** The prior-work baseline of Table 2. *)
-
 val paper_keys : (string * int) list
 (** The (σ, precision) pairs the repo serves and measures by default, all
     at tail cut 13: the paper's σ ∈ {1, 2, 6.15543} at the Falcon precision
@@ -21,22 +17,16 @@ val paper_keys : (string * int) list
 
 type t
 
-val create :
-  ?method_:method_ ->
-  ?options:Compile.options ->
-  sigma:string ->
-  precision:int ->
-  tail_cut:int ->
-  unit ->
-  t
+val create : sigma:string -> precision:int -> tail_cut:int -> unit -> t
 (** Runs the full pipeline of the paper's Fig. 4: probability matrix →
     list L → sublists → minimized Boolean functions → combined constant-
-    time program.  [Split_minimized] with default options is the paper's
-    construction. *)
+    time program, compiled by {!Compile.compile} with
+    {!Compile.default_options} (the paper's construction).  The Table 2
+    baseline and the ablations call {!Compile_simple} and {!Compile}
+    directly. *)
 
-val of_enum : ?method_:method_ -> ?options:Compile.options -> Ctg_kyao.Leaf_enum.t -> t
-(** Reuse an existing leaf enumeration (saves the table rebuild when
-    comparing compilers on the same σ). *)
+val of_enum : Ctg_kyao.Leaf_enum.t -> t
+(** {!create} on an existing leaf enumeration (saves the table rebuild). *)
 
 val clone : t -> t
 (** A cheap copy sharing the compiled program, matrix, enumeration and

@@ -92,7 +92,6 @@ type t = {
   gate_count : int;
   rng_of_lane : int -> Bs.t;
   chunk_samples : int;
-  max_chunk_retries : int;
   metrics : Metrics.t;
   ctmon : Ctmon.t;
   team : Workforce.t;
@@ -270,6 +269,8 @@ let run_chunk t ~worker (j : job) c =
    error: it escapes to the team, which orphans the chunk for another
    domain.  Exhausted retries raise [Chunk_failed], which fails the whole
    job so the error surfaces on the caller instead of hanging it. *)
+let max_chunk_retries = 2
+
 let rec attempt_chunk t ~worker (j : job) c attempt =
   match
     (match t.fault_hook with
@@ -283,7 +284,7 @@ let rec attempt_chunk t ~worker (j : job) c attempt =
     (match e with
     | Ctg_prng.Health.Entropy_failure _ -> Metrics.add_health_failure t.metrics
     | _ -> ());
-    if attempt < t.max_chunk_retries && not (Workq.aborted j.wq) then begin
+    if attempt < max_chunk_retries && not (Workq.aborted j.wq) then begin
       Metrics.add_chunk_retry t.metrics;
       Unix.sleepf (0.001 *. float_of_int (1 lsl attempt));
       attempt_chunk t ~worker j c (attempt + 1)
@@ -291,12 +292,9 @@ let rec attempt_chunk t ~worker (j : job) c attempt =
     else raise (Chunk_failed { chunk = c; attempts = attempt + 1; error = e })
 
 let create ?domains ?(backend = Stream_fork.Chacha) ?(chunk_batches = 16)
-    ?rng_of_lane ?(self_test = true) ?stall_timeout ?(max_chunk_retries = 2)
-    ~seed sampler =
+    ?rng_of_lane ?(self_test = true) ?stall_timeout ~seed sampler =
   if chunk_batches < 1 then
     invalid_arg "Pool.create: chunk_batches must be >= 1";
-  if max_chunk_retries < 0 then
-    invalid_arg "Pool.create: max_chunk_retries must be >= 0";
   let mode =
     if not self_test then Bitsliced
     else
@@ -337,7 +335,6 @@ let create ?domains ?(backend = Stream_fork.Chacha) ?(chunk_batches = 16)
     gate_count = Ctgauss.Sampler.gate_count sampler;
     rng_of_lane;
     chunk_samples = chunk_batches * Ctgauss.Bitslice.lanes;
-    max_chunk_retries;
     metrics;
     ctmon =
       Ctmon.create ~registry:(Metrics.registry metrics) ~labels

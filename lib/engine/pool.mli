@@ -23,7 +23,7 @@
     [3 × domains × chunk] samples instead of buffering the whole job.
 
     {b Supervision.}  A worker exception while filling a chunk is retried
-    in place with exponential backoff up to [max_chunk_retries] times;
+    in place with exponential backoff up to 2 times;
     past that the {e job} fails and {!Chunk_failed} is raised on the
     caller — a failed chunk can never leave {!batch_parallel} or
     {!iter_batches} blocked.  A worker killed at a chunk boundary
@@ -92,7 +92,6 @@ val create :
   ?rng_of_lane:(int -> Ctg_prng.Bitstream.t) ->
   ?self_test:bool ->
   ?stall_timeout:float ->
-  ?max_chunk_retries:int ->
   seed:string ->
   Ctgauss.Sampler.t ->
   t
@@ -108,8 +107,7 @@ val create :
     model here; determinism still holds per lane index.  [self_test]
     (default [true]) KATs the sampler and degrades to the CT CDT on
     failure.  [stall_timeout] (seconds) arms the team's watchdog; unset
-    means callers wait indefinitely.  [max_chunk_retries] (default 2)
-    bounds in-place retries per chunk. *)
+    means callers wait indefinitely. *)
 
 val domains : t -> int
 val metrics : t -> Metrics.t

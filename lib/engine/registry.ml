@@ -5,7 +5,6 @@ type key = {
   sigma : string;
   precision : int;
   tail_cut : int;
-  method_ : Ctgauss.Sampler.method_;
 }
 
 (* [Building] marks an in-flight compile: the key is claimed but the
@@ -29,9 +28,8 @@ let create () =
 
 let global = create ()
 
-let lookup t ?(method_ = Ctgauss.Sampler.Split_minimized) ?(self_test = true)
-    ~sigma ~precision ~tail_cut () =
-  let key = { sigma; precision; tail_cut; method_ } in
+let lookup t ?(self_test = true) ~sigma ~precision ~tail_cut () =
+  let key = { sigma; precision; tail_cut } in
   Mutex.lock t.mutex;
   let rec claim () =
     match Hashtbl.find_opt t.table key with
@@ -53,7 +51,7 @@ let lookup t ?(method_ = Ctgauss.Sampler.Split_minimized) ?(self_test = true)
     match
       Obs.Trace.with_span "registry_compile" ~cat:"engine"
         ~args:(fun () -> [ ("sigma", sigma); ("precision", string_of_int precision) ])
-        (fun () -> Ctgauss.Sampler.create ~method_ ~sigma ~precision ~tail_cut ())
+        (fun () -> Ctgauss.Sampler.create ~sigma ~precision ~tail_cut ())
     with
     | s -> (
       (* Bind the build-time kernel of this exact program, if any, before

@@ -10,12 +10,7 @@
     (physical equality).  Callers that need private mutable state (every
     pool worker does) take {!Ctgauss.Sampler.clone}s of the shared master. *)
 
-type key = {
-  sigma : string;
-  precision : int;
-  tail_cut : int;
-  method_ : Ctgauss.Sampler.method_;
-}
+type key = { sigma : string; precision : int; tail_cut : int }
 
 type t
 
@@ -26,21 +21,20 @@ val global : t
 
 val lookup :
   t ->
-  ?method_:Ctgauss.Sampler.method_ ->
   ?self_test:bool ->
   sigma:string ->
   precision:int ->
   tail_cut:int ->
   unit ->
   Ctgauss.Sampler.t
-(** The cached sampler for the key, compiling it on first use (default
-    method [Split_minimized], the paper's).  Repeated lookups return the
+(** The cached sampler for the key, compiling it with
+    {!Ctgauss.Sampler.create} on first use.  Repeated lookups return the
     physically equal master instance.
 
     A fresh compile whose {!Ctgauss.Sampler.digest} is one of the
     build-time kernels' ({!Ctg_kernels.Kernels.find}) is bound to that
-    kernel ({!Ctgauss.Sampler.with_kernel}); any other program (on-demand
-    σ, [Simple]) runs on the interpreter.
+    kernel ({!Ctgauss.Sampler.with_kernel}); any other program (an
+    on-demand σ or precision) runs on the interpreter.
 
     [self_test] (default [true]) runs the {!Selftest} KAT on every fresh
     compile before it is published to the cache; a failing sampler is never

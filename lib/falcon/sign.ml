@@ -176,7 +176,7 @@ let sign ?fault_hook ?(check = true) kp base rng ~msg =
   in
   attempt 1
 
-let sign_many ?domains ?backend ?workforce ?lanes ?fault_hook ?check kp
+let sign_many ?domains ?workforce ?lanes ?fault_hook ?check kp
     ~make_base ~seed ~msgs =
   let n = Array.length msgs in
   (match lanes with
@@ -200,9 +200,7 @@ let sign_many ?domains ?backend ?workforce ?lanes ?fault_hook ?check kp
            per-message slice on whichever domain signed it. *)
         Obs.Trace.flow_end ~id:lane "sig"
           ~args:(fun () -> [ ("lane", string_of_int lane) ]);
-        let rng =
-          Ctg_engine.Stream_fork.bitstream ?backend ~seed ~lane ()
-        in
+        let rng = Ctg_engine.Stream_fork.bitstream ~seed ~lane () in
         let base = make_base () in
         out.(i) <- Some (sign ?fault_hook ?check kp base rng ~msg:msgs.(i)))
   in

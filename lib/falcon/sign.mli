@@ -43,7 +43,6 @@ val sign :
 
 val sign_many :
   ?domains:int ->
-  ?backend:Ctg_engine.Stream_fork.backend ->
   ?workforce:Ctg_engine.Workforce.t ->
   ?lanes:int array ->
   ?fault_hook:fault_hook ->

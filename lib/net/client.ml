@@ -144,89 +144,33 @@ let one_shot ?host ~port ?headers ?body ~meth ~path () =
 
 let get ?host ~port path = one_shot ?host ~port ~meth:"GET" ~path ()
 
-let post ?host ~port ?body path =
-  one_shot ?host ~port ?body ~meth:"POST" ~path ()
-
-(* ------------------------------------------------------------------ *)
-(* Retry layer: bounded exponential backoff with jitter and a deadline,
-   around connect.                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type retry_policy = {
-  max_attempts : int;
-  base_delay : float;
-  max_delay : float;
-  deadline : float option;
-  jitter : attempt:int -> cap:float -> float;
-  sleep : float -> unit;
-}
-
-(* Equal jitter: half the backoff step is guaranteed, half randomized so
-   concurrent clients retrying after one daemon hiccup desynchronize.
-   Deliberately unseeded — retry timing is operational, never part of a
-   reproducible verdict — and stateless, so concurrent domains race on
-   nothing.  Tests pin the seam instead. *)
-let default_jitter ~attempt ~cap =
-  let frac =
-    float_of_int (Hashtbl.hash (attempt, Unix.gettimeofday ()) land 0xffff)
-    /. 65536.0
+(* Connect up to 3 times, retrying only transport failures: the daemon
+   may be mid-restart or shedding connections.  A received HTTP response
+   (any status, 503 included) is never retried here.  Backoff sleeps
+   50 ms, then 100 ms; the time left on a 5 s deadline is each attempt's
+   socket send/receive timeout and also bounds the sleeps, so a call
+   never outlives the deadline by more than one socket timeout. *)
+let connect_retry ?host ~port () =
+  let max_attempts = 3 and base_delay = 0.05 in
+  let deadline_at = Unix.gettimeofday () +. 5.0 in
+  let remaining () = deadline_at -. Unix.gettimeofday () in
+  let transient = function
+    | Unix.Unix_error
+        ( ( Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.ECONNABORTED | Unix.EPIPE
+          | Unix.ETIMEDOUT | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR
+          | Unix.ENETUNREACH | Unix.EHOSTUNREACH ),
+          _,
+          _ ) ->
+      true
+    | _ -> false
   in
-  (cap /. 2.0) +. (cap /. 2.0 *. frac)
-
-let default_policy =
-  {
-    max_attempts = 3;
-    base_delay = 0.05;
-    max_delay = 1.0;
-    deadline = Some 5.0;
-    jitter = default_jitter;
-    sleep = Unix.sleepf;
-  }
-
-(* Transport failures are worth retrying: the daemon may be mid-restart
-   or shedding connections.  Anything else (bad arguments, out of
-   descriptors) is not transient.  A received HTTP response — any
-   status, including 503 — is never retried here: a 503 from /healthz is
-   the answer, not a failure. *)
-let transient = function
-  | Unix.Unix_error
-      ( ( Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.ECONNABORTED | Unix.EPIPE
-        | Unix.ETIMEDOUT | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR
-        | Unix.ENETUNREACH | Unix.EHOSTUNREACH ),
-        _,
-        _ ) ->
-    true
-  | _ -> false
-
-let backoff_cap p attempt =
-  Float.min p.max_delay (p.base_delay *. (2.0 ** float_of_int (attempt - 1)))
-
-(* Connect up to [max_attempts] times.  The time left on the deadline
-   is each attempt's socket send/receive timeout, and it also bounds the
-   backoff sleeps, so a call never outlives [deadline] by more than one
-   socket timeout. *)
-let connect_retry ?(policy = default_policy) ?host ~port () =
-  let p = policy in
-  let deadline_at =
-    Option.map (fun d -> Unix.gettimeofday () +. d) p.deadline
-  in
-  let remaining () =
-    Option.map (fun d -> d -. Unix.gettimeofday ()) deadline_at
-  in
-  if p.max_attempts < 1 then invalid_arg "Client: max_attempts < 1";
   let rec attempt n =
-    (match remaining () with
-    | Some r when r <= 0.0 -> failwith "Client: request deadline exceeded"
-    | _ -> ());
-    try connect ?host ?timeout:(remaining ()) ~port ()
-    with e when n < p.max_attempts && transient e ->
-      let d = p.jitter ~attempt:n ~cap:(backoff_cap p n) in
-      let d =
-        match remaining () with
-        | Some r -> Float.min d (Float.max 0.0 r)
-        | None -> d
-      in
-      p.sleep d;
+    if remaining () <= 0.0 then failwith "Client: request deadline exceeded";
+    try connect ?host ~timeout:(remaining ()) ~port ()
+    with e when n < max_attempts && transient e ->
+      Unix.sleepf
+        (Float.min (base_delay *. (2.0 ** float_of_int (n - 1)))
+           (Float.max 0.0 (remaining ())));
       attempt (n + 1)
   in
   attempt 1

@@ -45,37 +45,12 @@ val one_shot :
 (** Connect, send one request, read the response, close. *)
 
 val get : ?host:string -> port:int -> string -> response
-val post : ?host:string -> port:int -> ?body:string -> string -> response
 
-(** {1 Retries}
-
-    Bounded exponential backoff with jitter around {!connect}: only
-    transport failures are retried.  Requests are never retried — a
-    received HTTP response of any status is the answer, and a lost
-    response to a signing POST does not mean the daemon did not sign. *)
-
-type retry_policy = {
-  max_attempts : int;  (** Total attempts including the first; >= 1. *)
-  base_delay : float;  (** First backoff step, seconds. *)
-  max_delay : float;  (** Backoff cap, seconds. *)
-  deadline : float option;
-      (** Wall-clock budget across all attempts, also applied as
-          per-attempt socket timeouts. *)
-  jitter : attempt:int -> cap:float -> float;
-      (** Sleep for this attempt given the backoff cap.  The default is
-          equal jitter: [cap/2 + uniform(0, cap/2)].  Seam for tests. *)
-  sleep : float -> unit;  (** [Unix.sleepf]; seam for tests. *)
-}
-
-val default_policy : retry_policy
-(** 3 attempts, 50 ms doubling to a 1 s cap, 5 s deadline. *)
-
-val transient : exn -> bool
-(** Would the policy retry this exception? *)
-
-val backoff_cap : retry_policy -> int -> float
-(** Backoff cap for the given 1-based attempt (before jitter). *)
-
-val connect_retry : ?policy:retry_policy -> ?host:string -> port:int -> unit -> t
-(** [connect] under the policy — retries refused/reset connects while a
-    daemon boots.  The deadline becomes the connection's socket timeout. *)
+val connect_retry : ?host:string -> port:int -> unit -> t
+(** {!connect}, retried while a daemon boots: up to 3 attempts, 50 ms
+    doubling backoff, and a 5 s deadline across all attempts that is also
+    the connection's socket timeout.  Only transport failures (refused,
+    reset or timed-out connects) are retried; the last one is raised.
+    Requests are never retried — a received HTTP response of any status
+    is the answer, and a lost response to a signing POST does not mean
+    the daemon did not sign. *)

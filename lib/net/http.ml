@@ -190,14 +190,12 @@ let parse_head head =
     | _ -> Error "malformed request line")
 
 (* ---------------------------------------------------------------- *)
-(* Routing (the legacy GET-only route table)                         *)
+(* Routing (the GET-only route table)                                *)
 (* ---------------------------------------------------------------- *)
 
-let guard f =
-  try f ()
-  with e ->
-    response ~status:500
-      (Printf.sprintf "handler error: %s\n" (Printexc.to_string e))
+let handler_error e =
+  response ~status:500
+    (Printf.sprintf "handler error: %s\n" (Printexc.to_string e))
 
 let handler_of_routes (routes : route list) : handler =
  fun req ->
@@ -206,32 +204,7 @@ let handler_of_routes (routes : route list) : handler =
   else
     match List.assoc_opt req.path routes with
     | None -> response ~status:404 (Printf.sprintf "no route for %s\n" req.path)
-    | Some f -> guard f
-
-let handle ~routes path =
-  let path, _query = split_target path in
-  match List.assoc_opt path routes with
-  | None -> response ~status:404 (Printf.sprintf "no route for %s\n" path)
-  | Some f -> guard f
-
-let handle_request ~routes raw =
-  let head =
-    (* Everything up to the blank line; tolerate bare-\n framing. *)
-    let len = String.length raw in
-    let rec find i =
-      if i + 1 >= len then len
-      else if
-        raw.[i] = '\n'
-        && (raw.[i + 1] = '\n'
-           || (i + 2 < len && raw.[i + 1] = '\r' && raw.[i + 2] = '\n'))
-      then i
-      else find (i + 1)
-    in
-    String.sub raw 0 (find 0)
-  in
-  match parse_head head with
-  | Error e -> response ~status:400 (e ^ "\n")
-  | Ok (req, _version) -> handler_of_routes routes req
+    | Some f -> ( try f () with e -> handler_error e)
 
 (* ---------------------------------------------------------------- *)
 (* Connection I/O                                                    *)
@@ -457,12 +430,7 @@ let serve_connection st ~handler ~max_body fd =
       continue := false
     | Request (req, version) ->
       let rid, req = ensure_request_id req in
-      let resp =
-        try handler req
-        with e ->
-          response ~status:500
-            (Printf.sprintf "handler error: %s\n" (Printexc.to_string e))
-      in
+      let resp = try handler req with e -> handler_error e in
       let resp = with_request_id rid resp in
       let wants_close =
         match List.assoc_opt "connection" req.headers with
@@ -523,7 +491,7 @@ let accept_loop st =
       if not (Atomic.get st.stopping) then Unix.sleepf 0.01
   done
 
-let start_handler ?(host = "127.0.0.1") ?(backlog = 64) ?(workers = 4)
+let start_handler ?(host = "127.0.0.1") ?(workers = 4)
     ?(max_body = default_max_body) ~port handler =
   if workers < 1 then invalid_arg "Http.start_handler: workers must be >= 1";
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -532,7 +500,7 @@ let start_handler ?(host = "127.0.0.1") ?(backlog = 64) ?(workers = 4)
    with e ->
      (try Unix.close sock with _ -> ());
      raise e);
-  Unix.listen sock backlog;
+  Unix.listen sock 64;
   let port =
     match Unix.getsockname sock with
     | Unix.ADDR_INET (_, p) -> p
@@ -557,9 +525,6 @@ let start_handler ?(host = "127.0.0.1") ?(backlog = 64) ?(workers = 4)
       List.init workers (fun _ ->
           Domain.spawn (fun () -> worker_loop st ~handler ~max_body));
   }
-
-let start ?host ?backlog ?workers ~port ~routes () =
-  start_handler ?host ?backlog ?workers ~port (handler_of_routes routes)
 
 let port s = s.st.port
 

@@ -36,8 +36,8 @@ type handler = request -> response
 (** Runs on a worker domain; exceptions become a 500. *)
 
 type route = string * (unit -> response)
-(** Exact path (query string stripped before matching) and its handler —
-    the legacy GET-only route table of the metrics endpoint. *)
+(** Exact path (query string stripped before matching) and its handler:
+    the metrics endpoint's GET-only route table ({!handler_of_routes}). *)
 
 val query_param : request -> string -> string option
 val header : request -> string -> string option
@@ -57,40 +57,24 @@ val gen_request_id : unit -> string
 
 val valid_request_id : string -> bool
 
-val handle : routes:route list -> string -> response
-(** Pure routing step: look up the path, run the handler, wrap handler
-    exceptions as 500.  Unknown paths yield 404. *)
-
-val handle_request : routes:route list -> string -> response
-(** GET-only routing over a raw request text: non-GET methods yield 405,
-    unknown paths 404, malformed request lines 400 and handler exceptions
-    500.  Exposed for in-process tests. *)
+val handler_of_routes : route list -> handler
+(** GET-only routing over a route table: non-GET methods yield 405,
+    unknown paths 404 and handler exceptions 500. *)
 
 type server
 
-val start :
-  ?host:string ->
-  ?backlog:int ->
-  ?workers:int ->
-  port:int ->
-  routes:route list ->
-  unit ->
-  server
-(** Bind ([host] defaults to 127.0.0.1), listen, and serve the GET route
-    table on [workers] (default 4) worker domains.  Pass [port:0] to let
-    the kernel pick a free port (tests); read it back with {!port}.
-    Raises [Unix.Unix_error] if the bind fails. *)
-
 val start_handler :
   ?host:string ->
-  ?backlog:int ->
   ?workers:int ->
   ?max_body:int ->
   port:int ->
   handler ->
   server
-(** Full-request server: method-aware handler, request bodies up to
-    [max_body] bytes (default 1 MiB; larger gets 413). *)
+(** Bind ([host] defaults to 127.0.0.1), listen, and serve [handler] on
+    [workers] (default 4) worker domains, with request bodies up to
+    [max_body] bytes (default 1 MiB; larger gets 413).  Pass [port:0] to
+    let the kernel pick a free port (tests); read it back with {!port}.
+    Raises [Unix.Unix_error] if the bind fails. *)
 
 val port : server -> int
 

@@ -417,27 +417,20 @@ let handle_trace t req =
       | Some evs -> json (Obs.Trace.export_events evs))
 
 let handler t : Http.handler =
-  let monitor_routes = Assure.Monitor.routes t.monitor ~registry:t.registry in
+  (* The monitor's routes answer every other GET (404 off the table) and
+     every method but GET and POST (405). *)
+  let monitor =
+    Http.handler_of_routes (Assure.Monitor.routes t.monitor ~registry:t.registry)
+  in
   fun req ->
     match (req.Http.meth, req.Http.path) with
     | "POST", "/v1/sign" -> handle_sign t req
     | "GET", "/v1/pubkey" -> handle_pubkey t req
     | "GET", "/v1/tenants" -> handle_tenants t
     | "GET", "/v1/trace" -> handle_trace t req
-    | "GET", path -> (
-      match List.assoc_opt path monitor_routes with
-      | Some f -> (
-        try f ()
-        with e ->
-          Http.response ~status:500
-            (Printf.sprintf "handler error: %s\n" (Printexc.to_string e)))
-      | None ->
-        Http.response ~status:404 (Printf.sprintf "no route for %s\n" path))
-    | "POST", _ ->
-      Http.response ~status:404
-        (Printf.sprintf "no route for %s\n" req.Http.path)
-    | meth, _ ->
-      Http.response ~status:405 (Printf.sprintf "method %s not allowed\n" meth)
+    | "POST", path ->
+      Http.response ~status:404 (Printf.sprintf "no route for %s\n" path)
+    | _ -> monitor req
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)

@@ -10,6 +10,7 @@ module Monitor = Ctg_assure.Monitor
 module Trend = Ctg_assure.Trend
 module Jsonx = Ctg_obs.Jsonx
 module Http = Ctg_net.Http
+module Client = Ctg_net.Client
 module Promtext = Ctg_obs.Promtext
 module Registry = Ctg_obs.Registry
 module E = Ctg_engine
@@ -226,6 +227,32 @@ let test_drift_flush_partial_window () =
 (* --------------------------------------------------------------------- *)
 (* Monitor + routes *)
 
+(* The route table behind a live server on a kernel-picked port. *)
+let with_routes routes f =
+  let srv = Http.start_handler ~port:0 ~workers:1 (Http.handler_of_routes routes) in
+  Fun.protect ~finally:(fun () -> Http.stop srv) (fun () -> f (Http.port srv))
+
+(* Send [req] verbatim on a fresh connection; the raw response, read to
+   the server's close. *)
+let raw_exchange port req =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      ignore (Unix.write_substring sock req 0 (String.length req));
+      let buf = Buffer.create 1024 in
+      let chunk = Bytes.create 4096 in
+      let rec drain () =
+        let n = Unix.read sock chunk 0 (Bytes.length chunk) in
+        if n > 0 then begin
+          Buffer.add_subbytes buf chunk 0 n;
+          drain ()
+        end
+      in
+      drain ();
+      Buffer.contents buf)
+
 let test_monitor_verdict_and_routes () =
   let registry = Registry.create () in
   let mon =
@@ -236,31 +263,29 @@ let test_monitor_verdict_and_routes () =
   (match Jsonx.parse (Jsonx.to_string (Monitor.healthz_json mon)) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "healthz json: %s" e);
-  let routes = Monitor.routes mon ~registry in
-  let metrics = Http.handle ~routes "/metrics" in
-  Alcotest.(check int) "metrics 200" 200 metrics.Http.status;
-  (match Promtext.parse metrics.Http.body with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "/metrics body: %s" e);
-  let healthz = Http.handle ~routes "/healthz" in
-  Alcotest.(check int) "healthz 200 while healthy" 200 healthz.Http.status;
-  Alcotest.(check int) "unknown path 404" 404
-    (Http.handle ~routes "/nope").Http.status;
-  Alcotest.(check int) "query string stripped" 200
-    (Http.handle ~routes "/metrics?x=1").Http.status;
-  Alcotest.(check int) "POST rejected" 405
-    (Http.handle_request ~routes "POST /metrics HTTP/1.1\r\n\r\n").Http.status;
-  Alcotest.(check int) "garbage rejected" 400
-    (Http.handle_request ~routes "no-request-line").Http.status;
-  (* Trip the drift monitor; the verdict and /healthz must flip. *)
-  Drift.observe (Monitor.drift mon) (Array.make 1_000 0);
-  Alcotest.(check bool) "failing after alarm" false (Monitor.healthy mon);
-  (match Monitor.verdict mon with
-  | Monitor.Healthy -> Alcotest.fail "verdict still healthy"
-  | Monitor.Failing reasons ->
-    Alcotest.(check bool) "reason recorded" true (List.length reasons > 0));
-  Alcotest.(check int) "healthz 503 when failing" 503
-    (Http.handle ~routes "/healthz").Http.status;
+  with_routes (Monitor.routes mon ~registry) (fun port ->
+      let status path = (Client.get ~port path).Client.status in
+      let metrics = Client.get ~port "/metrics" in
+      Alcotest.(check int) "metrics 200" 200 metrics.Client.status;
+      (match Promtext.parse metrics.Client.body with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "/metrics body: %s" e);
+      Alcotest.(check int) "healthz 200 while healthy" 200 (status "/healthz");
+      Alcotest.(check int) "unknown path 404" 404 (status "/nope");
+      Alcotest.(check int) "query string stripped" 200 (status "/metrics?x=1");
+      Alcotest.(check int) "POST rejected" 405
+        (Client.one_shot ~port ~meth:"POST" ~path:"/metrics" ()).Client.status;
+      Alcotest.(check bool) "garbage rejected" true
+        (String.starts_with ~prefix:"HTTP/1.1 400"
+           (raw_exchange port "no-request-line\r\n\r\n"));
+      (* Trip the drift monitor; the verdict and /healthz must flip. *)
+      Drift.observe (Monitor.drift mon) (Array.make 1_000 0);
+      Alcotest.(check bool) "failing after alarm" false (Monitor.healthy mon);
+      (match Monitor.verdict mon with
+      | Monitor.Healthy -> Alcotest.fail "verdict still healthy"
+      | Monitor.Failing reasons ->
+        Alcotest.(check bool) "reason recorded" true (List.length reasons > 0));
+      Alcotest.(check int) "healthz 503 when failing" 503 (status "/healthz"));
   match Jsonx.parse (Jsonx.to_string (Monitor.drift_json mon)) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "drift json: %s" e
@@ -271,49 +296,29 @@ let test_http_live_scrape () =
   let routes =
     [ ("/metrics", fun () -> Http.response (Registry.expose_text registry)) ]
   in
-  let srv = Http.start ~port:0 ~routes () in
-  Fun.protect
-    ~finally:(fun () -> Http.stop srv)
-    (fun () ->
-      let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-        (fun () ->
-          Unix.connect sock
-            (Unix.ADDR_INET (Unix.inet_addr_loopback, Http.port srv));
-          let req =
-            "GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-          in
-          ignore (Unix.write_substring sock req 0 (String.length req));
-          let buf = Buffer.create 1024 in
-          let chunk = Bytes.create 4096 in
-          let rec drain () =
-            let n = Unix.read sock chunk 0 (Bytes.length chunk) in
-            if n > 0 then begin
-              Buffer.add_subbytes buf chunk 0 n;
-              drain ()
-            end
-          in
-          drain ();
-          let raw = Buffer.contents buf in
-          Alcotest.(check bool) "status 200" true
-            (String.starts_with ~prefix:"HTTP/1.1 200" raw);
-          let body =
-            (* split at the header/body blank line *)
-            let rec find i =
-              if i + 4 > String.length raw then
-                Alcotest.fail "no header terminator in response"
-              else if String.sub raw i 4 = "\r\n\r\n" then
-                String.sub raw (i + 4) (String.length raw - i - 4)
-              else find (i + 1)
-            in
-            find 0
-          in
-          match Promtext.parse body with
-          | Error e -> Alcotest.failf "scraped body unparseable: %s" e
-          | Ok items ->
-            Alcotest.(check (option (float 1e-9))) "counter scraped" (Some 7.0)
-              (Promtext.value items ~name:"assure_scrape_total" ~labels:[])))
+  with_routes routes (fun port ->
+      let raw =
+        raw_exchange port
+          "GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
+      in
+      Alcotest.(check bool) "status 200" true
+        (String.starts_with ~prefix:"HTTP/1.1 200" raw);
+      let body =
+        (* split at the header/body blank line *)
+        let rec find i =
+          if i + 4 > String.length raw then
+            Alcotest.fail "no header terminator in response"
+          else if String.sub raw i 4 = "\r\n\r\n" then
+            String.sub raw (i + 4) (String.length raw - i - 4)
+          else find (i + 1)
+        in
+        find 0
+      in
+      match Promtext.parse body with
+      | Error e -> Alcotest.failf "scraped body unparseable: %s" e
+      | Ok items ->
+        Alcotest.(check (option (float 1e-9))) "counter scraped" (Some 7.0)
+          (Promtext.value items ~name:"assure_scrape_total" ~labels:[]))
 
 (* A short end-to-end soak at tiny batch size: an engine pool feeding
    the drift monitor through the chunk hook, its CT monitor in the
@@ -340,9 +345,9 @@ let test_soak_smoke () =
       Alcotest.(check bool) "windows evaluated" true
         (Drift.windows (Monitor.drift monitor) >= 1);
       Alcotest.(check bool) "healthy" true (Monitor.healthy monitor);
-      let routes = Monitor.routes monitor ~registry in
-      let metrics = Http.handle ~routes "/metrics" in
-      Alcotest.(check int) "soak /metrics" 200 metrics.Http.status)
+      with_routes (Monitor.routes monitor ~registry) (fun port ->
+          Alcotest.(check int) "soak /metrics" 200
+            (Client.get ~port "/metrics").Client.status))
 
 (* --------------------------------------------------------------------- *)
 (* Trend *)

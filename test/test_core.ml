@@ -83,30 +83,33 @@ let gate_tests =
         Alcotest.(check int) "lane2" 1 ((w lsr 2) land 1));
   ]
 
-let equivalence_one enum sampler trials seed =
+(* [program] agrees with Alg. 1 on [trials] random strings. *)
+let equivalence_one enum program trials seed =
   let m = enum.Le.matrix in
   let rng = Ctg_prng.Splitmix64.create seed in
   let ok = ref true in
   for _ = 1 to trials do
     let bits = random_bits rng m.Matrix.precision in
-    let v, valid = Sampler.eval_bits sampler bits in
+    let v, valid = Bitslice.eval_single program bits in
     (match Cs.walk_bits m bits with
     | Cs.Hit { value; _ } -> if not (valid && v = value) then ok := false
     | Cs.Exhausted -> if valid then ok := false)
   done;
   !ok
 
+let split ?options enum = Compile.compile ?options (Sublist.build enum)
+
 let compiler_tests =
   [
     Alcotest.test_case "split compiler = Alg.1 (sigma 2)" `Quick (fun () ->
-        let s = Sampler.of_enum ~method_:Split_minimized enum_mid in
-        Alcotest.(check bool) "equivalent" true (equivalence_one enum_mid s 4000 1L));
+        Alcotest.(check bool) "equivalent" true
+          (equivalence_one enum_mid (split enum_mid) 4000 1L));
     Alcotest.test_case "simple compiler = Alg.1 (sigma 2)" `Quick (fun () ->
-        let s = Sampler.of_enum ~method_:Simple enum_mid in
-        Alcotest.(check bool) "equivalent" true (equivalence_one enum_mid s 4000 2L));
+        Alcotest.(check bool) "equivalent" true
+          (equivalence_one enum_mid (Compile_simple.compile enum_mid) 4000 2L));
     Alcotest.test_case "split compiler = Alg.1 (sigma 3.33)" `Quick (fun () ->
-        let s = Sampler.of_enum ~method_:Split_minimized enum_wide in
-        Alcotest.(check bool) "equivalent" true (equivalence_one enum_wide s 4000 3L));
+        Alcotest.(check bool) "equivalent" true
+          (equivalence_one enum_wide (split enum_wide) 4000 3L));
     Alcotest.test_case "exhaustive equivalence at n=10" `Quick (fun () ->
         (* Every one of the 1024 input strings, not just samples. *)
         let enum = enum_of "1.2" 10 in
@@ -123,16 +126,15 @@ let compiler_tests =
     Alcotest.test_case "ablation: unshared selectors same function" `Quick
       (fun () ->
         let options = { Compile.default_options with share_selectors = false } in
-        let s = Sampler.of_enum ~options enum_mid in
-        Alcotest.(check bool) "equivalent" true (equivalence_one enum_mid s 2000 4L);
-        let shared = Sampler.of_enum enum_mid in
+        let p = split ~options enum_mid in
+        Alcotest.(check bool) "equivalent" true (equivalence_one enum_mid p 2000 4L);
         Alcotest.(check bool) "sharing saves gates" true
-          (Sampler.gate_count shared < Sampler.gate_count s));
+          (Gate.gate_count (split enum_mid) < Gate.gate_count p));
     Alcotest.test_case "ablation: greedy minimize same function" `Quick
       (fun () ->
         let options = { Compile.default_options with exact_minimize = false } in
-        let s = Sampler.of_enum ~options enum_mid in
-        Alcotest.(check bool) "equivalent" true (equivalence_one enum_mid s 2000 5L));
+        Alcotest.(check bool) "equivalent" true
+          (equivalence_one enum_mid (split ~options enum_mid) 2000 5L));
     Alcotest.test_case "all compiler option combinations are equivalent" `Slow
       (fun () ->
         (* 2^3 option matrix for the split compiler, plus the merged and
@@ -157,11 +159,11 @@ let compiler_tests =
           [ true; false ];
         List.iteri
           (fun i options ->
-            let s = Sampler.of_enum ~options enum_mid in
             Alcotest.(check bool)
               (Printf.sprintf "combo %d" i)
               true
-              (equivalence_one enum_mid s 800 (Int64.of_int (100 + i))))
+              (equivalence_one enum_mid (split ~options enum_mid) 800
+                 (Int64.of_int (100 + i))))
           !combos;
         let unmerged =
           Compile_simple.compile ~merge_adjacent:false enum_mid
@@ -177,9 +179,8 @@ let compiler_tests =
         done);
     Alcotest.test_case "no-valid program drops the flag" `Quick (fun () ->
         let options = { Compile.default_options with with_valid = false } in
-        let s = Sampler.of_enum ~options enum_mid in
         Alcotest.(check bool) "no valid reg" true
-          ((Sampler.program s).Gate.valid = None));
+          ((split ~options enum_mid).Gate.valid = None));
     Alcotest.test_case "split beats simple at n=128 (Table 2 shape)" `Slow
       (fun () ->
         let enum = enum_of "2" 128 in
@@ -454,7 +455,7 @@ let pipeline_tests =
 let prop_tests =
   let open QCheck in
   let split_sampler = Sampler.of_enum enum_mid in
-  let simple_sampler = Sampler.of_enum ~method_:Simple enum_mid in
+  let simple_program = Compile_simple.compile enum_mid in
   let wide_sampler = Sampler.of_enum (enum_of "100" 10) in
   List.map QCheck_alcotest.to_alcotest
     [
@@ -463,8 +464,8 @@ let prop_tests =
         (fun seed ->
           let rng = Ctg_prng.Splitmix64.create (Int64.of_int (seed * 131)) in
           let bits = random_bits rng 24 in
-          Sampler.eval_bits split_sampler bits
-          = Sampler.eval_bits simple_sampler bits);
+          Bitslice.eval_single (Sampler.program split_sampler) bits
+          = Bitslice.eval_single simple_program bits);
       Test.make ~name:"bitsliced batch = 63 single evaluations" ~count:20
         small_nat
         (fun seed ->

@@ -29,26 +29,6 @@ let tests =
         Alcotest.(check bool) "samples" true (r.Dudect.samples_per_class > 1000);
         Alcotest.(check (float 1e-9)) "mean fix" 5.0 r.Dudect.mean_fix;
         Alcotest.(check (float 1e-9)) "mean random" 5.0 r.Dudect.mean_random);
-    Alcotest.test_case "bitsliced sampler op-trace is constant" `Quick
-      (fun () ->
-        (* The real deal: fix class = all-zero input bits, random class =
-           fresh random bits; the compiled program's work is the same. *)
-        let s = Ctgauss.Sampler.create ~sigma:"2" ~precision:24 ~tail_cut:13 () in
-        let p = Ctgauss.Sampler.program s in
-        let rng = Ctg_prng.Splitmix64.create 9L in
-        let gates = Ctgauss.Gate.gate_count p in
-        let f clazz =
-          let bits =
-            match clazz with
-            | Dudect.Fix -> Array.make 24 false
-            | Dudect.Random ->
-              Array.init 24 (fun _ -> Ctg_prng.Splitmix64.next_int rng 2 = 1)
-          in
-          ignore (Ctgauss.Sampler.eval_bits s bits);
-          gates (* every call executes every gate *)
-        in
-        let r = Dudect.test_ops ~config:{ config with measurements = 2_000 } f in
-        Alcotest.(check bool) "constant" false r.Dudect.leaky);
     Alcotest.test_case "byte-scan CDT op-trace leaks" `Quick (fun () ->
         let m = Ctg_kyao.Matrix.create ~sigma:"2" ~precision:24 ~tail_cut:13 in
         let table = Ctg_samplers.Cdt_table.of_matrix m in

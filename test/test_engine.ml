@@ -72,10 +72,7 @@ let registry_tests =
         let r = E.Registry.create () in
         let a = E.Registry.lookup r ~sigma:"2" ~precision:16 ~tail_cut:13 () in
         let b = E.Registry.lookup r ~sigma:"2" ~precision:12 ~tail_cut:13 () in
-        let c =
-          E.Registry.lookup r ~method_:Ctgauss.Sampler.Simple ~sigma:"2"
-            ~precision:16 ~tail_cut:13 ()
-        in
+        let c = E.Registry.lookup r ~sigma:"2" ~precision:16 ~tail_cut:12 () in
         Alcotest.(check bool) "different programs" true (a != b && a != c);
         Alcotest.(check int) "three compiles" 3 (E.Registry.compiles r));
     Alcotest.test_case "single flight under concurrent lookups" `Quick

@@ -140,10 +140,10 @@ let health_integration_tests =
   ]
 
 let with_pool ?(domains = 2) ?(seed = "fault-pool") ?(chunk_batches = 2)
-    ?stall_timeout ?max_chunk_retries ?hook f =
+    ?stall_timeout ?hook f =
   let pool =
-    E.Pool.create ~domains ~chunk_batches ?stall_timeout ?max_chunk_retries
-      ~seed (Lazy.force sampler_16)
+    E.Pool.create ~domains ~chunk_batches ?stall_timeout ~seed
+      (Lazy.force sampler_16)
   in
   E.Pool.set_fault_hook pool hook;
   Fun.protect ~finally:(fun () -> E.Pool.shutdown pool) (fun () -> f pool)
@@ -185,12 +185,12 @@ let pool_tests =
         let hook ~chunk ~lane:_ ~attempt:_ =
           if chunk = 0 then failwith "permanent"
         in
-        with_pool ~max_chunk_retries:1 ~hook (fun p ->
+        with_pool ~hook (fun p ->
             match E.Pool.batch_parallel p ~n:(63 * 2 * 4) with
             | _ -> Alcotest.fail "expected Chunk_failed"
             | exception E.Pool.Chunk_failed { chunk; attempts; error } ->
               Alcotest.(check int) "chunk" 0 chunk;
-              Alcotest.(check int) "attempts = retries + 1" 2 attempts;
+              Alcotest.(check int) "attempts = retries + 1" 3 attempts;
               Alcotest.(check bool)
                 "underlying error kept" true
                 (error = Failure "permanent")));

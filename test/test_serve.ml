@@ -437,6 +437,11 @@ let test_daemon_rejects_bad_tenants () =
   Alcotest.(check int) "invalid tenant 400" 400 bad.Http.status;
   Alcotest.(check int) "unknown path 404" 404
     (post "/v1/nope" "").Http.status;
+  let call meth path =
+    (handler { Http.meth; path; query = []; headers = []; body = "" }).Http.status
+  in
+  Alcotest.(check int) "unknown GET path 404" 404 (call "GET" "/nope");
+  Alcotest.(check int) "other methods 405" 405 (call "PUT" "/metrics");
   Serve.Daemon.stop d;
   let after =
     handler
@@ -791,64 +796,72 @@ let dead_port () =
   Unix.close fd;
   port
 
-(* Pin both seams: jitter returns the cap itself, sleep records. *)
-let pinned_policy ?(max_attempts = 3) ?deadline () =
-  let slept = ref [] in
-  ( {
-      Client.max_attempts;
-      base_delay = 0.05;
-      max_delay = 0.15;
-      deadline;
-      jitter = (fun ~attempt:_ ~cap -> cap);
-      sleep = (fun d -> slept := d :: !slept);
-    },
-    slept )
+let raises_refused f =
+  try
+    Client.close (f ());
+    Alcotest.fail "dead port should not answer"
+  with Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ()
 
 let test_retry_backoff_schedule () =
-  let policy, slept = pinned_policy ~max_attempts:4 () in
   let port = dead_port () in
-  (try
-     Client.close (Client.connect_retry ~policy ~port ());
-     Alcotest.fail "dead port should not answer"
-   with Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ());
-  (* Three retries slept the doubling-then-capped schedule (reversed). *)
-  Alcotest.(check (list (float 1e-9)))
-    "bounded exponential backoff" [ 0.15; 0.1; 0.05 ] !slept
+  let t0 = Unix.gettimeofday () in
+  raises_refused (fun () -> Client.connect_retry ~port ());
+  (* Three attempts slept 50 ms, then 100 ms, before the last refusal. *)
+  Alcotest.(check bool) "slept the doubling backoff" true
+    (Unix.gettimeofday () -. t0 >= 0.15)
 
 let test_retry_deadline () =
-  (* An already-expired deadline fails before any socket work. *)
-  let policy, slept = pinned_policy ~deadline:(-1.0) () in
-  (try
-     Client.close (Client.connect_retry ~policy ~port:1 ());
-     Alcotest.fail "expired deadline must not attempt"
-   with Failure msg ->
-     Alcotest.(check string) "deadline error" "Client: request deadline exceeded"
-       msg);
-  Alcotest.(check (list (float 1e-9))) "no sleeps" [] !slept
+  (* A listener that never accepts: the kernel completes the connect, no
+     response ever comes, and the 5 s deadline (the socket timeout) ends
+     the request instead of letting it block forever. *)
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen fd 1;
+      let port =
+        match Unix.getsockname fd with
+        | Unix.ADDR_INET (_, p) -> p
+        | _ -> assert false
+      in
+      let t0 = Unix.gettimeofday () in
+      let c = Client.connect_retry ~port () in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          match Client.request c ~meth:"GET" ~path:"/" () with
+          | _ -> Alcotest.fail "a silent server must not answer"
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            Alcotest.(check bool) "failed at the deadline" true
+              (Unix.gettimeofday () -. t0 >= 4.5)))
 
 let test_retry_live_server () =
   let srv = Http.start_handler ~port:0 ~workers:1 echo_handler in
   let port = Http.port srv in
-  let policy, slept = pinned_policy ~deadline:5.0 () in
-  let c = Client.connect_retry ~policy ~port () in
+  let c = Client.connect_retry ~port () in
   let r = Client.request c ~meth:"GET" ~path:"/greet?who=retry" () in
   Client.close c;
   Alcotest.(check int) "200 first try" 200 r.Client.status;
   Alcotest.(check string) "body" "hello retry" r.Client.body;
-  Alcotest.(check (list (float 1e-9))) "no retries needed" [] !slept;
   Http.stop srv
 
 let test_retry_classification () =
-  Alcotest.(check bool) "ECONNREFUSED transient" true
-    (Client.transient (Unix.Unix_error (Unix.ECONNREFUSED, "connect", "")));
-  Alcotest.(check bool) "other failures not transient" false
-    (Client.transient (Failure "something else"));
-  Alcotest.(check bool) "EBADF not transient" false
-    (Client.transient (Unix.Unix_error (Unix.EBADF, "read", "")));
-  Alcotest.(check (float 1e-9)) "cap doubles" 0.2
-    (Client.backoff_cap { Client.default_policy with base_delay = 0.05 } 3);
-  Alcotest.(check (float 1e-9)) "cap clamps" 1.0
-    (Client.backoff_cap Client.default_policy 12)
+  (* A bad address is not a transport failure: raised by the first
+     attempt, before the first 50 ms backoff sleep. *)
+  let t0 = Unix.gettimeofday () in
+  (match Client.connect_retry ~host:"not-an-address" ~port:1 () with
+  | c ->
+    Client.close c;
+    Alcotest.fail "bad address should not connect"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "not retried" true (Unix.gettimeofday () -. t0 < 0.05);
+  (* Refused connects are retried, and the attempts stop well inside the
+     deadline. *)
+  let t0 = Unix.gettimeofday () in
+  raises_refused (fun () -> Client.connect_retry ~port:(dead_port ()) ());
+  Alcotest.(check bool) "bounded attempts" true
+    (Unix.gettimeofday () -. t0 < 5.0)
 
 let () =
   Alcotest.run "serve"
