@@ -19,7 +19,7 @@ module Client = Ctg_net.Client
 (* Config plumbing                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let config_of ~n ~sigma ~port ~host ~queue ~batch ~linger ~domains ~workers
+let config_of ~n ~sigma ~port ~host ~queue ~batch ~domains ~workers
     ~no_check ~trace ~rtev ~pause_budget_ms =
   {
     Serve.Daemon.default_config with
@@ -29,7 +29,6 @@ let config_of ~n ~sigma ~port ~host ~queue ~batch ~linger ~domains ~workers
     host;
     queue_capacity = queue;
     max_batch = batch;
-    linger;
     sign_domains = domains;
     http_workers = workers;
     check = not no_check;
@@ -54,10 +53,10 @@ let common_args =
 (* run                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run n sigma host port queue batch linger domains workers no_check trace
-    rtev pause_budget_ms =
+let run n sigma host port queue batch domains workers no_check trace rtev
+    pause_budget_ms =
   let config =
-    config_of ~n ~sigma ~port ~host ~queue ~batch ~linger ~domains ~workers
+    config_of ~n ~sigma ~port ~host ~queue ~batch ~domains ~workers
       ~no_check ~trace ~rtev ~pause_budget_ms
   in
   Format.printf "compiling sigma=%s sampler and starting daemon...@." sigma;
@@ -115,10 +114,6 @@ let run_cmd =
     Arg.(value & opt int 16 & info [ "max-batch" ] ~docv:"N"
          ~doc:"Max sign requests coalesced into one batch.")
   in
-  let linger =
-    Arg.(value & opt float 0.002 & info [ "linger" ] ~docv:"SEC"
-         ~doc:"Coalescing window after the first request of a cycle.")
-  in
   let domains =
     Arg.(value & opt (some int) None & info [ "domains"; "d" ] ~docv:"P"
          ~doc:"Signing worker domains (default: recommended count).")
@@ -154,8 +149,8 @@ let run_cmd =
   in
   let doc = "serve Falcon signatures over HTTP until SIGINT/SIGTERM" in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ n $ sigma $ host $ port $ queue $ batch $ linger
-          $ domains $ workers $ no_check $ trace $ rtev $ pause_budget_ms)
+    Term.(const run $ n $ sigma $ host $ port $ queue $ batch $ domains
+          $ workers $ no_check $ trace $ rtev $ pause_budget_ms)
 
 (* ------------------------------------------------------------------ *)
 (* client                                                              *)

@@ -211,7 +211,7 @@ let handler_of_routes (routes : route list) : handler =
 (* ---------------------------------------------------------------- *)
 
 let max_head_bytes = 16 * 1024
-let default_max_body = 1024 * 1024
+let max_body_bytes = 1024 * 1024
 
 (* A connection buffer: bytes already read but not yet consumed (keep-alive
    leaves the next pipelined request here). *)
@@ -310,13 +310,13 @@ type read_result =
       (** error response, plus the client's request id when the head
           parsed far enough to recover one — echoed even on 400/413 *)
 
-let rec read_request_conn ?(max_body = default_max_body) cb =
+let rec read_request_conn cb =
   if cb.pending = "" && not (refill cb) then Closed
   else
     match read_until cb "\r\n\r\n" ~limit:max_head_bytes with
     | Some i ->
       let head = take cb (i + 4) in
-      request_of_head cb (String.sub head 0 i) ~max_body
+      request_of_head cb (String.sub head 0 i)
     | None -> (
       (* Accept bare-\n framing from hand-rolled clients. *)
       match read_until cb "\n\n" ~limit:max_head_bytes with
@@ -324,9 +324,9 @@ let rec read_request_conn ?(max_body = default_max_body) cb =
         Malformed (response ~status:400 "oversized or truncated head\n", None)
       | Some i ->
         let head = take cb (i + 2) in
-        request_of_head cb (String.sub head 0 i) ~max_body)
+        request_of_head cb (String.sub head 0 i))
 
-and request_of_head cb head ~max_body =
+and request_of_head cb head =
   match parse_head head with
   | Error e -> Malformed (response ~status:400 (e ^ "\n"), None)
   | Ok (req, version) -> (
@@ -339,7 +339,7 @@ and request_of_head cb head ~max_body =
       | None -> false
     in
     if chunked then (
-      match read_chunked cb ~limit:max_body with
+      match read_chunked cb ~limit:max_body_bytes with
       | Too_large ->
         Malformed (response ~status:413 "request body too large\n", rid)
       | Bad e -> Malformed (response ~status:400 (e ^ "\n"), rid)
@@ -352,10 +352,10 @@ and request_of_head cb head ~max_body =
         | None -> Malformed (response ~status:400 "bad content-length\n", rid)
         | Some n when n < 0 ->
           Malformed (response ~status:400 "bad content-length\n", rid)
-        | Some n when n > max_body ->
+        | Some n when n > max_body_bytes ->
           Malformed (response ~status:413 "request body too large\n", rid)
         | Some n -> (
-          match read_exactly cb n ~limit:max_body with
+          match read_exactly cb n ~limit:max_body_bytes with
           | None -> Malformed (response ~status:400 "truncated body\n", rid)
           | Some b -> Request ({ req with body = b }, version))))
 
@@ -418,11 +418,11 @@ let unregister_conn st id =
   Hashtbl.remove st.conns id;
   Mutex.unlock st.mu
 
-let serve_connection st ~handler ~max_body fd =
+let serve_connection st ~handler fd =
   let cb = { fd; pending = "" } in
   let continue = ref true in
   while !continue do
-    match read_request_conn ~max_body cb with
+    match read_request_conn cb with
     | Closed -> continue := false
     | Malformed (resp, rid) ->
       let rid = match rid with Some r -> r | None -> gen_request_id () in
@@ -442,7 +442,7 @@ let serve_connection st ~handler ~max_body fd =
       if not keep_alive then continue := false
   done
 
-let worker_loop st ~handler ~max_body =
+let worker_loop st ~handler =
   let rec next () =
     Mutex.lock st.mu;
     (* Missed-wakeup audit (ctg_race): the wait is predicate-first and
@@ -464,7 +464,7 @@ let worker_loop st ~handler ~max_body =
     | None -> ()
     | Some fd ->
       let id = register_conn st fd in
-      (try serve_connection st ~handler ~max_body fd with _ -> ());
+      (try serve_connection st ~handler fd with _ -> ());
       unregister_conn st id;
       (try Unix.close fd with _ -> ());
       next ()
@@ -491,8 +491,7 @@ let accept_loop st =
       if not (Atomic.get st.stopping) then Unix.sleepf 0.01
   done
 
-let start_handler ?(host = "127.0.0.1") ?(workers = 4)
-    ?(max_body = default_max_body) ~port handler =
+let start_handler ?(host = "127.0.0.1") ?(workers = 4) ~port handler =
   if workers < 1 then invalid_arg "Http.start_handler: workers must be >= 1";
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
@@ -523,7 +522,7 @@ let start_handler ?(host = "127.0.0.1") ?(workers = 4)
     acceptor = Domain.spawn (fun () -> accept_loop st);
     workers =
       List.init workers (fun _ ->
-          Domain.spawn (fun () -> worker_loop st ~handler ~max_body));
+          Domain.spawn (fun () -> worker_loop st ~handler));
   }
 
 let port s = s.st.port

@@ -66,14 +66,13 @@ type server
 val start_handler :
   ?host:string ->
   ?workers:int ->
-  ?max_body:int ->
   port:int ->
   handler ->
   server
 (** Bind ([host] defaults to 127.0.0.1), listen, and serve [handler] on
-    [workers] (default 4) worker domains, with request bodies up to
-    [max_body] bytes (default 1 MiB; larger gets 413).  Pass [port:0] to
-    let the kernel pick a free port (tests); read it back with {!port}.
+    [workers] (default 4) worker domains, with request bodies up to 1 MiB
+    (larger gets 413).  Pass [port:0] to let the kernel pick a free port
+    (tests); read it back with {!port}.
     Raises [Unix.Unix_error] if the bind fails. *)
 
 val port : server -> int

@@ -459,7 +459,6 @@ let daemon_row () =
         Daemon.default_config with
         port = 0;
         rtev = true;
-        linger = 0.005;
         max_batch = 8;
       }
   in

@@ -198,7 +198,7 @@ let workforce_error () =
 let batcher () =
   let module B = Ctg_serve.Batcher in
   let t =
-    B.create ~linger:0.0 ~capacity:1 ~max_batch:2
+    B.create ~capacity:1 ~max_batch:2
       ~run:(fun reqs -> Array.map (fun r -> r * 10) reqs)
       ()
   in
@@ -226,7 +226,7 @@ let batcher () =
 let batcher_stop () =
   let module B = Ctg_serve.Batcher in
   let t =
-    B.create ~linger:0.0 ~capacity:2 ~max_batch:1
+    B.create ~capacity:2 ~max_batch:1
       ~run:(fun reqs -> Array.map (fun r -> -r) reqs)
       ()
   in
@@ -238,6 +238,30 @@ let batcher_stop () =
   | B.Done r -> assert (r = -7)
   | B.Shed -> ()
   | B.Failed _ -> assert false)
+
+(* The runner is spawned by the first submit, under the batcher's lock.
+   Two first submits racing shutdown: whichever spawns the runner, the
+   shutdown that returns has joined it, so every accepted request has
+   already run (one batch each at [max_batch] 1). *)
+let batcher_spawn () =
+  let module B = Ctg_serve.Batcher in
+  let t =
+    B.create ~capacity:2 ~max_batch:1
+      ~run:(fun reqs -> Array.map (fun r -> r + 1) reqs)
+      ()
+  in
+  let submitters =
+    List.init 2 (fun i -> Domain.spawn (fun () -> B.submit t (10 * i)))
+  in
+  B.shutdown t;
+  assert (B.batches t = B.submitted t);
+  List.iteri
+    (fun i d ->
+      match Domain.join d with
+      | B.Done r -> assert (r = (10 * i) + 1)
+      | B.Shed -> ()
+      | B.Failed _ -> assert false)
+    submitters
 
 (* ---------------------------------------------------------------- *)
 (* 6. Single-flight: Engine.Registry compile cache and Serve.Keyring   *)
@@ -483,6 +507,14 @@ let harnesses =
       h_expect_violation = false;
       h_fn = batcher_stop;
       h_max_execs = 200_000;
+      h_spin_limit = 8;
+    };
+    {
+      h_name = "batcher_spawn";
+      h_descr = "Serve.Batcher: first submits racing shutdown, runner joined";
+      h_expect_violation = false;
+      h_fn = batcher_spawn;
+      h_max_execs = 400_000;
       h_spin_limit = 8;
     };
     {

@@ -6,9 +6,11 @@
    queue full is *shed* (counted, never enqueued), which is what turns
    overload into 429 responses instead of unbounded growth.
 
-   The runner lingers briefly after the first request of a cycle so that a
-   burst of concurrent submitters lands in one batch — the batch-size
-   histogram is the observable proof of coalescing. *)
+   Batching is group commit: an idle runner cuts a batch at once, and
+   requests that arrive while a batch runs form the next one, so
+   coalescing comes from the run time, not a timer — the batch-size
+   histogram is the observable proof.  The first submit spawns the
+   runner: an idle domain joins every stop-the-world collection. *)
 
 open Ctg_sync.Shim
 
@@ -25,7 +27,6 @@ and 'res state = Pending | Fulfilled of 'res | Errored of exn
 type ('req, 'res) t = {
   capacity : int;
   max_batch : int;
-  linger : float;  (* seconds *)
   run : 'req array -> 'res array;
   mu : Mutex.t;
   work : Condition.t;  (* runner: queue became non-empty, or stopping *)
@@ -35,7 +36,7 @@ type ('req, 'res) t = {
   mutable shed : int;
   mutable batches : int;
   mutable submitted : int;
-  runner : unit Domain.t option ref;
+  mutable runner : unit Domain.t option;  (* spawned by the first submit *)
   (* Metrics (optional): batch-size histogram, shed counter, depth gauge,
      and the end-to-end latency split — time a request sat queued (enqueue
      to batch formation) vs time its batch spent inside [run]. *)
@@ -57,23 +58,16 @@ let rec runner_loop t =
   let draining = t.stopping in
   if Queue.is_empty t.queue && draining then Mutex.unlock t.mu
   else begin
-    Mutex.unlock t.mu;
-    (* Coalesce: give concurrent submitters a beat to pile in.  Skipped
-       when draining — shutdown should not sleep per batch.  [draining]
-       was captured under [t.mu] above: the old code re-read the plain
-       [t.stopping] field here without the lock, a data race flagged by
-       ctg_lint race. *)
-    if t.linger > 0.0 && not draining then Unix.sleepf t.linger;
-    Mutex.lock t.mu;
+    (* Group commit: cut the batch from whatever is queued now, in the
+       same critical section as the wait. *)
     let k = min t.max_batch (Queue.length t.queue) in
     let cells = Array.init k (fun _ -> Queue.pop t.queue) in
     (match t.depth_gauge with
     | Some g -> Ctg_obs.Registry.set_gauge g (float_of_int (Queue.length t.queue))
     | None -> ());
     Mutex.unlock t.mu;
-    (* Queue wait is per request (the linger is charged here, which is the
-       point: it makes the coalescing delay visible separately from the
-       signing work). *)
+    (* Queue wait is per request: enqueue to batch cut, i.e. the time
+       spent behind the batch that was running when it arrived. *)
     (match t.queue_wait_histo with
     | Some h ->
       let now = Ctg_obs.Clock.now_ns () in
@@ -105,8 +99,7 @@ let rec runner_loop t =
     runner_loop t
   end
 
-let create ?registry ?(labels = []) ?(linger = 0.002) ~capacity ~max_batch ~run
-    () =
+let create ?registry ?(labels = []) ~capacity ~max_batch ~run () =
   if capacity < 1 then invalid_arg "Batcher.create: capacity must be >= 1";
   if max_batch < 1 then invalid_arg "Batcher.create: max_batch must be >= 1";
   let histo name =
@@ -122,7 +115,6 @@ let create ?registry ?(labels = []) ?(linger = 0.002) ~capacity ~max_batch ~run
     {
       capacity;
       max_batch;
-      linger;
       run;
       mu = Mutex.create ();
       work = Condition.create ();
@@ -132,7 +124,7 @@ let create ?registry ?(labels = []) ?(linger = 0.002) ~capacity ~max_batch ~run
       shed = 0;
       batches = 0;
       submitted = 0;
-      runner = ref None;
+      runner = None;
       batch_histo = histo "serve_batch_size";
       shed_counter = counter "serve_shed_total";
       depth_gauge = gauge "serve_queue_depth";
@@ -140,7 +132,6 @@ let create ?registry ?(labels = []) ?(linger = 0.002) ~capacity ~max_batch ~run
       service_histo = histo "serve_service_ns";
     }
   in
-  t.runner := Some (Domain.spawn (fun () -> runner_loop t));
   t
 
 let submit t req =
@@ -161,6 +152,8 @@ let submit t req =
     let cell = { req; t_enqueue = Ctg_obs.Clock.now_ns (); state = Pending } in
     Queue.push cell t.queue;
     t.submitted <- t.submitted + 1;
+    if Option.is_none t.runner then
+      t.runner <- Some (Domain.spawn (fun () -> runner_loop t));
     (match t.depth_gauge with
     | Some g -> Ctg_obs.Registry.set_gauge g (float_of_int (Queue.length t.queue))
     | None -> ());
@@ -184,35 +177,17 @@ let submit t req =
     wait ()
   end
 
-let queue_depth t =
+let locked t f =
   Mutex.lock t.mu;
-  let d = Queue.length t.queue in
+  let v = f t in
   Mutex.unlock t.mu;
-  d
+  v
 
-let shed_count t =
-  Mutex.lock t.mu;
-  let s = t.shed in
-  Mutex.unlock t.mu;
-  s
-
-let batches t =
-  Mutex.lock t.mu;
-  let b = t.batches in
-  Mutex.unlock t.mu;
-  b
-
-let submitted t =
-  Mutex.lock t.mu;
-  let s = t.submitted in
-  Mutex.unlock t.mu;
-  s
-
-let stopping t =
-  Mutex.lock t.mu;
-  let s = t.stopping in
-  Mutex.unlock t.mu;
-  s
+let queue_depth t = locked t (fun t -> Queue.length t.queue)
+let shed_count t = locked t (fun t -> t.shed)
+let batches t = locked t (fun t -> t.batches)
+let submitted t = locked t (fun t -> t.submitted)
+let stopping t = locked t (fun t -> t.stopping)
 
 let shutdown t =
   Mutex.lock t.mu;
@@ -220,10 +195,10 @@ let shutdown t =
   else begin
     t.stopping <- true;
     Condition.broadcast t.work;
+    (* Read under [t.mu] after [stopping] is set: a submit that has not
+       spawned the runner yet now sheds, so [runner] cannot change. *)
+    let runner = t.runner in
+    t.runner <- None;
     Mutex.unlock t.mu;
-    match !(t.runner) with
-    | Some d ->
-      Domain.join d;
-      t.runner := None
-    | None -> ()
+    Option.iter Domain.join runner
   end

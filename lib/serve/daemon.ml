@@ -29,7 +29,6 @@ type config = {
   http_workers : int;
   queue_capacity : int;
   max_batch : int;
-  linger : float;
   sign_domains : int option;
   check : bool;
   drift_window : int;
@@ -51,7 +50,6 @@ let default_config =
     http_workers = 8;
     queue_capacity = 64;
     max_batch = 16;
-    linger = 0.002;
     sign_domains = None;
     check = true;
     drift_window = 50_000;
@@ -475,8 +473,8 @@ let create ?(listen = true) config =
     | None -> failwith "Daemon: batch before initialisation"
   in
   let batcher =
-    Batcher.create ~registry ~linger:config.linger
-      ~capacity:config.queue_capacity ~max_batch:config.max_batch ~run ()
+    Batcher.create ~registry ~capacity:config.queue_capacity
+      ~max_batch:config.max_batch ~run ()
   in
   (* Start the rtev consumer before the record is built so its availability
      decides whether the pause-charged split exists at all. *)

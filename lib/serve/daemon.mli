@@ -45,7 +45,6 @@ type config = {
   http_workers : int;
   queue_capacity : int;  (** Bound on queued sign requests; excess sheds. *)
   max_batch : int;
-  linger : float;  (** Coalescing window in seconds. *)
   sign_domains : int option;  (** Workforce size; default [Pool] default. *)
   check : bool;  (** Verify-after-sign inside the batch run. *)
   drift_window : int;
@@ -69,9 +68,9 @@ type config = {
 }
 
 val default_config : config
-(** [n = 64], σ = 2 at 16-bit precision, queue 64 / batch 16 / linger
-    2 ms, port 8732 on 127.0.0.1 — demo-sized signing on serving-shaped
-    plumbing. *)
+(** [n = 64], σ = 2 at 16-bit precision, queue 64 / batch 16 (a batch is
+    cut as soon as the runner is free, with no coalescing timer), port
+    8732 on 127.0.0.1 — demo-sized signing on serving-shaped plumbing. *)
 
 val params_of_n : int -> Ctg_falcon.Params.t
 (** 256/512/1024 map to the named Falcon levels, anything else to

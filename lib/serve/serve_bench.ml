@@ -112,7 +112,6 @@ let measure ?(n = 16) ?(sigma = "2") ?(precision = 16) ?(tail_cut = 13)
       precision;
       tail_cut;
       port = 0;
-      linger = 0.005;
       max_batch = 8;
       queue_capacity = 64;
     }

@@ -244,6 +244,7 @@ let harness_cases =
       "pool_chunkq_abort";
       "pool_cursor_fail";
       "batcher_stop";
+      "batcher_spawn";
       "keyring";
       "trace_ring";
       "racy_counter";
