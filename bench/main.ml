@@ -593,34 +593,6 @@ let cmd_gate ?(smoke = false) (row : H.row) =
     end
 
 (* -------------------------------------------------------------------- *)
-(* Serve: signing-daemon SLO gate (and BENCH_serve.json)                 *)
-(* -------------------------------------------------------------------- *)
-
-let cmd_serve ?(smoke = false) () =
-  section
-    (if smoke then "Serve: daemon SLO gate (smoke run)"
-     else "Serve: signing-daemon latency SLO vs direct sign_many");
-  let per_tenant = if smoke then 12 else 24 in
-  printf
-    "daemon on an ephemeral port, 3 tenants x %d concurrent requests, \
-     client-observed latency@.@."
-    per_tenant;
-  let entry = Ctg_serve.Serve_bench.measure ~n:16 ~tenants:3 ~per_tenant () in
-  printf "  %a@." Ctg_serve.Serve_bench.pp_entry entry;
-  let path = if smoke then "BENCH_serve_smoke.json" else "BENCH_serve.json" in
-  Ctg_serve.Serve_bench.save path [ entry ];
-  printf "@.wrote %s@." path;
-  if Ctg_serve.Serve_bench.ok entry then
-    printf "OK: p99 within %.0fx of direct signing, coalescing observed, \
-            nothing shed@."
-      Ctg_serve.Serve_bench.slo_mult
-  else begin
-    printf "FAIL: serving SLO missed (tail latency, coalescing, shed, or \
-            health)@.";
-    exit 1
-  end
-
-(* -------------------------------------------------------------------- *)
 (* History: perf trajectory over the committed BENCH baselines           *)
 (* -------------------------------------------------------------------- *)
 
@@ -742,10 +714,10 @@ let usage () =
     "usage: main.exe [all|table1|table2|fig1|fig2|fig3|fig4|fig5|delta|@.";
   printf "                 prng-overhead|dudect|ablation-min|ablation-chain|@.";
   printf "                 precision|large-sigma|sampler-quality|@.";
-  printf "                 obs|alloc|fault|assure|saga|serve|pauses|history|sync]@.";
+  printf "                 obs|alloc|fault|assure|saga|pauses|serve|history|sync]@.";
   printf "        [--full]        (fig5 at the paper's 64x10^7 samples)@.";
   printf
-    "        [--smoke]       (obs/alloc/fault/assure/saga/serve/pauses: CI-sized \
+    "        [--smoke]       (obs/alloc/fault/assure/saga/pauses/serve: CI-sized \
      windows -> BENCH_*_smoke.json)@.";
   printf "        [--trace FILE]  (record spans, write Chrome trace JSON)@."
 
@@ -789,7 +761,6 @@ let () =
   | "precision" -> cmd_precision ()
   | "large-sigma" -> cmd_large_sigma ()
   | "sampler-quality" -> cmd_sampler_quality ()
-  | "serve" -> cmd_serve ~smoke ()
   | "history" -> cmd_history ()
   | "sync" -> cmd_sync ()
   | "all" ->

@@ -384,6 +384,31 @@ let write_all fd s =
     | exception _ -> pos := n
   done
 
+(* After an error response the request body may still be arriving (a 413
+   is decided on the declared length alone).  Closing with unread bytes
+   makes the kernel reset the connection, and a client still writing the
+   body never reads the answer.  So stop sending, discard input until
+   EOF, [linger_bytes] or [linger_s], and only then close. *)
+let linger_bytes = 2 * max_body_bytes
+let linger_s = 1.0
+
+let linger fd =
+  (try Unix.shutdown fd Unix.SHUTDOWN_SEND with _ -> ());
+  let buf = Bytes.create 65536 in
+  let deadline = Unix.gettimeofday () +. linger_s in
+  let rec drain left =
+    let remaining = deadline -. Unix.gettimeofday () in
+    if left > 0 && remaining > 0.0 then
+      match
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO remaining;
+        Unix.read fd buf 0 (min left (Bytes.length buf))
+      with
+      | 0 -> ()
+      | n -> drain (left - n)
+      | exception _ -> ()
+  in
+  drain linger_bytes
+
 (* ---------------------------------------------------------------- *)
 (* Server: acceptor domain + worker team over a bounded fd queue     *)
 (* ---------------------------------------------------------------- *)
@@ -427,6 +452,7 @@ let serve_connection st ~handler fd =
     | Malformed (resp, rid) ->
       let rid = match rid with Some r -> r | None -> gen_request_id () in
       write_all fd (render_response ~keep_alive:false (with_request_id rid resp));
+      linger fd;
       continue := false
     | Request (req, version) ->
       let rid, req = ensure_request_id req in

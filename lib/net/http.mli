@@ -71,7 +71,10 @@ val start_handler :
   server
 (** Bind ([host] defaults to 127.0.0.1), listen, and serve [handler] on
     [workers] (default 4) worker domains, with request bodies up to 1 MiB
-    (larger gets 413).  Pass [port:0] to let the kernel pick a free port
+    (larger gets 413).  After a 400 or 413 the connection closes once the
+    client stops sending, or after at most 2 MiB or 1 s more of input, so
+    a client still writing the refused body reads the answer rather than
+    a reset.  Pass [port:0] to let the kernel pick a free port
     (tests); read it back with {!port}.
     Raises [Unix.Unix_error] if the bind fails. *)
 

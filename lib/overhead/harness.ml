@@ -94,7 +94,6 @@ type row = {
   checks : (string * (float -> bool)) list;
   available : unit -> bool;
   cases : sizes -> (unit -> case) list;
-  extras : unit -> (string * Jsonx.t) list;
 }
 
 let sizes ~smoke row =
@@ -114,25 +113,34 @@ let file ~smoke row =
 
 type entry = { fields : (string * Jsonx.t) list; ok : bool }
 
-type report = { row : row; entries : entry list; extras : (string * Jsonx.t) list }
+type report = { row : row; entries : entry list }
 
 let measure_case row (s : sizes) c =
   let base_ns, base_run = c.base in
   let loops =
     Array.of_list ((false, base_run) :: List.map (fun a -> (a.traced, a.run)) c.arms)
   in
+  (* The tail restores what the setup changed, so a raising pass runs it
+     on the way out. *)
   let t =
-    converge ~threshold_pct:row.threshold_pct ~attempts:row.attempts (fun k ->
-        let t =
-          estimate
-            (paired_ns ~rounds:s.rounds
-               ~min_time:(s.min_time *. float_of_int k)
-               ~samples:c.ops loops)
-        in
-        List.iteri
-          (fun i a -> if a.increment then t.(i + 1) <- t.(0) +. t.(i + 1))
-          c.arms;
-        t)
+    match
+      converge ~threshold_pct:row.threshold_pct ~attempts:row.attempts (fun k ->
+          let t =
+            estimate
+              (paired_ns ~rounds:s.rounds
+                 ~min_time:(s.min_time *. float_of_int k)
+                 ~samples:c.ops loops)
+          in
+          List.iteri
+            (fun i a -> if a.increment then t.(i + 1) <- t.(0) +. t.(i + 1))
+            c.arms;
+          t)
+    with
+    | t -> t
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (c.tail () : (string * Jsonx.t) list);
+      Printexc.raise_with_backtrace e bt
   in
   let fields =
     c.head
@@ -153,19 +161,18 @@ let measure row s =
   if not (row.available ()) then None
   else
     let entries = List.map (fun setup -> measure_case row s (setup ())) (row.cases s) in
-    Some { row; entries; extras = row.extras () }
+    Some { row; entries }
 
 let ok r = List.for_all (fun e -> e.ok) r.entries
 
 let to_json r =
   Jsonx.Obj
-    ([
-       ("benchmark", Jsonx.Str r.row.benchmark);
-       ("threshold_pct", Jsonx.Num r.row.threshold_pct);
-       ("ok", Jsonx.Bool (ok r));
-       ("entries", Jsonx.List (List.map (fun e -> Jsonx.Obj e.fields) r.entries));
-     ]
-    @ r.extras)
+    [
+      ("benchmark", Jsonx.Str r.row.benchmark);
+      ("threshold_pct", Jsonx.Num r.row.threshold_pct);
+      ("ok", Jsonx.Bool (ok r));
+      ("entries", Jsonx.List (List.map (fun e -> Jsonx.Obj e.fields) r.entries));
+    ]
 
 let save path r =
   Out_channel.with_open_text path (fun oc ->

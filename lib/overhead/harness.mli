@@ -1,5 +1,6 @@
 (** The overhead-gate harness: how every always-on layer is priced as a
-    share of the fill loop.
+    share of the fill loop, and served signing as a multiple of direct
+    signing.
 
     One estimator (paired passes, median of ratios), one retry rule
     ({!converge}), one entry shape, one JSON writer and one pass/fail
@@ -76,8 +77,9 @@ type case = {
   arms : arm list;  (** Non-empty; the first is the gated arm. *)
   tail : unit -> (string * Jsonx.t) list;
       (** Called once after timing: trailing entry fields, and where the
-          setup changed global state (profiling, the event ring), its
-          restoration. *)
+          setup changed global state (profiling, the event ring, a
+          daemon), its restoration.  Also called, its fields dropped,
+          when a pass raises; the exception then propagates. *)
 }
 
 type sizes = {
@@ -103,8 +105,6 @@ type row = {
       (** Starts what the row needs; [false] skips the gate. *)
   cases : sizes -> (unit -> case) list;
       (** Each thunk sets one case up when the harness reaches it. *)
-  extras : unit -> (string * Jsonx.t) list;
-      (** Top-level report fields measured after the entries. *)
 }
 
 val sizes : smoke:bool -> row -> sizes
@@ -119,7 +119,7 @@ type entry = {
   ok : bool;
 }
 
-type report = { row : row; entries : entry list; extras : (string * Jsonx.t) list }
+type report = { row : row; entries : entry list }
 
 val measure : row -> sizes -> report option
 (** [None] when the row is not {!row.available}. *)

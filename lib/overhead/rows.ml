@@ -37,7 +37,7 @@ let per_sigma f (s : H.sizes) =
 
 let row ~name ~benchmark ~threshold_pct ?(attempts = 4)
     ?(smoke_set = [ ("2", 16); ("215", 16) ]) ?(checks = [])
-    ?(available = fun () -> true) ?(extras = fun () -> []) cases =
+    ?(available = fun () -> true) cases =
   {
     H.name;
     benchmark;
@@ -47,7 +47,6 @@ let row ~name ~benchmark ~threshold_pct ?(attempts = 4)
     checks;
     available;
     cases;
-    extras;
   }
 
 (* ---- obs: metrics + CT monitor (and tracing) on the fill loop ---- *)
@@ -446,64 +445,175 @@ let pauses_case (s : H.sizes) ~sigma ~precision =
         []);
   }
 
-(* The daemon-under-load row: the signing daemon with rtev on, driven by
-   concurrent HTTP clients, then the pause-charged serving split read back
-   out of its registry.  Advisory only — none of its keys are
-   [_ns]-suffixed, a loaded daemon's pause total is too run-shaped to
-   trend-gate. *)
-let daemon_row () =
-  let module Daemon = Ctg_serve.Daemon in
-  let d =
-    Daemon.create
-      {
-        Daemon.default_config with
-        port = 0;
-        rtev = true;
-        max_batch = 8;
-      }
-  in
-  Fun.protect
-    ~finally:(fun () -> Daemon.stop d)
-    (fun () ->
-      if not (Daemon.rtev_active d) then []
-      else begin
-        ignore
-          (Ctg_serve.Serve_bench.load d ~tenants:[| "pause-t0"; "pause-t1" |]
-             ~per_tenant:8
-            : float array);
-        (* One forced major collection while the daemon is still up, so
-           the row always carries a nonzero pause. *)
-        Gc.compact ();
-        ignore (Rtev.poll ());
-        let registry = Daemon.registry d in
-        let summary name =
-          Obs.Registry.histo_summary (Obs.Registry.histo registry name)
-        in
-        let serve = summary "serve_gc_pause_ns"
-        and pause = summary "gc_pause_ns" in
-        [
-          ( "daemon",
-            Jsonx.Obj
-              [
-                ("requests", int (Daemon.requests d));
-                ("batches", int (Daemon.batches d));
-                ("gc_pauses", int pause.Obs.Histo.count);
-                ("gc_pause_total", int pause.sum);
-                ("gc_pause_max", int pause.max);
-                ("serve_batches_observed", int serve.count);
-                ("serve_pause_total", int serve.sum);
-                ("serve_pause_max", int serve.max);
-              ] );
-        ]
-      end)
-
 let pauses =
   row ~name:"pauses" ~benchmark:"gc-pauses" ~threshold_pct:3.0
     ~smoke_set:[ ("2", 128); ("215", 16) ]
     ~checks:[ ("pauses", fun v -> v > 0.0) ]
     ~available:(fun () -> Rtev.start ())
-    ~extras:daemon_row
     (per_sigma pauses_case)
 
-let all = [ obs; alloc; fault; assure; saga; pauses ]
+(* ---- serve: the signing daemon under load against direct signing ---- *)
+
+module Daemon = Ctg_serve.Daemon
+module Client = Ctg_net.Client
+
+let serve_tenants = [| "bench-t0"; "bench-t1"; "bench-t2" |]
+
+(* Both arms of a group sign the same messages: they name the lane. *)
+let serve_msg tenant ~lane i = Printf.sprintf "%s-%d-%d" tenant lane i
+
+let load d ~tenants ~per_tenant ~lane =
+  let port = Daemon.port d in
+  let workers =
+    Array.map
+      (fun tenant ->
+        Domain.spawn (fun () ->
+            let c = Client.connect ~port () in
+            Fun.protect
+              ~finally:(fun () -> Client.close c)
+              (fun () ->
+                Array.init per_tenant (fun i ->
+                    let t0 = Obs.Clock.now_ns () in
+                    let r =
+                      Client.request c ~meth:"POST"
+                        ~path:("/v1/sign?tenant=" ^ tenant)
+                        ~body:(serve_msg tenant ~lane i) ()
+                    in
+                    let t1 = Obs.Clock.now_ns () in
+                    if r.Client.status <> 200 then
+                      failwith
+                        (Printf.sprintf "sign -> %d: %s" r.Client.status
+                           r.Client.body);
+                    float_of_int (t1 - t0)))))
+      tenants
+  in
+  (* Join every worker before re-raising the first failure. *)
+  let joined =
+    Array.map
+      (fun w -> match Domain.join w with l -> Ok l | exception e -> Error e)
+      workers
+  in
+  Array.concat
+    (Array.to_list (Array.map (function Ok l -> l | Error e -> raise e) joined))
+
+(* The baseline is the Table 1 unit, a direct [sign_many] with the
+   daemon's parameters and verify-after-sign; the gated arm sends the
+   same messages through a daemon (rtev on) from one keep-alive client
+   per tenant.  The tail's latencies are every served request of the
+   timed passes; the pause split is the daemon's own registry, all zero
+   with [rtev: false] when the ring cannot start. *)
+let serve_case (s : H.sizes) () =
+  let n = 16 and sigma = "2" and precision = 16 in
+  let per_tenant = if s.smoke then 12 else 24 in
+  let kp =
+    F.Keygen.generate (Daemon.params_of_n n)
+      Ctg_prng.(Bitstream.of_chacha (Chacha20.of_seed "serve-bench-key"))
+  in
+  let master = sampler ~sigma ~precision in
+  let make_base () =
+    F.Base_sampler.of_instance
+      (Ctg_samplers.Sampler_sig.of_bitsliced (Ctgauss.Sampler.clone master))
+  in
+  let direct ~lane =
+    let msgs =
+      Array.concat
+        (List.map
+           (fun t ->
+             Array.init per_tenant (fun i ->
+                 Bytes.of_string (serve_msg t ~lane i)))
+           (Array.to_list serve_tenants))
+    in
+    ignore
+      (F.Sign.sign_many ~check:true kp ~make_base ~seed:"serve-bench" ~msgs
+        : F.Sign.signature array)
+  in
+  let d =
+    Daemon.create
+      {
+        Daemon.default_config with
+        n;
+        sigma;
+        precision;
+        port = 0;
+        max_batch = 8;
+        rtev = true;
+      }
+  in
+  let latencies = ref [] in
+  let served ~lane =
+    latencies := load d ~tenants:serve_tenants ~per_tenant ~lane :: !latencies
+  in
+  (match
+     direct ~lane:1000;
+     ignore (load d ~tenants:serve_tenants ~per_tenant ~lane:1000 : float array)
+   with
+  | () -> ()
+  | exception e ->
+    Daemon.stop d;
+    raise e);
+  let tail () =
+    Fun.protect
+      ~finally:(fun () -> Daemon.stop d)
+      (fun () ->
+        let lat = Array.concat !latencies in
+        let q p = if lat = [||] then 0.0 else H.quantile lat p in
+        let requests = Daemon.requests d and batches = Daemon.batches d in
+        let rtev = Daemon.rtev_active d in
+        if rtev then ignore (Rtev.poll ());
+        let summary name =
+          Obs.Registry.(histo_summary (histo (Daemon.registry d) name))
+        in
+        let pause = summary "gc_pause_ns"
+        and split = summary "serve_gc_pause_ns" in
+        [
+          ("p50_ns", Jsonx.Num (q 0.50));
+          ("p99_ns", Num (q 0.99));
+          ("requests", int requests);
+          ("batches", int batches);
+          ( "mean_batch",
+            Num
+              (if batches = 0 then 0.0
+               else float_of_int requests /. float_of_int batches) );
+          ("shed", int (Daemon.batcher_shed d));
+          ("healthy", Bool (Daemon.healthy d));
+          ("gc_pauses", int pause.count);
+          ("gc_pause_total", int pause.sum);
+          ("gc_pause_max", int pause.max);
+          ("serve_batches_observed", int split.count);
+          ("serve_pause_total", int split.sum);
+          ("serve_pause_max", int split.max);
+        ]
+        @ if rtev then [] else [ ("rtev", Jsonx.Bool false) ])
+  in
+  {
+    H.head =
+      [
+        ("n", int n);
+        ("sigma", str sigma);
+        ("precision", int precision);
+        ("tenants", int (Array.length serve_tenants));
+        ("per_tenant", int per_tenant);
+      ];
+    ops = Array.length serve_tenants * per_tenant;
+    base = ("direct_ns", direct);
+    arms = [ arm "served_ns" "overhead_pct" served ];
+    tail;
+  }
+
+(* Served under 25× direct signing; the absolute p99 bound is the old
+   gate's floor. *)
+let serve =
+  row ~name:"serve" ~benchmark:"serve-slo"
+    ~threshold_pct:((25.0 -. 1.0) *. 100.0)
+    ~checks:
+      [
+        ("p99_ns", fun v -> v <= 250e6);
+        ("mean_batch", fun v -> v > 1.0);
+        ("shed", fun v -> v = 0.0);
+        ("healthy", fun v -> v = 1.0);
+        ("requests", fun v -> v > 0.0);
+      ]
+    (fun s -> [ serve_case s ])
+
+let all = [ obs; alloc; fault; assure; saga; pauses; serve ]
 let find name = List.find_opt (fun (r : H.row) -> r.name = name) all

@@ -1,7 +1,8 @@
 (* Tests for the overhead-gate harness: the shared retry rule driven by
-   scripted estimates, and, per gate, a tiny real run whose report
-   flattens to exactly the Trend keys of the committed baseline (so
-   [bench history] keeps comparing across harness changes). *)
+   scripted estimates, the serve row's load driver, and, per gate, a
+   tiny real run whose report flattens to exactly the Trend keys of the
+   committed baseline (so [bench history] keeps comparing across harness
+   changes). *)
 
 module H = Ctg_overhead.Harness
 module Rows = Ctg_overhead.Rows
@@ -106,6 +107,61 @@ let test_increment () =
     Alcotest.(check bool) "ns over the baseline" true (v "spin_ns" > v "base_ns")
   | _ -> Alcotest.fail "one entry expected"
 
+(* A raising pass still runs the tail, which restores what the setup
+   changed (the serve row stops its daemon there). *)
+let test_raise_runs_tail () =
+  let tail_ran = ref false in
+  let case () =
+    {
+      (spin_case [ spin_arm "gated" (fun ~lane:_ -> failwith "pass") ] ()) with
+      H.tail =
+        (fun () ->
+          tail_ran := true;
+          []);
+    }
+  in
+  match measure_spin [ case ] with
+  | _ -> Alcotest.fail "the raising pass was swallowed"
+  | exception Failure _ -> Alcotest.(check bool) "tail ran" true !tail_ran
+
+(* ---- The serve row's load driver ---- *)
+
+(* A 400 fails its tenant's worker, but the pass raises only once every
+   worker is joined: the valid tenant, listed second, has had all its
+   requests answered by then.  The daemon then stops under
+   [Fun.protect] and serves nothing more. *)
+let test_load_failure_rule () =
+  let module Daemon = Ctg_serve.Daemon in
+  let d =
+    Daemon.create
+      {
+        Daemon.default_config with
+        n = 16;
+        port = 0;
+        http_workers = 2;
+        sign_domains = Some 1;
+      }
+  in
+  let per_tenant = 4 in
+  (match
+     Fun.protect
+       ~finally:(fun () -> Daemon.stop d)
+       (fun () ->
+         Rows.load d ~tenants:[| "../etc"; "load-ok" |] ~per_tenant ~lane:0)
+   with
+  | _ -> Alcotest.fail "a 400 must fail the pass"
+  | exception Failure m ->
+    Alcotest.(check bool) ("the 400 is raised: " ^ m) true
+      (String.starts_with ~prefix:"sign -> 400" m));
+  Alcotest.(check int) "the valid tenant was served in full" per_tenant
+    (Daemon.requests d);
+  match Ctg_net.Client.connect ~port:(Daemon.port d) () with
+  | exception Unix.Unix_error _ -> ()
+  | c -> (
+    match Ctg_net.Client.request c ~meth:"GET" ~path:"/healthz" () with
+    | exception _ -> Ctg_net.Client.close c
+    | r -> Alcotest.failf "served after stop: %d" r.Ctg_net.Client.status)
+
 (* ---- The trajectory keys survive ---- *)
 
 (* 63 × 16 samples: the saga row's battery judges at least 1000. *)
@@ -175,6 +231,13 @@ let () =
             test_pass_rule;
           Alcotest.test_case "an increment arm adds its run to the baseline"
             `Quick test_increment;
+          Alcotest.test_case "a raising pass runs the tail" `Quick
+            test_raise_runs_tail;
+        ] );
+      ( "serve",
+        [
+          Alcotest.test_case "load raises a 400 after joining every worker"
+            `Quick test_load_failure_rule;
         ] );
       ( "trajectory",
         List.map

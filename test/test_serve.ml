@@ -88,10 +88,8 @@ let test_chunked_body () =
   Http.stop srv
 
 (* A POST whose head declares a body one byte over the server's fixed
-   1 MiB limit.  The server refuses on the declared length and closes
-   without reading the body, so none is sent: a client still writing it
-   would race that close into a connection reset.  Returns the status
-   and the raw reply. *)
+   1 MiB limit, and sends none: the server refuses on the declared
+   length alone.  Returns the status and the raw reply. *)
 let oversized_post ~port ~headers =
   let head =
     Printf.sprintf
@@ -107,6 +105,26 @@ let test_oversized_body_rejected () =
   let port = Http.port srv in
   let status, _ = oversized_post ~port ~headers:[] in
   Alcotest.(check int) "413 over max_body" 413 status;
+  Http.stop srv
+
+(* The same refusal with the body actually sent, by the client: the
+   server must let the client finish writing and read the 413 rather
+   than reset the connection under it. *)
+let test_oversized_body_one_shot () =
+  let srv = Http.start_handler ~port:0 ~workers:1 echo_handler in
+  let port = Http.port srv in
+  let body = String.make ((1024 * 1024) + 1) 'x' in
+  for i = 1 to 20 do
+    let rid = Printf.sprintf "big-body-%d" i in
+    let r =
+      Client.one_shot ~port ~meth:"POST" ~path:"/echo"
+        ~headers:[ ("X-Request-Id", rid) ]
+        ~body ()
+    in
+    Alcotest.(check int) "413 over max_body" 413 r.Client.status;
+    Alcotest.(check (option string)) "request id echoed" (Some rid)
+      (List.assoc_opt "x-request-id" r.Client.headers)
+  done;
   Http.stop srv
 
 let test_stop_is_clean () =
@@ -942,6 +960,8 @@ let () =
           Alcotest.test_case "chunked request body" `Quick test_chunked_body;
           Alcotest.test_case "oversized body rejected" `Quick
             test_oversized_body_rejected;
+          Alcotest.test_case "oversized body sent gets 413, not a reset"
+            `Quick test_oversized_body_one_shot;
           Alcotest.test_case "stop is clean and idempotent" `Quick
             test_stop_is_clean;
           Alcotest.test_case "request id round-trips, also on errors" `Quick
