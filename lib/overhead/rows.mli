@@ -21,8 +21,10 @@
       ([--smoke]) or 24 sign requests through an in-process daemon
       (n = 16, σ = 2/16, batches of at most 8, rtev on) against a direct
       [sign_many ~check:true] of the same messages; the served requests'
-      p99 must be ≤ 250 ms, the mean batch > 1, nothing shed, the
-      monitor healthy.  The tail adds the daemon's pause split.
+      p99 (nearest rank per timed pass, the worst pass reported: a
+      pass's slowest request) must be ≤ 250 ms, the mean batch > 1,
+      nothing shed, the monitor healthy.  The tail adds the daemon's
+      pause split.
 
     Seeds are [<gate>-bench-<σ>] ([pause-bench-<σ>] for [pauses],
     [saga-bench-<σ>-<lane>] for [saga], [serve-bench] and

@@ -285,13 +285,14 @@ let make_callbacks () =
 
 (* ---------------- polling ------------------------------------------ *)
 
-(* Requires st.mu. *)
-let poll_locked () =
+(* Requires st.mu.  [max] caps the events read; by default a poll reads
+   until it has caught up with every ring. *)
+let poll_locked ?max () =
   match (st.cursor, st.callbacks) with
   | Some cursor, Some cb ->
     (try RE.User.write (Lazy.force sync_event) (Obs.Clock.now_ns ())
      with _ -> ());
-    let n = try RE.read_poll cursor cb None with _ -> 0 in
+    let n = try RE.read_poll cursor cb max with _ -> 0 in
     (match (st.offset_ns, st.pending_trace) with
     | Some off, (_ :: _ as pending) ->
       List.iter (fun p -> inject_pause p off) (List.rev pending);
@@ -309,9 +310,16 @@ let poll () =
     n
   end
 
+(* The opportunistic poll runs on the caller's domain (a serving batch,
+   a traced span), so it reads a bounded slice and leaves the rest to the
+   poller.  Read unbounded, it keeps reading while the rings refill: in
+   a daemon of a dozen-plus domains on 2 CPUs one batch was held
+   100-360 ms. *)
+let opportunistic_max = 1024
+
 let pause_source_value () =
   if st.active && Mutex.try_lock st.mu then begin
-    ignore (poll_locked ());
+    ignore (poll_locked ~max:opportunistic_max ());
     Mutex.unlock st.mu
   end;
   Atomic.get st.c_total

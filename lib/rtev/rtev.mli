@@ -138,6 +138,9 @@ val install_trace_pause_source : unit -> unit
     deltas are visible even without the background poller). *)
 
 val pause_source_value : unit -> int
+(** Total pause ns so far.  When the consumer lock is free it first
+    reads at most 1024 pending events, so a caller on a hot path waits
+    for a bounded slice and the poller reads the rest. *)
 
 val suspend_collection : unit -> unit
 (** [Runtime_events.pause]: stop the runtime writing to the ring (the
