@@ -29,9 +29,9 @@ let () =
   Format.printf "batch_parallel: %d samples, mean %+.4f@."
     (Array.length samples) mean;
 
-  (* 3. Streaming consumption: chunks arrive in order through a bounded
-        queue, so a slow consumer throttles the producers instead of
-        buffering the whole job. *)
+  (* 3. Streaming consumption: chunks arrive in order, one window of
+        2 x domains chunks at a time, so a slow consumer throttles the
+        workers instead of buffering the whole job. *)
   let chunks = ref 0 in
   Ctg_engine.Pool.iter_batches pool ~n:50_000 (fun chunk ->
       chunks := !chunks + 1;

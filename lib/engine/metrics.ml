@@ -11,7 +11,6 @@ type t = {
   fallback : Registry.counter;
   per_domain : Registry.counter array;
   chunk_service : Registry.histo;
-  queue_wait : Registry.histo;
   chunk_retries : Registry.counter;
   worker_respawns : Registry.counter;
   health_failures : Registry.counter;
@@ -51,7 +50,6 @@ let create ~domains ?(labels = []) () =
             ~labels:(("domain", string_of_int i) :: labels)
             "engine_domain_samples_total");
     chunk_service = Registry.histo registry ~labels "engine_chunk_service_ns";
-    queue_wait = Registry.histo registry ~labels "engine_queue_wait_ns";
     chunk_retries = Registry.counter registry ~labels "engine_chunk_retries_total";
     worker_respawns =
       Registry.counter registry ~labels "engine_worker_respawns_total";
@@ -75,7 +73,6 @@ let record (t : t) ~domain ~samples ~batches ~bits ~work ~gates =
 
 let add_fallback (t : t) n = if n > 0 then Registry.add t.fallback n
 let observe_chunk_service (t : t) ns = Registry.observe t.chunk_service ns
-let observe_queue_wait (t : t) ns = Registry.observe t.queue_wait ns
 let add_chunk_retry (t : t) = Registry.incr t.chunk_retries
 let add_worker_respawn (t : t) = Registry.incr t.worker_respawns
 let add_health_failure (t : t) = Registry.incr t.health_failures
@@ -92,7 +89,8 @@ let snapshot (t : t) =
         per_domain_samples = Array.map Registry.value t.per_domain;
         fallback_resamples = Registry.value t.fallback;
         chunk_service = Registry.histo_summary t.chunk_service;
-        queue_wait = Registry.histo_summary t.queue_wait;
+        (* Nothing queues chunks; kept empty for perfbench's reader. *)
+        queue_wait = Histo.summary (Histo.create ());
         chunk_retries = Registry.value t.chunk_retries;
         worker_respawns = Registry.value t.worker_respawns;
         health_failures = Registry.value t.health_failures;
@@ -126,8 +124,6 @@ let pp fmt (s : snapshot) =
   if s.degraded then Format.fprintf fmt "DEGRADED       (CT-CDT fallback)@.";
   if s.chunk_service.Histo.count > 0 then
     Format.fprintf fmt "chunk service  %a@." Histo.pp_summary s.chunk_service;
-  if s.queue_wait.Histo.count > 0 then
-    Format.fprintf fmt "queue wait     %a@." Histo.pp_summary s.queue_wait;
   Format.fprintf fmt "per-domain     ";
   Array.iteri
     (fun i n -> Format.fprintf fmt "%s%d:%d" (if i = 0 then "" else " ") i n)

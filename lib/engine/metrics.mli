@@ -4,8 +4,8 @@
     accounting adds nothing measurable to the hot path while still
     reporting the paper's cost model exactly: samples, batches (63-lane
     program runs), random bits consumed, PRNG work units (ChaCha20 blocks /
-    Keccak permutations) and total gate evaluations — plus the service-time
-    and queue-wait histograms the scheduler view needs.
+    Keccak permutations) and total gate evaluations — plus the chunk
+    service-time histogram the scheduler view needs.
 
     [snapshot] reads under the registry's seqlock
     ({!Ctg_obs.Registry.read_consistent}), so a snapshot racing a [reset]
@@ -27,7 +27,7 @@ type snapshot = {
       (** Lanes rescued by the sampler's declared scalar fallback. *)
   chunk_service : Ctg_obs.Histo.summary;  (** ns per chunk, fill only. *)
   queue_wait : Ctg_obs.Histo.summary;
-      (** ns a producer waited to enqueue a chunk (backpressure). *)
+      (** Always empty (no chunk is queued); kept while perfbench reads it. *)
   chunk_retries : int;
       (** Chunk attempts repeated after a contained worker exception. *)
   worker_respawns : int;
@@ -64,9 +64,6 @@ val record :
 val add_fallback : t -> int -> unit
 val observe_chunk_service : t -> int -> unit
 (** Chunk fill latency in ns. *)
-
-val observe_queue_wait : t -> int -> unit
-(** Producer-side enqueue wait in ns. *)
 
 val add_chunk_retry : t -> unit
 val add_worker_respawn : t -> unit

@@ -1,4 +1,3 @@
-open Ctg_sync.Shim
 module Bs = Ctg_prng.Bitstream
 module Clock = Ctg_obs.Clock
 module Trace = Ctg_obs.Trace
@@ -12,68 +11,15 @@ exception Chunk_failed = Workforce.Chunk_failed
 
 exception Stalled = Workforce.Stalled
 
-(* A bounded chunk queue for the streaming consumer.  Workers push
-   completed chunks and block when [capacity] are in flight; the consumer
-   pops, reorders to chunk-index order and hands them to the callback.
-   The reorder buffer stays small by construction: chunks are claimed in
-   increasing order, so at most [domains] chunks can be finished out of
-   order at any moment.  Both waits are abortable: a failed job must not
-   leave a producer blocked on a full queue or the consumer blocked on an
-   empty one, so the loops re-check [should_abort] on every wakeup and the
-   aborting thread (plus the watchdog, when one runs) broadcasts [q_cond].
-
-   A standalone module (not inlined in the pool) so the ctg_race model
-   checker can drive exactly this code in a bounded harness. *)
-module Chunkq = struct
-  type 'a t = {
-    q_mutex : Mutex.t;
-    q_cond : Condition.t;
-    items : 'a Queue.t;
-    capacity : int;
-  }
-
-  let create ~capacity =
-    {
-      q_mutex = Mutex.create ();
-      q_cond = Condition.create ();
-      items = Queue.create ();
-      capacity;
-    }
-
-  let push q ~should_abort item =
-    Mutex.lock q.q_mutex;
-    while Queue.length q.items >= q.capacity && not (should_abort ()) do
-      Condition.wait q.q_cond q.q_mutex
-    done;
-    if not (should_abort ()) then Queue.add item q.items;
-    Condition.broadcast q.q_cond;
-    Mutex.unlock q.q_mutex
-
-  let pop q ~should_abort =
-    Mutex.lock q.q_mutex;
-    while Queue.is_empty q.items && not (should_abort ()) do
-      Condition.wait q.q_cond q.q_mutex
-    done;
-    let item =
-      if Queue.is_empty q.items then None else Some (Queue.take q.items)
-    in
-    Condition.broadcast q.q_cond;
-    Mutex.unlock q.q_mutex;
-    item
-
-  let wake q =
-    Mutex.lock q.q_mutex;
-    Condition.broadcast q.q_cond;
-    Mutex.unlock q.q_mutex
-end
-
-type sink = Array_sink of int array | Queue_sink of (int * int array) Chunkq.t
-
+(* One team job: a run of whole chunks of a call.  Chunk c of the job is
+   chunk [first + c] of the call, draws from lane [lane_base + c] and
+   lands at offset [c × chunk_samples] of [out]. *)
 type job = {
-  n : int;  (* total samples requested *)
-  lane_base : int;  (* chunk c draws from Stream_fork lane lane_base + c *)
+  n : int;  (* samples in this job *)
+  first : int;  (* index within the call of the job's chunk 0 *)
+  lane_base : int;
   wq : Workq.t;  (* cursor, orphans, completion and failure accounting *)
-  sink : sink;
+  out : int array;
   flow : int option;  (* trace flow id: each chunk span emits a flow step *)
 }
 
@@ -110,16 +56,6 @@ let degraded t = match t.mode with Degraded _ -> true | Bitsliced -> false
 let set_fault_hook t hook = t.fault_hook <- hook
 
 let add_chunk_observer t f = t.chunk_observers <- t.chunk_observers @ [ f ]
-
-let wake_sink (j : job) =
-  match j.sink with Queue_sink q -> Chunkq.wake q | Array_sink _ -> ()
-
-(* Record the first permanent error and wake everyone: the caller (waiting
-   on the workq cond) and any producer/consumer blocked on the chunk
-   queue. *)
-let abort_job (j : job) err =
-  Workq.fail j.wq err;
-  wake_sink j
 
 let batches_of len = (len + Ctgauss.Bitslice.lanes - 1) / Ctgauss.Bitslice.lanes
 
@@ -177,15 +113,11 @@ let fill_chunk ~metrics ~ctmon ~domain ~gate_count sampler rng out ~pos ~len =
    and which is also why a retried or reassigned chunk reproduces its
    output exactly. *)
 let run_chunk t ~worker (j : job) c =
-  let lane = j.lane_base + c in
+  let chunk = j.first + c and lane = j.lane_base + c in
   let rng = t.rng_of_lane lane in
   let offset = c * t.chunk_samples in
   let count = min t.chunk_samples (j.n - offset) in
-  let out, out_pos =
-    match j.sink with
-    | Array_sink a -> (a, offset)
-    | Queue_sink _ -> (Array.make count 0, 0)
-  in
+  let out = j.out in
   (match t.mode with
   | Degraded inst ->
     let t_fill = Clock.now_ns () in
@@ -196,7 +128,7 @@ let run_chunk t ~worker (j : job) c =
     Trace.with_span "chunk" ~cat:"engine"
       ~args:(fun () ->
         [
-          ("chunk", string_of_int c);
+          ("chunk", string_of_int chunk);
           ("lane", string_of_int lane);
           ("samples", string_of_int count);
           ("mode", "degraded-cdt");
@@ -206,7 +138,7 @@ let run_chunk t ~worker (j : job) c =
         | Some id -> Trace.flow_step ~id "job"
         | None -> ());
         for i = 0 to count - 1 do
-          out.(out_pos + i) <- Ctg_samplers.Sampler_sig.sample_signed inst rng
+          out.(offset + i) <- Ctg_samplers.Sampler_sig.sample_signed inst rng
         done);
     Metrics.observe_chunk_service t.metrics (Clock.now_ns () - t_fill);
     Metrics.record t.metrics ~domain:worker ~samples:count ~batches:count
@@ -226,14 +158,14 @@ let run_chunk t ~worker (j : job) c =
     in
     let fill () =
       fill_chunk ~metrics:t.metrics ~ctmon:t.ctmon ~domain:worker
-        ~gate_count:t.gate_count clone rng out ~pos:out_pos ~len:count
+        ~gate_count:t.gate_count clone rng out ~pos:offset ~len:count
     in
     if not (Trace.is_enabled ()) then fill ()
     else
       Trace.with_span "chunk" ~cat:"engine"
         ~args:(fun () ->
           [
-            ("chunk", string_of_int c);
+            ("chunk", string_of_int chunk);
             ("lane", string_of_int lane);
             ("samples", string_of_int count);
             ("batches", string_of_int (batches_of count));
@@ -246,21 +178,11 @@ let run_chunk t ~worker (j : job) c =
   (* Observers see each completed chunk exactly once (a retried chunk only
      reaches this point on its successful attempt), on the worker domain
      that filled it. *)
-  (match t.chunk_observers with
+  match t.chunk_observers with
   | [] -> ()
   | observers ->
-    let view =
-      match j.sink with
-      | Array_sink a -> Array.sub a offset count
-      | Queue_sink _ -> out
-    in
-    List.iter (fun f -> f ~chunk:c ~lane view) observers);
-  match j.sink with
-  | Array_sink _ -> ()
-  | Queue_sink q ->
-    let t_q = Clock.now_ns () in
-    Chunkq.push q ~should_abort:(fun () -> Workq.aborted j.wq) (c, out);
-    Metrics.observe_queue_wait t.metrics (Clock.now_ns () - t_q)
+    let view = Array.sub out offset count in
+    List.iter (fun f -> f ~chunk ~lane view) observers
 
 (* Bounded in-place retry with exponential backoff.  A transient chunk
    failure (entropy health trip, injected fault) is retried on the same
@@ -274,7 +196,7 @@ let max_chunk_retries = 2
 let rec attempt_chunk t ~worker (j : job) c attempt =
   match
     (match t.fault_hook with
-    | Some hook -> hook ~chunk:c ~lane:(j.lane_base + c) ~attempt
+    | Some hook -> hook ~chunk:(j.first + c) ~lane:(j.lane_base + c) ~attempt
     | None -> ());
     run_chunk t ~worker j c
   with
@@ -346,84 +268,68 @@ let create ?domains ?(backend = Stream_fork.Chacha) ?(chunk_batches = 16)
     next_lane = 0;
   }
 
-(* Publish a job to the team; returns it with the lane range claimed and
-   the team's handle on it. *)
-let submit ?flow t ~n ~make_sink =
+let chunks_of t n = (n + t.chunk_samples - 1) / t.chunk_samples
+
+(* Claim the lanes of an [n]-sample call: chunk k of the call draws from
+   lane [base + k].  Lanes are consumed per call, whether or not it
+   completes, so successive calls draw fresh randomness while staying
+   reproducible as a sequence. *)
+let claim_lanes t ~n =
   if n < 0 then invalid_arg "Pool: n must be >= 0";
   if Workforce.stopped t.team then invalid_arg "Pool: shut down";
-  let total_chunks = (n + t.chunk_samples - 1) / t.chunk_samples in
+  let base = t.next_lane in
+  t.next_lane <- base + chunks_of t n;
+  base
+
+(* Fill chunks [first, first + ⌈n / chunk_samples⌉) of the call whose
+   lanes start at [base] into [out] from offset 0, on the team, and wait
+   for them. *)
+let run_job ?flow t ~base ~first ~n out =
   let j =
     {
       n;
-      lane_base = t.next_lane;
-      wq = Workq.create ~total:total_chunks ~stamp:(Clock.now_ns ());
-      sink = make_sink ();
+      first;
+      lane_base = base + first;
+      wq = Workq.create ~total:(chunks_of t n) ~stamp:(Clock.now_ns ());
+      out;
       flow;
     }
   in
-  let task =
-    Workforce.submit t.team j.wq
-      ~wake:(fun () -> wake_sink j)
+  match
+    Workforce.run_workq t.team j.wq
       ~respawned:(fun () -> Metrics.add_worker_respawn t.metrics)
       (fun ~worker c -> attempt_chunk t ~worker j c 0)
-  in
-  (* Lanes are consumed per call, so successive jobs draw fresh
-     randomness while staying reproducible as a sequence. *)
-  t.next_lane <- t.next_lane + total_chunks;
-  (j, task)
+  with
+  | () -> ()
+  | exception Chunk_failed { chunk; attempts; error } ->
+    (* Name the chunk by its index within the call, as the hooks do. *)
+    raise (Chunk_failed { chunk = first + chunk; attempts; error })
 
 let batch_parallel ?flow t ~n =
-  let out = ref [||] in
-  let _, task =
-    submit ?flow t ~n ~make_sink:(fun () ->
-        out := Array.make n 0;
-        Array_sink !out)
-  in
-  Workforce.await task;
-  !out
+  let base = claim_lanes t ~n in
+  let out = Array.make n 0 in
+  run_job ?flow t ~base ~first:0 ~n out;
+  out
 
+(* Windows of [2 × domains] whole chunks use the lanes and offsets of one
+   job over [n], so the stream equals [batch_parallel ~n].  No job is in
+   flight while [f] runs, so an exception from [f] simply propagates. *)
 let iter_batches ?flow t ~n f =
-  let j, task =
-    submit ?flow t ~n ~make_sink:(fun () ->
-        Queue_sink (Chunkq.create ~capacity:(2 * domains t)))
+  let base = claim_lanes t ~n in
+  let per_window = 2 * domains t in
+  let window = Array.make (min n (per_window * t.chunk_samples)) 0 in
+  let rec go first =
+    let pos = first * t.chunk_samples in
+    if pos < n then begin
+      let len = min (Array.length window) (n - pos) in
+      run_job ?flow t ~base ~first ~n:len window;
+      for c = 0 to chunks_of t len - 1 do
+        let off = c * t.chunk_samples in
+        f (Array.sub window off (min t.chunk_samples (len - off)))
+      done;
+      go (first + per_window)
+    end
   in
-  (try
-     match j.sink with
-     | Array_sink _ -> assert false
-     | Queue_sink q ->
-       (* Deliver in chunk order so the consumed stream equals the
-          batch_parallel array; the pending table holds early finishers.
-          The pop is abortable: a failed or stalled job unblocks the
-          consumer here, and [Workforce.await] below re-raises its
-          error. *)
-       let should_abort () = Workq.aborted j.wq || Workforce.stall task <> None in
-       let pending = Hashtbl.create 16 in
-       let next = ref 0 in
-       (try
-          while !next < Workq.total j.wq do
-            match Hashtbl.find_opt pending !next with
-            | Some chunk ->
-              Hashtbl.remove pending !next;
-              incr next;
-              f chunk
-            | None -> (
-              match Chunkq.pop q ~should_abort with
-              | None ->
-                if not (Workq.aborted j.wq) then
-                  Option.iter (abort_job j) (Workforce.stall task);
-                raise Exit
-              | Some (c, chunk) ->
-                if c = !next then begin
-                  incr next;
-                  f chunk
-                end
-                else Hashtbl.replace pending c chunk)
-          done
-        with Exit -> ())
-   with e ->
-     (* The consumer callback itself raised: fail the job so workers
-        unblock, then fall through to the await, which re-raises. *)
-     abort_job j e);
-  Workforce.await task
+  go 0
 
 let shutdown t = Workforce.shutdown t.team

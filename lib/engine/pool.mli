@@ -5,8 +5,8 @@
     compiled program (each worker index holds a private
     {!Ctgauss.Sampler.clone}) and race for fixed-size {e chunks} of a
     batch job through the team's atomic cursor.  The pool is chunk logic
-    on top of that team: chunk bodies, in-place retries, output sinks and
-    degraded mode; the calling domain waits or consumes, never fills.
+    on top of that team: chunk bodies, in-place retries and degraded
+    mode; the calling domain waits or consumes, never fills.
 
     {b Determinism.}  Chunk [c] of the [j]-th job always draws its
     randomness from {!Stream_fork} lane [lane_base_j + c] and lands at
@@ -17,10 +17,11 @@
     retried after a transient fault, or re-run by another domain after a
     worker crash, reproduces its output bit for bit.
 
-    {b Backpressure.}  {!iter_batches} streams chunks through a bounded
-    queue: workers block once [2 × domains] chunks are finished but not
-    yet consumed, so a slow consumer caps the engine's memory at
-    [3 × domains × chunk] samples instead of buffering the whole job.
+    {b Backpressure.}  {!iter_batches} runs the job as a sequence of
+    windows of [2 × domains] chunks and hands each window's chunks to the
+    consumer before the next window starts, so a slow consumer holds the
+    workers back and the engine buffers one window
+    ([2 × domains × chunk] samples) instead of the whole job.
 
     {b Supervision.}  A worker exception while filling a chunk is retried
     in place with exponential backoff up to 2 times;
@@ -44,26 +45,6 @@
     expectation) and flagged on the [engine_degraded] gauge. *)
 
 type t
-
-(** The bounded producer/consumer chunk queue behind {!iter_batches},
-    exposed (like {!Workforce.Workq}) so the ctg_race model checker can
-    explore the exact production protocol in bounded harnesses.  Both waits re-check
-    [should_abort] on every wakeup, so a failed job can never leave a
-    producer or the consumer parked. *)
-module Chunkq : sig
-  type 'a t
-
-  val create : capacity:int -> 'a t
-
-  val push : 'a t -> should_abort:(unit -> bool) -> 'a -> unit
-  (** Block while [capacity] items are in flight, unless aborting. *)
-
-  val pop : 'a t -> should_abort:(unit -> bool) -> 'a option
-  (** Block while empty; [None] only when aborting. *)
-
-  val wake : 'a t -> unit
-  (** Broadcast so parked producers/consumers re-check [should_abort]. *)
-end
 
 exception Kill_worker
 (** Raise from a fault hook to simulate a worker-domain crash at a chunk
@@ -176,11 +157,15 @@ val batch_parallel : ?flow:int -> t -> n:int -> int array
     @raise Stalled when [stall_timeout] elapses without progress. *)
 
 val iter_batches : ?flow:int -> t -> n:int -> (int array -> unit) -> unit
-(** Stream the same deterministic output as {!batch_parallel} to [f] chunk
-    by chunk, in order, while workers keep producing ahead under the
-    bounded-queue backpressure.  [f] runs in the calling domain.  Raises
-    like {!batch_parallel}; an exception from [f] itself also fails the
-    job (workers unblock) and is re-raised here. *)
+(** Stream the same deterministic output as {!batch_parallel} to [f],
+    one fresh chunk-sized array at a time, in order.  The workers fill a
+    window of [2 × domains] chunks, then [f] consumes it in the calling
+    domain while they wait; each window draws the lanes and offsets it
+    would have in one job over [n], so the stream and every later call on
+    the pool match {!batch_parallel} bit for bit.  Chunk observers and the
+    fault hook see chunk indices within the whole call.  Raises like
+    {!batch_parallel}; an exception from [f] propagates as is, since no
+    job is in flight while [f] runs. *)
 
 val shutdown : t -> unit
 (** Join the workers (and watchdog).  Idempotent; subsequent jobs raise. *)

@@ -2,13 +2,12 @@
    the daemon's signing batches both run here.  [domains] persistent
    workers park between jobs, so a job costs one wakeup per worker
    instead of a spawn.  The submitting caller does not run items; it
-   waits (or, for the pool's streaming consumer, consumes chunks) and is
-   never the hung worker the stall watchdog contains.
+   waits, and is never the hung worker the stall watchdog contains.
 
    A job is a [Workq] plus a body called with the worker index, so
    callers keep per-worker state (the pool's sampler clones and
    per-domain metrics) without sharing it between domains.  Lock order:
-   team mutex -> workq mutex -> the job's [wake] hook. *)
+   team mutex -> workq mutex. *)
 
 open Ctg_sync.Shim
 module Clock = Ctg_obs.Clock
@@ -115,9 +114,7 @@ end
 type job = {
   wq : Workq.t;
   body : worker:int -> int -> unit;
-  wake : unit -> unit;  (* rouse the submitter's own waits on failure *)
   respawned : unit -> unit;
-  stall_ns : int option;
 }
 
 (* Each worker index parks on its own slot, so the workers of a team
@@ -145,10 +142,6 @@ type t = {
 }
 
 let domains t = t.domains
-
-let fail j e =
-  Workq.fail j.wq e;
-  j.wake ()
 
 let post slot f =
   Mutex.lock slot.s_mutex;
@@ -190,7 +183,7 @@ and work t worker j =
       lose t worker j i;
       false
     | exception e ->
-      fail j e;
+      Workq.fail j.wq e;
       work t worker j)
 
 (* A worker domain died at an item boundary.  Its item goes on the orphan
@@ -211,17 +204,20 @@ and lose t worker j i =
   end;
   Mutex.unlock t.mutex;
   if not respawn then
-    fail j (Chunk_failed { chunk = i; attempts = 0; error = Kill_worker })
+    Workq.fail j.wq
+      (Chunk_failed { chunk = i; attempts = 0; error = Kill_worker })
 
-let stall (j : job) =
-  match j.stall_ns with
+(* [Some (Stalled _)] once the job has gone [stall_timeout] without an
+   item completing. *)
+let stall t wq =
+  match t.stall_ns with
   | None -> None
   | Some limit ->
-    let waited_ns = Clock.now_ns () - Workq.last_progress j.wq in
+    let waited_ns = Clock.now_ns () - Workq.last_progress wq in
     if waited_ns > limit then Some (Stalled { waited_ns }) else None
 
 (* OCaml's [Condition] has no timed wait, so the watchdog periodically
-   wakes the submitter's waits to let their predicates notice a stall
+   wakes the submitter's wait to let its predicate notice a stall
    deadline.  Spawned only when [stall_timeout] is set. *)
 let watchdog t interval =
   let alive = ref true in
@@ -229,12 +225,7 @@ let watchdog t interval =
     Unix.sleepf interval;
     Mutex.lock t.mutex;
     if t.stopping then alive := false
-    else
-      Option.iter
-        (fun j ->
-          Workq.wake j.wq;
-          j.wake ())
-        t.job;
+    else Option.iter (fun j -> Workq.wake j.wq) t.job;
     Mutex.unlock t.mutex
   done
 
@@ -287,10 +278,11 @@ let stopped t =
   Mutex.unlock t.mutex;
   s
 
-(* A job stays published after it ends, so that the waiting caller never
-   takes the team lock; the next job replaces it once every item of the
-   last one is done or it has failed. *)
-let submit t wq ~wake ~respawned body =
+(* Publish the job to every slot, then wait on its [Workq].  A job stays
+   published after it ends, so that the waiting caller never takes the
+   team lock; the next job replaces it once every item of the last one is
+   done or it has failed. *)
+let run_workq t wq ~respawned body =
   Mutex.lock t.mutex;
   let busy =
     match t.job with
@@ -303,7 +295,7 @@ let submit t wq ~wake ~respawned body =
       (if busy then "Workforce: a job is already running"
        else "Workforce: shut down")
   end;
-  let j = { wq; body; wake; respawned; stall_ns = t.stall_ns } in
+  let j = { wq; body; respawned } in
   t.job <- Some j;
   (* Workers start with the first job: until then the team costs no
      domain, and an idle domain still takes part in every stop-the-world
@@ -313,19 +305,12 @@ let submit t wq ~wake ~respawned body =
       List.init t.domains (fun w -> Domain.spawn (fun () -> worker_loop t w));
   Mutex.unlock t.mutex;
   Array.iter (fun slot -> post slot (fun s -> s.posted <- Some j)) t.slots;
-  j
-
-let await j =
-  match Workq.wait j.wq ~stall:(fun () -> stall j) with
-  | None -> ()
-  | Some e ->
-    j.wake ();
-    raise e
+  Option.iter raise (Workq.wait wq ~stall:(fun () -> stall t wq))
 
 let run t ~n f =
   if n < 0 then invalid_arg "Workforce.run: n must be >= 0";
   let wq = Workq.create ~total:n ~stamp:(Clock.now_ns ()) in
-  await (submit t wq ~wake:ignore ~respawned:ignore (fun ~worker:_ i -> f i))
+  run_workq t wq ~respawned:ignore (fun ~worker:_ i -> f i)
 
 let shutdown t =
   Mutex.lock t.mutex;

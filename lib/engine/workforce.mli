@@ -8,19 +8,21 @@
     [n] items and a body called as [body ~worker i] for each item, where
     [worker < domains] is the index of the domain running it (per-worker
     state stays per index).  The submitting caller does not run items: it
-    waits in {!await} (the pool's streaming consumer reads chunks first).
+    blocks in {!run_workq} until the job completes or fails.
 
     {b Failures.}  A body exception fails the job; the first failure wins,
-    unclaimed items are skipped and {!await} re-raises it on the caller,
-    possibly before every worker has left the job.  {!Kill_worker} is the
-    crash model: the item is orphaned for another domain and the worker's
-    domain is replaced under the same index while the respawn budget
-    ([max 4 domains] over the team's life) lasts; past it the job fails
+    unclaimed items are skipped and {!run_workq} re-raises it on the
+    caller, possibly before every worker has left the job.
+    {!Kill_worker} is the crash model: the item is orphaned for another
+    domain and the worker's domain is replaced under the same index while
+    the respawn budget ([max 4 domains] over the team's life) lasts; past
+    it the job fails
     with {!Chunk_failed} [{ attempts = 0; error = Kill_worker }].  With
-    [stall_timeout] set, a watchdog domain bounds how long {!await} waits
-    without an item completing before {!Stalled} is raised.
+    [stall_timeout] set, a watchdog domain bounds how long {!run_workq}
+    waits without an item completing before {!Stalled} is raised.
 
-    One job runs at a time; a second {!submit} while one runs raises. *)
+    One job runs at a time; a second job submitted while one runs
+    raises. *)
 
 exception Kill_worker
 (** Raised by a body to simulate its worker domain crashing at an item
@@ -75,12 +77,11 @@ module Workq : sig
 end
 
 type t
-type job
 
 val create : ?domains:int -> ?stall_timeout:float -> unit -> t
 (** A team of [domains] workers (default
     [Domain.recommended_domain_count ()]), whose domains are spawned by
-    the first {!submit}, plus the watchdog domain, spawned here when
+    the first job, plus the watchdog domain, spawned here when
     [stall_timeout] (seconds) is set. *)
 
 val domains : t -> int
@@ -88,32 +89,23 @@ val domains : t -> int
 val stopped : t -> bool
 (** [true] once {!shutdown} has begun. *)
 
-val submit :
+val run_workq :
   t ->
   Workq.t ->
-  wake:(unit -> unit) ->
   respawned:(unit -> unit) ->
   (worker:int -> int -> unit) ->
-  job
-(** Publish a job over the items of a fresh {!Workq}.  The team completes
-    an item when its body returns and fails the job when it raises.
-    [wake] is called when the job fails and on every watchdog tick, so
-    the submitter can release its own waits (the pool's chunk queue);
-    [respawned] is called, before the orphan is re-queued, each time a
-    killed worker is replaced.
+  unit
+(** Run a job over the items of a fresh {!Workq} and wait for it.  The
+    team completes an item when its body returns and fails the job when
+    it raises; the caller waits until every item is done or the job fails
+    (failing it with {!Stalled} past the deadline) and re-raises the first
+    failure.  [respawned] is called, before the orphan is re-queued, each
+    time a killed worker is replaced.
     @raise Invalid_argument after {!shutdown}, or while the previous job
     has items left and has not failed. *)
 
-val stall : job -> exn option
-(** [Some (Stalled _)] once the job has gone [stall_timeout] without an
-    item completing; always [None] without a timeout. *)
-
-val await : job -> unit
-(** Wait for the job to complete or fail (failing it with {!Stalled}
-    past the deadline) and re-raise the first failure. *)
-
 val run : t -> n:int -> (int -> unit) -> unit
-(** [submit] then [await] a job running [f i] for every [i < n]; [f] must
+(** {!run_workq} over a job running [f i] for every [i < n]; [f] must
     be safe to run concurrently for distinct [i].  Deterministic in what
     is computed, not in who computes it.
     @raise Invalid_argument when [n < 0], after {!shutdown}, or while

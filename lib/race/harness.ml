@@ -58,55 +58,7 @@ let seqlock () =
   Domain.join reader
 
 (* ---------------------------------------------------------------- *)
-(* 2. Engine.Pool chunk queue: bounded push/pop with abortable waits. *)
-(*    Every pushed item is popped exactly once, in order; an abort     *)
-(*    never leaves producer or consumer parked.                        *)
-(* ---------------------------------------------------------------- *)
-
-let pool_chunkq () =
-  let module P = Ctg_engine.Pool in
-  let q = P.Chunkq.create ~capacity:1 in
-  let no_abort () = false in
-  let producer =
-    Domain.spawn (fun () ->
-        P.Chunkq.push q ~should_abort:no_abort 10;
-        P.Chunkq.push q ~should_abort:no_abort 11)
-  in
-  let got = ref [] in
-  let consumer =
-    Domain.spawn (fun () ->
-        for _ = 1 to 2 do
-          match P.Chunkq.pop q ~should_abort:no_abort with
-          | Some v -> got := v :: !got
-          | None -> assert false
-        done)
-  in
-  Domain.join producer;
-  Domain.join consumer;
-  assert (List.rev !got = [ 10; 11 ])
-
-let pool_chunkq_abort () =
-  let module P = Ctg_engine.Pool in
-  let q = P.Chunkq.create ~capacity:1 in
-  let aborted = Atomic.make false in
-  let should_abort () = Atomic.get aborted in
-  (* Producer tries to push two items into a one-slot queue that nobody
-     drains; the abort must unblock it. *)
-  let producer =
-    Domain.spawn (fun () ->
-        P.Chunkq.push q ~should_abort 1;
-        P.Chunkq.push q ~should_abort 2)
-  in
-  let killer =
-    Domain.spawn (fun () ->
-        Atomic.set aborted true;
-        P.Chunkq.wake q)
-  in
-  Domain.join producer;
-  Domain.join killer
-
-(* ---------------------------------------------------------------- *)
-(* 3. Engine.Workforce work accounting: cursor + orphan re-queue +     *)
+(* 2. Engine.Workforce work accounting: cursor + orphan re-queue +     *)
 (*    completion wakeup.  Every item completes exactly once even       *)
 (*    when one worker crashes at an item boundary; first failure wins  *)
 (*    and unblocks everyone.                                           *)
@@ -166,7 +118,7 @@ let pool_cursor_fail () =
   | None -> assert (W.done_count wq = 2))
 
 (* ---------------------------------------------------------------- *)
-(* 4. Engine.Workforce: parked workers, epoch wakeup, first error      *)
+(* 3. Engine.Workforce: parked workers, epoch wakeup, first error      *)
 (*    wins, no lost indices.                                           *)
 (* ---------------------------------------------------------------- *)
 
@@ -191,7 +143,7 @@ let workforce_error () =
   assert raised
 
 (* ---------------------------------------------------------------- *)
-(* 5. Serve.Batcher: bounded pending queue, exact shed accounting,     *)
+(* 4. Serve.Batcher: bounded pending queue, exact shed accounting,     *)
 (*    every accepted request fulfilled exactly once, drain on stop.    *)
 (* ---------------------------------------------------------------- *)
 
@@ -264,7 +216,7 @@ let batcher_spawn () =
     submitters
 
 (* ---------------------------------------------------------------- *)
-(* 6. Single-flight: Engine.Registry compile cache and Serve.Keyring   *)
+(* 5. Single-flight: Engine.Registry compile cache and Serve.Keyring   *)
 (*    keygen cache — two racing lookups of the same key must share     *)
 (*    one compile/keygen and receive physically equal results.         *)
 (* ---------------------------------------------------------------- *)
@@ -313,7 +265,7 @@ let keyring () =
   assert (K.keygens kr = 1)
 
 (* ---------------------------------------------------------------- *)
-(* 7. Obs.Trace ring: reader concurrent with a wrapping writer never   *)
+(* 6. Obs.Trace ring: reader concurrent with a wrapping writer never   *)
 (*    misattributes an overwritten slot.                               *)
 (* ---------------------------------------------------------------- *)
 
@@ -442,22 +394,6 @@ let harnesses =
       h_expect_violation = false;
       h_fn = seqlock;
       h_max_execs = 200_000;
-      h_spin_limit = 8;
-    };
-    {
-      h_name = "pool_chunkq";
-      h_descr = "Engine.Pool.Chunkq bounded queue: exactly-once, in order";
-      h_expect_violation = false;
-      h_fn = pool_chunkq;
-      h_max_execs = 100_000;
-      h_spin_limit = 8;
-    };
-    {
-      h_name = "pool_chunkq_abort";
-      h_descr = "Engine.Pool.Chunkq: abort unblocks a parked producer";
-      h_expect_violation = false;
-      h_fn = pool_chunkq_abort;
-      h_max_execs = 100_000;
       h_spin_limit = 8;
     };
     {

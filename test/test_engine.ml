@@ -146,19 +146,23 @@ let pool_tests =
     Alcotest.test_case "iter_batches streams the batch_parallel output" `Quick
       (fun () ->
         (* Two fresh pools with the same seed start from lane 0, so the
-           streamed chunks must concatenate to the batch_parallel array. *)
+           streamed chunks must concatenate to the batch_parallel array.
+           13 chunks on 3 domains stream as windows of 6, 6 and 1 chunks;
+           the next job on each pool pins the lane cursor they leave. *)
         let n = (63 * 24) + 5 in
-        let whole =
+        let whole, whole_next =
           with_pool ~domains:3 ~chunk_batches:2 (fun p ->
-              E.Pool.batch_parallel p ~n)
+              let a = E.Pool.batch_parallel p ~n in
+              (a, E.Pool.batch_parallel p ~n:256))
         in
-        let streamed =
+        let streamed, streamed_next =
           with_pool ~domains:3 ~chunk_batches:2 (fun p ->
               let acc = ref [] in
               E.Pool.iter_batches p ~n (fun chunk -> acc := chunk :: !acc);
-              Array.concat (List.rev !acc))
+              (Array.concat (List.rev !acc), E.Pool.batch_parallel p ~n:256))
         in
-        Alcotest.(check (array int)) "identical stream" whole streamed);
+        Alcotest.(check (array int)) "identical stream" whole streamed;
+        Alcotest.(check (array int)) "same next job" whole_next streamed_next);
     Alcotest.test_case "n = 0 and invalid arguments" `Quick (fun () ->
         with_pool ~domains:2 (fun p ->
             Alcotest.(check (array int)) "empty" [||]
@@ -170,22 +174,32 @@ let pool_tests =
       (fun () ->
         (* The regression this guards: a worker dying mid-chunk used to
            leave batch_parallel blocked on the output queue forever.  Now
-           the failure aborts the job and re-raises here. *)
-        with_pool ~domains:2 ~chunk_batches:2 (fun p ->
-            E.Pool.set_fault_hook p
-              (Some (fun ~chunk:_ ~lane:_ ~attempt:_ -> failwith "dead"));
-            (match E.Pool.batch_parallel p ~n:(63 * 2 * 6) with
-            | _ -> Alcotest.fail "expected Chunk_failed"
-            | exception E.Pool.Chunk_failed { error; _ } ->
-              Alcotest.(check bool)
-                "underlying error kept" true (error = Failure "dead")
-            | exception e ->
-              Alcotest.fail ("unexpected exception " ^ Printexc.to_string e));
-            E.Pool.set_fault_hook p None;
-            (* And the pool is still serviceable afterwards. *)
-            Alcotest.(check int)
-              "next job runs" 63
-              (Array.length (E.Pool.batch_parallel p ~n:63))));
+           the failure aborts the job and re-raises here, on both output
+           paths. *)
+        let n = 63 * 2 * 6 in
+        List.iter
+          (fun (path, run) ->
+            with_pool ~domains:2 ~chunk_batches:2 (fun p ->
+                E.Pool.set_fault_hook p
+                  (Some (fun ~chunk:_ ~lane:_ ~attempt:_ -> failwith "dead"));
+                (match run p with
+                | () -> Alcotest.fail (path ^ ": expected Chunk_failed")
+                | exception E.Pool.Chunk_failed { error; _ } ->
+                  Alcotest.(check bool)
+                    (path ^ ": underlying error kept")
+                    true (error = Failure "dead")
+                | exception e ->
+                  Alcotest.fail
+                    (path ^ ": unexpected exception " ^ Printexc.to_string e));
+                E.Pool.set_fault_hook p None;
+                (* And the pool is still serviceable afterwards. *)
+                Alcotest.(check int)
+                  (path ^ ": next job runs") 63
+                  (Array.length (E.Pool.batch_parallel p ~n:63))))
+          [
+            ("batch_parallel", fun p -> ignore (E.Pool.batch_parallel p ~n));
+            ("iter_batches", fun p -> E.Pool.iter_batches p ~n ignore);
+          ]);
     Alcotest.test_case "iter_batches consumer exception propagates" `Quick
       (fun () ->
         with_pool ~domains:2 ~chunk_batches:2 (fun p ->
@@ -270,8 +284,8 @@ let pool_tests =
       (fun () ->
         (* Observers run on worker domains in nondeterministic chunk order,
            but the multiset of (chunk, samples) deliveries is fixed: sorting
-           the observed chunks by index must reassemble batch_parallel's
-           array, for both sink shapes. *)
+           the observed chunks by index must reassemble the output, for
+           batch_parallel and for iter_batches. *)
         let n = (16 * 63 * 3) + 17 in
         let observe p =
           let mutex = Mutex.create () in
@@ -294,7 +308,7 @@ let pool_tests =
             Alcotest.(check bool) "constant lane base" true
               (List.for_all (fun b -> b = List.hd lanes) lanes));
         with_pool ~domains:2 (fun p ->
-            (* Queue sink: the observer array is the queued chunk itself. *)
+            (* Streamed: observers see chunk indices within the call. *)
             let mutex = Mutex.create () in
             let chunks = ref [] in
             E.Pool.add_chunk_observer p (fun ~chunk ~lane:_ samples ->
@@ -305,7 +319,7 @@ let pool_tests =
             E.Pool.iter_batches p ~n (fun c -> streamed := Array.copy c :: !streamed);
             let streamed = Array.concat (List.rev !streamed) in
             Alcotest.(check (array int))
-              "queue sink" streamed
+              "streamed" streamed
               (reassemble (List.sort compare !chunks))));
     Alcotest.test_case "persistent workforce serves the next job after an error"
       `Quick (fun () ->

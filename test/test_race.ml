@@ -240,8 +240,6 @@ let harness_cases =
     (fun name -> Alcotest.test_case name `Quick (run_harness_test name))
     [
       "seqlock";
-      "pool_chunkq";
-      "pool_chunkq_abort";
       "pool_cursor_fail";
       "batcher_stop";
       "batcher_spawn";
