@@ -5,7 +5,7 @@
    calls, so one set per depth suffices. *)
 
 type workspace = {
-  t_split : (Fftc.t * Fftc.t) array; (* indexed by depth, size n/2^(d+1) *)
+  t_split : (Fftc.t * Fftc.t) array; (* indexed by depth, degree n/2^(d+1) *)
   z_out : (Fftc.t * Fftc.t) array;
 }
 
@@ -19,8 +19,9 @@ let workspace n =
   match Hashtbl.find_opt workspace_cache n with
   | Some w -> w
   | None ->
+    (* Only nodes of degree ≥ 4 split; the degree-2 level runs inline. *)
     let depths =
-      let rec go d v = if v <= 1 then d else go (d + 1) (v / 2) in
+      let rec go d v = if v <= 2 then d else go (d + 1) (v / 2) in
       go 0 n
     in
     let pair d = (Fftc.create (n lsr (d + 1)), Fftc.create (n lsr (d + 1))) in
@@ -45,32 +46,35 @@ let babai_adjust ~t0 ~t1 ~z1 ~l ~out =
       t0.Fftc.im.(i) +. ((dr *. l.Fftc.im.(i)) +. (di *. l.Fftc.re.(i)))
   done
 
+(* A degree-1 node, one child of the degree-2 level.  Its target is the
+   split of the parent's one slot t = t_0 + i·t_1 into the reals (t_0, t_1),
+   and its l is real.  It draws t_1's integer first (the right leaf), then
+   t_0's around the Babai-adjusted center, and writes their merge
+   v_0 + i·v_1 into z's slot. *)
+let leaf_pair base rng node (t : Fftc.t) (z : Fftc.t) =
+  match node with
+  | Ldl.Node
+      {
+        l;
+        left = Ldl.Leaf { sigma' = sigma0; _ };
+        right = Ldl.Leaf { sigma' = sigma1; _ };
+      } ->
+    let y = t.Fftc.im.(0) in
+    let v1 = Base_sampler.sample_around base rng ~center:y ~sigma':sigma1 in
+    let center = t.Fftc.re.(0) +. ((y -. float_of_int v1) *. l.Fftc.re.(0)) in
+    let v0 = Base_sampler.sample_around base rng ~center ~sigma':sigma0 in
+    z.Fftc.re.(0) <- float_of_int v0;
+    z.Fftc.im.(0) <- float_of_int v1
+  | _ -> assert false (* Ldl.build puts two leaves under every degree-1 node *)
+
 let rec sample_rec ws depth tree base rng ~t0 ~t1 ~z0 ~z1 =
   match tree with
   | Ldl.Leaf _ -> assert false (* the recursion bottoms inside Node *)
   | Ldl.Node { l; left; right } ->
-    let n = Array.length t0.Fftc.re in
-    if n = 1 then begin
-      let leaf_sigma = function
-        | Ldl.Leaf { sigma'; _ } -> sigma'
-        | Ldl.Node _ -> assert false
-      in
-      let v1 =
-        Base_sampler.sample_around base rng ~center:t1.Fftc.re.(0)
-          ~sigma':(leaf_sigma right)
-      in
-      z1.Fftc.re.(0) <- float_of_int v1;
-      z1.Fftc.im.(0) <- 0.0;
-      let c0 =
-        t0.Fftc.re.(0)
-        +. ((t1.Fftc.re.(0) -. z1.Fftc.re.(0)) *. l.Fftc.re.(0))
-        -. ((t1.Fftc.im.(0) -. z1.Fftc.im.(0)) *. l.Fftc.im.(0))
-      in
-      let v0 =
-        Base_sampler.sample_around base rng ~center:c0 ~sigma':(leaf_sigma left)
-      in
-      z0.Fftc.re.(0) <- float_of_int v0;
-      z0.Fftc.im.(0) <- 0.0
+    if t0.Fftc.n = 2 then begin
+      leaf_pair base rng right t1 z1;
+      babai_adjust ~t0 ~t1 ~z1 ~l ~out:t0;
+      leaf_pair base rng left t0 z0
     end
     else begin
       let ts = ws.t_split.(depth) and zs = ws.z_out.(depth) in
@@ -86,7 +90,7 @@ let rec sample_rec ws depth tree base rng ~t0 ~t1 ~z0 ~z1 =
     end
 
 let sample (t : Ldl.t) base rng ~t0 ~t1 =
-  let n = Array.length t0.Fftc.re in
+  let n = t0.Fftc.n in
   let ws = workspace n in
   let z0 = Fftc.create n and z1 = Fftc.create n in
   (* The walk clobbers its targets; keep the caller's intact. *)

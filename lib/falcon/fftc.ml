@@ -1,12 +1,13 @@
-type t = { re : float array; im : float array }
+type t = { n : int; re : float array; im : float array }
 
 let pi = 4.0 *. atan 1.0
+let slots n = max 1 (n / 2)
 
-(* Per-size tables, memoized: the bit-reversal permutation, cyclic-FFT
-   roots e^{2πik/n} (k < n), coefficient twists e^{iπj/n}, and split/merge
-   factors e^{iπ(2k+1)/n}.  Signing walks the tree thousands of times;
-   recomputing cos/sin per butterfly dominated the profile before this
-   cache. *)
+(* Per-degree tables, memoized: for the m = n/2 slots, the bit-reversal
+   permutation and cyclic-FFT roots e^{2πik/m} (k < m/2), the coefficient
+   twists e^{iπj/n} (j < m), and the split/merge factors ζ_k = e^{iπ(4k+1)/n}
+   (k < n/4).  Signing walks the tree thousands of times; recomputing
+   cos/sin per butterfly dominated the profile before this cache. *)
 type tables = {
   rev : int array;
   root_re : float array;
@@ -18,37 +19,34 @@ type tables = {
 }
 
 let build_tables n =
+  let m = slots n in
   let bits =
     let rec go b v = if v <= 1 then b else go (b + 1) (v lsr 1) in
-    go 0 n
+    go 0 m
   in
   let rev =
-    Array.init n (fun i ->
+    Array.init m (fun i ->
         let r = ref 0 in
         for b = 0 to bits - 1 do
           if i land (1 lsl b) <> 0 then r := !r lor (1 lsl (bits - 1 - b))
         done;
         !r)
   in
-  let root_re = Array.make n 0.0 and root_im = Array.make n 0.0 in
-  for k = 0 to n - 1 do
-    let ang = 2.0 *. pi *. float_of_int k /. float_of_int n in
-    root_re.(k) <- cos ang;
-    root_im.(k) <- sin ang
-  done;
-  let twist_re = Array.make n 0.0 and twist_im = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    let ang = pi *. float_of_int j /. float_of_int n in
-    twist_re.(j) <- cos ang;
-    twist_im.(j) <- sin ang
-  done;
-  let h = max 1 (n / 2) in
-  let split_re = Array.make h 0.0 and split_im = Array.make h 0.0 in
-  for k = 0 to h - 1 do
-    let ang = pi *. float_of_int ((2 * k) + 1) /. float_of_int n in
-    split_re.(k) <- cos ang;
-    split_im.(k) <- sin ang
-  done;
+  let unit_circle len angle =
+    ( Array.init len (fun k -> cos (angle k)),
+      Array.init len (fun k -> sin (angle k)) )
+  in
+  let nf = float_of_int n in
+  let root_re, root_im =
+    unit_circle (m / 2) (fun k ->
+        2.0 *. pi *. float_of_int k /. float_of_int m)
+  in
+  let twist_re, twist_im =
+    unit_circle m (fun j -> pi *. float_of_int j /. nf)
+  in
+  let split_re, split_im =
+    unit_circle (n / 4) (fun k -> pi *. float_of_int ((4 * k) + 1) /. nf)
+  in
   { rev; root_re; root_im; twist_re; twist_im; split_re; split_im }
 
 (* Shared by all domains: the tables are immutable once built, so only
@@ -85,19 +83,19 @@ let bit_reverse (rev : int array) (re : float array) (im : float array) =
     end
   done
 
-(* In-place iterative cyclic transform X_k = Σ_j x_j e^{sign·2πijk/n};
-   [scale] divides by n afterwards (the inverse direction). *)
-let cyclic (re : float array) (im : float array) ~sign ~scale =
-  let n = Array.length re in
-  if n > 1 then begin
-    let tb = tables n in
+(* In-place iterative cyclic transform over the m slots,
+   X_k = Σ_j x_j e^{sign·2πijk/m}; [scale] divides by m afterwards (the
+   inverse direction). *)
+let cyclic tb (re : float array) (im : float array) ~sign ~scale =
+  let m = Array.length re in
+  if m > 1 then begin
     bit_reverse tb.rev re im;
     let len = ref 2 in
-    while !len <= n do
+    while !len <= m do
       let half = !len / 2 in
-      let stride = n / !len in
+      let stride = m / !len in
       let i = ref 0 in
-      while !i < n do
+      while !i < m do
         for j = 0 to half - 1 do
           let wr = tb.root_re.(j * stride) in
           let wi = sign *. tb.root_im.(j * stride) in
@@ -113,178 +111,211 @@ let cyclic (re : float array) (im : float array) ~sign ~scale =
         i := !i + !len
       done;
       len := !len * 2
-    done
-  end;
-  if scale then begin
-    let inv = 1.0 /. float_of_int n in
-    for i = 0 to n - 1 do
-      re.(i) <- re.(i) *. inv;
-      im.(i) <- im.(i) *. inv
-    done
+    done;
+    if scale then begin
+      let inv = 1.0 /. float_of_int m in
+      for i = 0 to m - 1 do
+        re.(i) <- re.(i) *. inv;
+        im.(i) <- im.(i) *. inv
+      done
+    end
   end
 
-(* The forward transform twists coefficient j by e^{iπj/n}, turning the
-   negacyclic evaluation points into a plain cyclic FFT: slot k holds the
-   value at ζ_k = e^{iπ(2k+1)/n}, so ζ_k² is slot k of the half-size
-   convention (what split/merge rely on) and -ζ_k is slot k + n/2. *)
+(* A real f of degree n ≥ 2 takes conjugate values at conjugate roots, so
+   it is kept at the m = n/2 roots ζ with ζ^m = i only: slot k holds
+   f(ζ_k), ζ_k = e^{iπ(4k+1)/n}.  There f(ζ) = g(ζ) for the degree-m
+   g_j = f_j + i·f_{j+m}, and twisting g_j by e^{iπj/n} turns g(ζ_k) into
+   a plain m-point cyclic FFT.  ζ_k² is slot k of degree n/2 and −ζ_k is
+   slot k + n/4 (what split/merge rely on).  n = 1 is one real slot. *)
 let of_real (coeffs : float array) =
   let n = Array.length coeffs in
-  let tb = tables n in
-  let re = Array.make n 0.0 and im = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    re.(j) <- coeffs.(j) *. tb.twist_re.(j);
-    im.(j) <- coeffs.(j) *. tb.twist_im.(j)
-  done;
-  cyclic re im ~sign:1.0 ~scale:false;
-  { re; im }
+  if n = 1 then { n; re = [| coeffs.(0) |]; im = [| 0.0 |] }
+  else begin
+    let m = n / 2 in
+    let tb = tables n in
+    let re = Array.make m 0.0 and im = Array.make m 0.0 in
+    for j = 0 to m - 1 do
+      let a = coeffs.(j) and b = coeffs.(j + m) in
+      let wr = tb.twist_re.(j) and wi = tb.twist_im.(j) in
+      re.(j) <- (a *. wr) -. (b *. wi);
+      im.(j) <- (a *. wi) +. (b *. wr)
+    done;
+    cyclic tb re im ~sign:1.0 ~scale:false;
+    { n; re; im }
+  end
 
-let of_int_poly a =
-  let n = Array.length a in
-  let coeffs = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    coeffs.(j) <- float_of_int a.(j)
-  done;
-  of_real coeffs
+(* As [of_real], converting in the twist loop: no n-float copy, which at
+   n = 512 would be allocated straight in the major heap. *)
+let of_int_poly (coeffs : int array) =
+  let n = Array.length coeffs in
+  if n = 1 then { n; re = [| float_of_int coeffs.(0) |]; im = [| 0.0 |] }
+  else begin
+    let m = n / 2 in
+    let tb = tables n in
+    let re = Array.make m 0.0 and im = Array.make m 0.0 in
+    for j = 0 to m - 1 do
+      let a = float_of_int coeffs.(j) and b = float_of_int coeffs.(j + m) in
+      let wr = tb.twist_re.(j) and wi = tb.twist_im.(j) in
+      re.(j) <- (a *. wr) -. (b *. wi);
+      im.(j) <- (a *. wi) +. (b *. wr)
+    done;
+    cyclic tb re im ~sign:1.0 ~scale:false;
+    { n; re; im }
+  end
 
-let to_real { re; im } =
-  let n = Array.length re in
+(* Inverse FFT and untwist of n ≥ 2, into fresh half-size arrays:
+   [lo.(j) = f_j] and [hi.(j) = f_{j+n/2}]. *)
+let untwist a =
+  let n = a.n in
   let tb = tables n in
-  let re = Array.copy re and im = Array.copy im in
-  cyclic re im ~sign:(-1.0) ~scale:true;
-  for j = 0 to n - 1 do
-    re.(j) <- (re.(j) *. tb.twist_re.(j)) +. (im.(j) *. tb.twist_im.(j))
+  let lo = Array.copy a.re and hi = Array.copy a.im in
+  cyclic tb lo hi ~sign:(-1.0) ~scale:true;
+  for j = 0 to (n / 2) - 1 do
+    let u = lo.(j) and v = hi.(j) in
+    let wr = tb.twist_re.(j) and wi = tb.twist_im.(j) in
+    lo.(j) <- (u *. wr) +. (v *. wi);
+    hi.(j) <- (v *. wr) -. (u *. wi)
   done;
-  re
+  (lo, hi)
+
+let to_real a =
+  if a.n = 1 then [| a.re.(0) |]
+  else begin
+    let lo, hi = untwist a in
+    Array.append lo hi
+  end
+
+let round_to_int a =
+  if a.n = 1 then [| Float.to_int (Float.round a.re.(0)) |]
+  else begin
+    let lo, hi = untwist a in
+    let m = a.n / 2 in
+    let out = Array.make a.n 0 in
+    for j = 0 to m - 1 do
+      out.(j) <- Float.to_int (Float.round lo.(j));
+      out.(j + m) <- Float.to_int (Float.round hi.(j))
+    done;
+    out
+  end
 
 let add a b =
-  let n = Array.length a.re in
-  let re = Array.make n 0.0 and im = Array.make n 0.0 in
-  for i = 0 to n - 1 do
+  let m = Array.length a.re in
+  let re = Array.make m 0.0 and im = Array.make m 0.0 in
+  for i = 0 to m - 1 do
     re.(i) <- a.re.(i) +. b.re.(i);
     im.(i) <- a.im.(i) +. b.im.(i)
   done;
-  { re; im }
+  { n = a.n; re; im }
 
 let sub a b =
-  let n = Array.length a.re in
-  let re = Array.make n 0.0 and im = Array.make n 0.0 in
-  for i = 0 to n - 1 do
+  let m = Array.length a.re in
+  let re = Array.make m 0.0 and im = Array.make m 0.0 in
+  for i = 0 to m - 1 do
     re.(i) <- a.re.(i) -. b.re.(i);
     im.(i) <- a.im.(i) -. b.im.(i)
   done;
-  { re; im }
+  { n = a.n; re; im }
 
 let mul a b =
-  let n = Array.length a.re in
-  let re = Array.make n 0.0 and im = Array.make n 0.0 in
-  for i = 0 to n - 1 do
+  let m = Array.length a.re in
+  let re = Array.make m 0.0 and im = Array.make m 0.0 in
+  for i = 0 to m - 1 do
     re.(i) <- (a.re.(i) *. b.re.(i)) -. (a.im.(i) *. b.im.(i));
     im.(i) <- (a.re.(i) *. b.im.(i)) +. (a.im.(i) *. b.re.(i))
   done;
-  { re; im }
+  { n = a.n; re; im }
 
 let div a b =
-  let n = Array.length a.re in
-  let re = Array.make n 0.0 and im = Array.make n 0.0 in
-  for i = 0 to n - 1 do
+  let m = Array.length a.re in
+  let re = Array.make m 0.0 and im = Array.make m 0.0 in
+  for i = 0 to m - 1 do
     let d = (b.re.(i) *. b.re.(i)) +. (b.im.(i) *. b.im.(i)) in
     re.(i) <- ((a.re.(i) *. b.re.(i)) +. (a.im.(i) *. b.im.(i))) /. d;
     im.(i) <- ((a.im.(i) *. b.re.(i)) -. (a.re.(i) *. b.im.(i))) /. d
   done;
-  { re; im }
+  { n = a.n; re; im }
 
 let adjoint a =
-  let n = Array.length a.im in
-  let im = Array.make n 0.0 in
-  for i = 0 to n - 1 do
+  let m = Array.length a.im in
+  let im = Array.make m 0.0 in
+  for i = 0 to m - 1 do
     im.(i) <- -.a.im.(i)
   done;
-  { re = Array.copy a.re; im }
+  { n = a.n; re = Array.copy a.re; im }
 
 let scale a s =
-  let n = Array.length a.re in
-  let re = Array.make n 0.0 and im = Array.make n 0.0 in
-  for i = 0 to n - 1 do
+  let m = Array.length a.re in
+  let re = Array.make m 0.0 and im = Array.make m 0.0 in
+  for i = 0 to m - 1 do
     re.(i) <- s *. a.re.(i);
     im.(i) <- s *. a.im.(i)
   done;
-  { re; im }
+  { n = a.n; re; im }
 
-let split a =
-  let n = Array.length a.re in
-  assert (n >= 2);
-  let tb = tables n in
-  let h = n / 2 in
-  let f0 = { re = Array.make h 0.0; im = Array.make h 0.0 } in
-  let f1 = { re = Array.make h 0.0; im = Array.make h 0.0 } in
-  for k = 0 to h - 1 do
-    let ar = a.re.(k) and ai = a.im.(k) in
-    let br = a.re.(k + h) and bi = a.im.(k + h) in
-    f0.re.(k) <- 0.5 *. (ar +. br);
-    f0.im.(k) <- 0.5 *. (ai +. bi);
-    (* (f[k] - f[k+h]) · conj(ω_k) / 2, ω_k = e^{iπ(2k+1)/n}. *)
-    let dr = 0.5 *. (ar -. br) and di = 0.5 *. (ai -. bi) in
-    let wr = tb.split_re.(k) and wi = -.tb.split_im.(k) in
-    f1.re.(k) <- (dr *. wr) -. (di *. wi);
-    f1.im.(k) <- (dr *. wi) +. (di *. wr)
-  done;
-  (f0, f1)
-
-let merge f0 f1 =
-  let h = Array.length f0.re in
-  let n = 2 * h in
-  let tb = tables n in
-  let re = Array.make n 0.0 and im = Array.make n 0.0 in
-  for k = 0 to h - 1 do
-    let wr = tb.split_re.(k) and wi = tb.split_im.(k) in
-    let tr = (f1.re.(k) *. wr) -. (f1.im.(k) *. wi) in
-    let ti = (f1.re.(k) *. wi) +. (f1.im.(k) *. wr) in
-    re.(k) <- f0.re.(k) +. tr;
-    im.(k) <- f0.im.(k) +. ti;
-    re.(k + h) <- f0.re.(k) -. tr;
-    im.(k + h) <- f0.im.(k) -. ti
-  done;
-  { re; im }
-
+(* Each slot stands for itself and its conjugate. *)
 let norm_sq a =
-  let n = Array.length a.re in
   let acc = ref 0.0 in
-  for i = 0 to n - 1 do
+  for i = 0 to Array.length a.re - 1 do
     acc := !acc +. (a.re.(i) *. a.re.(i)) +. (a.im.(i) *. a.im.(i))
   done;
-  !acc /. float_of_int n
+  if a.n = 1 then !acc else 2.0 *. !acc /. float_of_int a.n
 
-let create n = { re = Array.make n 0.0; im = Array.make n 0.0 }
+let create n = { n; re = Array.make (slots n) 0.0; im = Array.make (slots n) 0.0 }
 
 let blit src dst =
   Array.blit src.re 0 dst.re 0 (Array.length src.re);
   Array.blit src.im 0 dst.im 0 (Array.length src.im)
 
+(* f0(ζ²) = (f(ζ) + f(−ζ))/2 and f1(ζ²) = (f(ζ) − f(−ζ))/(2ζ), with −ζ_k
+   in slot k + h.  At n = 2 the one slot is f_0 + i·f_1. *)
 let split_into a (f0, f1) =
-  let n = Array.length a.re in
-  let tb = tables n in
-  let h = n / 2 in
-  for k = 0 to h - 1 do
-    let ar = a.re.(k) and ai = a.im.(k) in
-    let br = a.re.(k + h) and bi = a.im.(k + h) in
-    f0.re.(k) <- 0.5 *. (ar +. br);
-    f0.im.(k) <- 0.5 *. (ai +. bi);
-    let dr = 0.5 *. (ar -. br) and di = 0.5 *. (ai -. bi) in
-    let wr = tb.split_re.(k) and wi = -.tb.split_im.(k) in
-    f1.re.(k) <- (dr *. wr) -. (di *. wi);
-    f1.im.(k) <- (dr *. wi) +. (di *. wr)
-  done
+  if a.n = 2 then begin
+    f0.re.(0) <- a.re.(0);
+    f0.im.(0) <- 0.0;
+    f1.re.(0) <- a.im.(0);
+    f1.im.(0) <- 0.0
+  end
+  else begin
+    let tb = tables a.n in
+    let h = a.n / 4 in
+    for k = 0 to h - 1 do
+      let ar = a.re.(k) and ai = a.im.(k) in
+      let br = a.re.(k + h) and bi = a.im.(k + h) in
+      f0.re.(k) <- 0.5 *. (ar +. br);
+      f0.im.(k) <- 0.5 *. (ai +. bi);
+      let dr = 0.5 *. (ar -. br) and di = 0.5 *. (ai -. bi) in
+      let wr = tb.split_re.(k) and wi = -.tb.split_im.(k) in
+      f1.re.(k) <- (dr *. wr) -. (di *. wi);
+      f1.im.(k) <- (dr *. wi) +. (di *. wr)
+    done
+  end
 
 let merge_into (f0, f1) out =
-  let h = Array.length f0.re in
-  let n = 2 * h in
-  let tb = tables n in
-  for k = 0 to h - 1 do
-    let wr = tb.split_re.(k) and wi = tb.split_im.(k) in
-    let tr = (f1.re.(k) *. wr) -. (f1.im.(k) *. wi) in
-    let ti = (f1.re.(k) *. wi) +. (f1.im.(k) *. wr) in
-    out.re.(k) <- f0.re.(k) +. tr;
-    out.im.(k) <- f0.im.(k) +. ti;
-    out.re.(k + h) <- f0.re.(k) -. tr;
-    out.im.(k + h) <- f0.im.(k) -. ti
-  done
+  if out.n = 2 then begin
+    out.re.(0) <- f0.re.(0);
+    out.im.(0) <- f1.re.(0)
+  end
+  else begin
+    let tb = tables out.n in
+    let h = out.n / 4 in
+    for k = 0 to h - 1 do
+      let wr = tb.split_re.(k) and wi = tb.split_im.(k) in
+      let tr = (f1.re.(k) *. wr) -. (f1.im.(k) *. wi) in
+      let ti = (f1.re.(k) *. wi) +. (f1.im.(k) *. wr) in
+      out.re.(k) <- f0.re.(k) +. tr;
+      out.im.(k) <- f0.im.(k) +. ti;
+      out.re.(k + h) <- f0.re.(k) -. tr;
+      out.im.(k + h) <- f0.im.(k) -. ti
+    done
+  end
+
+let split a =
+  if a.n < 2 then invalid_arg "Fftc.split: degree 1";
+  let halves = (create (a.n / 2), create (a.n / 2)) in
+  split_into a halves;
+  halves
+
+let merge f0 f1 =
+  let out = create (2 * f0.n) in
+  merge_into (f0, f1) out;
+  out

@@ -8,7 +8,7 @@ type t = { root : tree; sum_d : float; sigma_sign : float }
    l = g01* / g00, d00 = g00, d11 = g11 − l·g01; children come from the
    split of the self-adjoint d00/d11 as [[d_e, d_o], [d_o*, d_e]]. *)
 let rec ff_ldl ~sigma_sign ~sum_d g00 g01 g11 =
-  let n = Array.length g00.Fftc.re in
+  let n = g00.Fftc.n in
   let l = Fftc.div (Fftc.adjoint g01) g00 in
   let d00 = g00 in
   let d11 = Fftc.sub g11 (Fftc.mul l g01) in

@@ -73,15 +73,6 @@ let norm_bound_sq (params : Params.t) =
   let sum_gs = float_of_int (2 * params.Params.n * params.Params.q) in
   1.6 *. per_coord *. sum_gs
 
-let round_to_int_array (f : Fftc.t) =
-  let x = Fftc.to_real f in
-  let n = Array.length x in
-  let out = Array.make n 0 in
-  for i = 0 to n - 1 do
-    out.(i) <- Float.to_int (Float.round x.(i))
-  done;
-  out
-
 (* Verify-after-sign, the classic fault countermeasure: before a signature
    leaves the signer, check it against the *public* key exactly as a
    verifier would — recover s1 from s2 via h and demand it matches the s1
@@ -144,10 +135,10 @@ let sign ?fault_hook ?(check = true) kp base rng ~msg =
       stage "ntt" (fun () ->
           let d0 = Fftc.sub t0 z0 and d1 = Fftc.sub t1 z1 in
           let s1 =
-            round_to_int_array (Fftc.add (Fftc.mul d0 b10) (Fftc.mul d1 b20))
+            Fftc.round_to_int (Fftc.add (Fftc.mul d0 b10) (Fftc.mul d1 b20))
           in
           let s2 =
-            round_to_int_array (Fftc.add (Fftc.mul d0 b11) (Fftc.mul d1 b21))
+            Fftc.round_to_int (Fftc.add (Fftc.mul d0 b11) (Fftc.mul d1 b21))
           in
           (s1, s2))
     in

@@ -7,9 +7,13 @@ type instance = {
   sample_traced : Bs.t -> int * int;
 }
 
+(* The sign bit is secret: negate without a branch on it, as
+   [Ctgauss.Sampler.batch_signed_into] does ((m lxor -s) + s is m for
+   s = 0 and -m for s = 1). *)
 let sample_signed inst rng =
   let m = inst.sample_magnitude rng in
-  if Bs.next_bit rng = 1 then -m else m
+  let s = Bs.next_bit rng in
+  (m lxor -s) + s
 
 (* The constant-time claim is "every batch draws the same number of
    bits", so the trace evaluates one whole batch and reports the bits it

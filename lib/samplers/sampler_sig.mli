@@ -13,7 +13,8 @@ type instance = {
 }
 
 val sample_signed : instance -> Ctg_prng.Bitstream.t -> int
-(** Magnitude plus a uniform sign bit (folded distribution). *)
+(** Magnitude plus a uniform sign bit (folded distribution), applied
+    without a branch on the bit. *)
 
 val of_bitsliced : Ctgauss.Sampler.t -> instance
 (** Per-sample view of a batch sampler (internal 63-sample buffer).  The

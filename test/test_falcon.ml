@@ -134,6 +134,85 @@ let fft_tests =
           (out.F.Fftc.re = reference.F.Fftc.re && out.F.Fftc.im = reference.F.Fftc.im));
   ]
 
+(* The half-size layout against O(n²) references: slot k of degree n ≥ 2
+   is f at ζ_k = e^{iπ(4k+1)/n}. *)
+let half_layout_tests =
+  let check_close what tol expected got =
+    Array.iteri
+      (fun i x ->
+        Alcotest.(check (float tol)) (Printf.sprintf "%s %d" what i) x got.(i))
+      expected
+  in
+  let poly n seed = random_small_poly (sm (Int64.of_int (seed + n))) n in
+  let floats a = Array.map float_of_int a in
+  let case n =
+    let name what = Printf.sprintf "n=%d: %s" n what in
+    [
+      Alcotest.test_case (name "of_real = evaluation at each slot's root")
+        `Quick (fun () ->
+          let a = poly n 1 in
+          let f = F.Fftc.of_real (floats a) in
+          Alcotest.(check int) "slots" (n / 2) (Array.length f.F.Fftc.re);
+          let re = Array.make (n / 2) 0.0 and im = Array.make (n / 2) 0.0 in
+          for k = 0 to (n / 2) - 1 do
+            for j = 0 to n - 1 do
+              (* ζ_k^j, its angle reduced mod 2π exactly in integers. *)
+              let e = j * ((4 * k) + 1) mod (2 * n) in
+              let ang = Float.pi *. float_of_int e /. float_of_int n in
+              re.(k) <- re.(k) +. (float_of_int a.(j) *. cos ang);
+              im.(k) <- im.(k) +. (float_of_int a.(j) *. sin ang)
+            done
+          done;
+          check_close "re" 1e-9 re f.F.Fftc.re;
+          check_close "im" 1e-9 im f.F.Fftc.im);
+      Alcotest.test_case (name "to_real ∘ of_real = id") `Quick (fun () ->
+          let a = floats (poly n 2) in
+          check_close "coeff" 1e-9 a (F.Fftc.to_real (F.Fftc.of_real a));
+          Alcotest.(check (array int)) "rounded" (poly n 2)
+            (F.Fftc.round_to_int (F.Fftc.of_real a)));
+      Alcotest.test_case (name "mul = schoolbook negacyclic product") `Quick
+        (fun () ->
+          let a = poly n 3 and b = poly n 4 in
+          let exact =
+            F.Polyz.mul (F.Polyz.of_int_array a) (F.Polyz.of_int_array b)
+          in
+          check_close "coeff" 1e-7 (Array.map Z.to_float exact)
+            (F.Fftc.to_real
+               (F.Fftc.mul (F.Fftc.of_int_poly a) (F.Fftc.of_int_poly b))));
+      Alcotest.test_case (name "split/merge = even/odd coefficients") `Quick
+        (fun () ->
+          let a = floats (poly n 5) in
+          let even = Array.init (n / 2) (fun i -> a.(2 * i)) in
+          let odd = Array.init (n / 2) (fun i -> a.((2 * i) + 1)) in
+          let f = F.Fftc.of_real a in
+          let f0, f1 = F.Fftc.split f in
+          Alcotest.(check int) "half degree" (n / 2) f0.F.Fftc.n;
+          check_close "even" 1e-9 even (F.Fftc.to_real f0);
+          check_close "odd" 1e-9 odd (F.Fftc.to_real f1);
+          let g = F.Fftc.merge (F.Fftc.of_real even) (F.Fftc.of_real odd) in
+          Alcotest.(check int) "degree" n g.F.Fftc.n;
+          check_close "merge re" 1e-9 f.F.Fftc.re g.F.Fftc.re;
+          check_close "merge im" 1e-9 f.F.Fftc.im g.F.Fftc.im);
+      Alcotest.test_case (name "adjoint = f(x⁻¹)") `Quick (fun () ->
+          let a = poly n 6 in
+          (* x⁻¹ = −x^{n−1}: f*_0 = f_0, f*_j = −f_{n−j}. *)
+          let expected =
+            Array.init n (fun j ->
+                float_of_int (if j = 0 then a.(0) else -a.(n - j)))
+          in
+          check_close "coeff" 1e-9 expected
+            (F.Fftc.to_real (F.Fftc.adjoint (F.Fftc.of_int_poly a))));
+      Alcotest.test_case (name "norm_sq = Σ f_j² (Parseval)") `Quick (fun () ->
+          let a = poly n 7 in
+          let expected =
+            Array.fold_left (fun acc c -> acc +. float_of_int (c * c)) 0.0 a
+          in
+          Alcotest.(check (float 1e-7)) "norm" expected
+            (F.Fftc.norm_sq (F.Fftc.of_int_poly a)));
+    ]
+  in
+  List.concat_map case [ 2; 4; 64; 512 ]
+
 let polyz_tests =
   [
     Alcotest.test_case "field norm identity N(f)(x²) = f(x)·f(−x)" `Quick
@@ -514,6 +593,16 @@ let keypair_codec_tests =
           (F.Codec.decode_keypair truncated = None));
   ]
 
+let kp512 = lazy (F.Keygen.generate F.Params.level2 (rng ()))
+
+let sampler512 =
+  lazy (Ctgauss.Sampler.create ~sigma:"2" ~precision:64 ~tail_cut:13 ())
+
+let make_base512 () =
+  F.Base_sampler.of_instance
+    (Ctg_samplers.Sampler_sig.of_bitsliced
+       (Ctgauss.Sampler.clone (Lazy.force sampler512)))
+
 (* Signing on several domains at once must not share mutable scratch
    state: each message's signature depends only on its lane. *)
 let multi_domain_tests =
@@ -521,14 +610,8 @@ let multi_domain_tests =
     Alcotest.test_case "Falcon-512 sign_many: 2 domains = 1 domain" `Quick
       (fun () ->
         let params = F.Params.level2 in
-        let kp = F.Keygen.generate params (rng ()) in
-        let sampler =
-          Ctgauss.Sampler.create ~sigma:"2" ~precision:64 ~tail_cut:13 ()
-        in
-        let make_base () =
-          F.Base_sampler.of_instance
-            (Ctg_samplers.Sampler_sig.of_bitsliced (Ctgauss.Sampler.clone sampler))
-        in
+        let kp = Lazy.force kp512 in
+        let make_base = make_base512 in
         let msgs =
           Array.init 16 (fun i -> Bytes.of_string (Printf.sprintf "batch message %d" i))
         in
@@ -550,12 +633,42 @@ let multi_domain_tests =
           two);
   ]
 
+(* What a warmed-up Falcon-512 signature allocates directly in the major
+   heap (blocks over 256 words, never promoted): the 512-int vectors c,
+   s1, s2 and the verify-after-sign product.  Every FFT-domain vector is
+   256 slots and stays in the minor heap. *)
+let alloc_tests =
+  [
+    Alcotest.test_case "Falcon-512 sign: < 8k major words allocated directly"
+      `Quick (fun () ->
+        let kp = Lazy.force kp512 in
+        let base = make_base512 () in
+        let r = rng () in
+        let sign i =
+          ignore
+            (F.Sign.sign kp base r ~msg:(Bytes.of_string (string_of_int i))
+              : F.Sign.signature)
+        in
+        sign 0;
+        sign 1;
+        (* Gc.counters, not Gc.quick_stat: on OCaml 5.1 the latter's
+           major_words lags a domain's own allocations. *)
+        let _, promoted0, major0 = Gc.counters () in
+        sign 2;
+        let _, promoted1, major1 = Gc.counters () in
+        let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f words" direct)
+          true (direct <= 8000.0));
+  ]
+
 let () =
   Alcotest.run "falcon"
     [
       ("zq", zq_tests);
       ("ntt", ntt_tests);
       ("fft", fft_tests);
+      ("fft-half-layout", half_layout_tests);
       ("polyz", polyz_tests);
       ("egcd", egcd_tests);
       ("keygen", keygen_tests);
@@ -564,4 +677,5 @@ let () =
       ("keypair-codec", keypair_codec_tests);
       ("ffsampling", ffsampling_tests);
       ("multi-domain", multi_domain_tests);
+      ("alloc", alloc_tests);
     ]

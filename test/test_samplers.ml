@@ -165,6 +165,31 @@ let sampler_tests =
         Alcotest.(check (array int)) "one batch of the kernel-bound clone"
           (Ctgauss.Sampler.batch_signed clone (rng ()))
           drawn);
+    Alcotest.test_case "branch-free sign = branching sign, every zoo sampler"
+      `Quick (fun () ->
+        (* Two independent zoos over one program, so no instance's
+           buffered batch leaks from one run into the other. *)
+        let s = Ctgauss.Sampler.create ~sigma:"2" ~precision:64 ~tail_cut:13 () in
+        let run zoo draw =
+          List.map
+            (fun inst ->
+              let r = Bs.of_chacha (Ctg_prng.Chacha20.of_seed "sign-bit") in
+              let v = Array.init 100_000 (fun _ -> draw inst r) in
+              (v, Bs.bits_consumed r))
+            zoo
+        in
+        let branching (inst : Sig.instance) r =
+          let m = inst.Sig.sample_magnitude r in
+          if Bs.next_bit r = 1 then -m else m
+        in
+        List.iter2
+          (fun (inst : Sig.instance) ((v, bits), (v', bits')) ->
+            Alcotest.(check (array int)) inst.Sig.name v' v;
+            Alcotest.(check int) (inst.Sig.name ^ " bits") bits' bits)
+          (Cdt.zoo s)
+          (List.combine
+             (run (Cdt.zoo s) Sig.sample_signed)
+             (run (Cdt.zoo s) branching)));
   ]
 
 let convolution_tests =
