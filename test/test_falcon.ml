@@ -668,7 +668,7 @@ let () =
       ("zq", zq_tests);
       ("ntt", ntt_tests);
       ("fft", fft_tests);
-      ("fft-half-layout", half_layout_tests);
+      ("fft-half", half_layout_tests);
       ("polyz", polyz_tests);
       ("egcd", egcd_tests);
       ("keygen", keygen_tests);
