@@ -22,9 +22,11 @@ let float_scaled c ~shift =
 let fft_scaled poly ~shift =
   Fftc.of_real (Array.map (fun c -> float_scaled c ~shift) poly)
 
-(* Babai: repeatedly subtract k·(f,g)·2^s from (F,G), where k is the
-   rounding of (F·adj f + G·adj g) / (f·adj f + g·adj g) computed on the
-   top 53 bits of each operand.  Each pass strips roughly 40 bits. *)
+(* Babai: repeatedly subtract k·(f,g)·2^(s−m) from (F,G).  The windowed
+   quotient comes out O(1) at scale 2^-s; rounded there, k would be
+   mostly zero, so it is scaled up to ~40 bits first (m ≤ s, see the
+   .mli).  Any integer k keeps f·G − g·F, so float error only costs
+   passes, never correctness. *)
 let reduce ~f ~g big_f big_g =
   let fg_bits = max 1 (max (Polyz.max_bits f) (Polyz.max_bits g)) in
   let shift_fg = max 0 (fg_bits - 53) in
@@ -32,6 +34,10 @@ let reduce ~f ~g big_f big_g =
   let g_fft = fft_scaled g ~shift:shift_fg in
   let f_adj = Fftc.adjoint f_fft and g_adj = Fftc.adjoint g_fft in
   let den = Fftc.add (Fftc.mul f_fft f_adj) (Fftc.mul g_fft g_adj) in
+  (* Guards against inf/NaN from degenerate FFT points. *)
+  let clamp x =
+    if Float.is_nan x then 0.0 else Float.max (-4.5e15) (Float.min 4.5e15 x)
+  in
   let rec go big_f big_g iter =
     if iter > 1000 then (big_f, big_g)
     else begin
@@ -43,22 +49,18 @@ let reduce ~f ~g big_f big_g =
         let bf = fft_scaled big_f ~shift:shift_big in
         let bg = fft_scaled big_g ~shift:shift_big in
         let num = Fftc.add (Fftc.mul bf f_adj) (Fftc.mul bg g_adj) in
-        let k_float = Fftc.to_real (Fftc.div num den) in
-        (* The quotient of two 53-bit-windowed operands fits well inside
-           the exactly-representable float integers; clamp only guards
-           against inf/NaN from degenerate FFT points. *)
-        let clamp x =
-          if Float.is_nan x then 0.0 else Float.max (-4.5e15) (Float.min 4.5e15 x)
+        let k_float = Array.map clamp (Fftc.to_real (Fftc.div num den)) in
+        let top =
+          Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 k_float
         in
-        let k = Array.map (fun x -> Float.to_int (Float.round (clamp x))) k_float in
-        if Array.for_all (fun x -> x = 0) k then
-          if s = 0 then (big_f, big_g)
-          else (big_f, big_g) (* top bits already aligned: done *)
+        let m = min s (40 - snd (Float.frexp top)) in
+        let k = Array.map (fun x -> Float.to_int (Float.round (ldexp x m))) k_float in
+        if Array.for_all (fun x -> x = 0) k then (big_f, big_g)
         else begin
           let kz = Polyz.of_int_array k in
-          let shift_poly p = Array.map (fun c -> Z.shift_left c s) p in
-          let big_f = Polyz.sub big_f (shift_poly (Polyz.mul kz f)) in
-          let big_g = Polyz.sub big_g (shift_poly (Polyz.mul kz g)) in
+          let scale p = Array.map (fun c -> Z.shift_left c (s - m)) p in
+          let big_f = Polyz.sub big_f (scale (Polyz.mul kz f)) in
+          let big_g = Polyz.sub big_g (scale (Polyz.mul kz g)) in
           go big_f big_g (iter + 1)
         end
       end

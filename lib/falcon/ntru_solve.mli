@@ -20,4 +20,12 @@ val egcd :
 
 val reduce : f:Polyz.t -> g:Polyz.t -> Polyz.t -> Polyz.t -> Polyz.t * Polyz.t
 (** One full Babai size-reduction of [(F, G)] against [(f, g)]; exposed
-    for tests. *)
+    for tests.  Each pass computes the quotient
+    [(F·adj f + G·adj g) / (f·adj f + g·adj g)] in the FFT domain on the
+    top 53 bits of each operand, which puts it at scale [2^-s] for [s]
+    the gap between the two operands' shifts.  It is scaled up by [2^m],
+    [m = min s (40 − exponent of its largest coefficient)], rounded to
+    [k], and [k·(f, g)·2^(s−m)] is subtracted, so a pass takes ~40 bits
+    off [(F, G)] until [k] is at scale 0.  It stops there once [k] is all
+    zero, when [(F, G)] is smaller than [(f, g)], or after 1000 passes.
+    [f·G − g·F] is unchanged by every pass. *)

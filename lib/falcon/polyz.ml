@@ -12,10 +12,12 @@ let mul_scalar a s = Array.map (fun c -> Z.mul c s) a
 let is_zero a = Array.for_all Z.is_zero a
 let equal a b = Array.for_all2 Z.equal a b
 
+let max_bits a =
+  Array.fold_left (fun acc c -> max acc (Z.num_bits c)) 0 a
+
 (* Negacyclic schoolbook: x^n = -1. *)
-let mul a b =
+let mul_big a b =
   let n = Array.length a in
-  assert (Array.length b = n);
   let out = Array.make n Z.zero in
   for i = 0 to n - 1 do
     if not (Z.is_zero a.(i)) then
@@ -29,6 +31,32 @@ let mul a b =
       done
   done;
   out
+
+(* The same product in native ints, when bits a + bits b + ⌈log2 n⌉ < 62:
+   each of the n terms of a coefficient is below 2^(bits a + bits b), so
+   every partial sum stays below 2^61 in magnitude. *)
+let mul_native a b =
+  let n = Array.length a in
+  let a = Array.map Z.to_int a and b = Array.map Z.to_int b in
+  let out = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let ai = a.(i) in
+    if ai <> 0 then begin
+      for j = 0 to n - 1 - i do
+        out.(i + j) <- out.(i + j) + (ai * b.(j))
+      done;
+      for j = n - i to n - 1 do
+        out.(i + j - n) <- out.(i + j - n) - (ai * b.(j))
+      done
+    end
+  done;
+  Array.map Z.of_int out
+
+let mul a b =
+  let n = Array.length a in
+  assert (Array.length b = n);
+  let log_n = Ctg_util.Bits.bits_needed (max 0 (n - 1)) in
+  if max_bits a + max_bits b + log_n < 62 then mul_native a b else mul_big a b
 
 let adjoint a =
   let n = Array.length a in
@@ -54,9 +82,6 @@ let field_norm f =
 let lift f =
   let n = Array.length f in
   Array.init (2 * n) (fun i -> if i land 1 = 0 then f.(i / 2) else Z.zero)
-
-let max_bits a =
-  Array.fold_left (fun acc c -> max acc (Z.num_bits c)) 0 a
 
 let reduce_mod_q a ~q =
   let qz = Z.of_int q in

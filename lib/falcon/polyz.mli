@@ -14,7 +14,9 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
 val mul : t -> t -> t
-(** Negacyclic product, schoolbook (keygen-only code path). *)
+(** Negacyclic product, schoolbook (keygen-only code path).  When
+    [max_bits a + max_bits b + ⌈log2 n⌉ < 62] every partial sum fits an
+    OCaml int, and the loop runs on native ints; otherwise on [Zint]. *)
 
 val mul_scalar : t -> Ctg_bigint.Zint.t -> t
 val is_zero : t -> bool

@@ -245,6 +245,56 @@ let polyz_tests =
         Alcotest.(check bool) "equals -1" true
           (Z.equal prod.(0) Z.minus_one
           && Array.for_all Z.is_zero (Array.sub prod 1 (n - 1))));
+    Alcotest.test_case "mul = Zint schoolbook across the native-int bound" `Quick
+      (fun () ->
+        (* bits a + bits b + ⌈log2 n⌉ = 60 .. 63 straddles the switch from
+           the native-int loop (< 62) to the Zint one. *)
+        let r = sm 14L in
+        let schoolbook a b =
+          let n = Array.length a in
+          let out = Array.make n Z.zero in
+          Array.iteri
+            (fun i ai ->
+              Array.iteri
+                (fun j bj ->
+                  let p = Z.mul ai bj in
+                  if i + j < n then out.(i + j) <- Z.add out.(i + j) p
+                  else out.(i + j - n) <- Z.sub out.(i + j - n) p)
+                b)
+            a;
+          out
+        in
+        let random_bits bits =
+          Int64.to_int (Int64.shift_right_logical (Ctg_prng.Splitmix64.next r) (64 - bits))
+        in
+        (* Signed coefficients of at most [bits] bits, the first of exactly
+           [bits]; [worst] makes every one -(2^bits - 1), so one product
+           coefficient reaches n·(2^bits_a - 1)·(2^bits_b - 1). *)
+        let poly n bits ~worst =
+          Array.init n (fun i ->
+              if worst then Z.of_int (-((1 lsl bits) - 1))
+              else
+                let v = random_bits bits lor if i = 0 then 1 lsl (bits - 1) else 0 in
+                Z.of_int (if random_bits 1 = 1 then -v else v))
+        in
+        List.iter
+          (fun (n, log_n) ->
+            List.iter
+              (fun total ->
+                let bits_a = (total - log_n) / 2 in
+                let bits_b = total - log_n - bits_a in
+                List.iter
+                  (fun worst ->
+                    let a = poly n bits_a ~worst and b = poly n bits_b ~worst in
+                    Alcotest.(check int) "bits a" bits_a (F.Polyz.max_bits a);
+                    Alcotest.(check bool)
+                      (Printf.sprintf "n=%d, %d+%d+%d bits%s" n bits_a bits_b log_n
+                         (if worst then ", worst case" else ""))
+                      true
+                      (F.Polyz.equal (F.Polyz.mul a b) (schoolbook a b)))
+                  [ true; false; false; false ])
+              [ 60; 61; 62; 63 ])
+          [ (1, 0); (2, 1); (512, 9) ]);
   ]
 
 let egcd_tests =
@@ -295,6 +345,50 @@ let keygen_tests =
         let two = Array.init n (fun i -> Z.of_int (if i <= 1 then 2 else 0)) in
         Alcotest.(check bool) "None" true
           (F.Ntru_solve.solve ~q:F.Zq.q ~f:two ~g:two = None));
+    Alcotest.test_case "babai reduce works at every level of the tower" `Quick
+      (fun () ->
+        (* Down the field-norm tower of a Falcon-512 (f, g), the solved
+           (F, G) at n = 64 .. 2 is blown up by a ~3000-bit multiple
+           k·(f, g); reduce must take it back near the size of (f, g). *)
+        let kp = F.Keygen.generate F.Params.level2 (rng ()) in
+        let r = sm 13L in
+        let rec descend f g =
+          let n = Array.length f in
+          if n > 64 then descend (F.Polyz.field_norm f) (F.Polyz.field_norm g)
+          else if n >= 2 then begin
+            let big_f, big_g =
+              match F.Ntru_solve.solve ~q:F.Zq.q ~f ~g with
+              | Some fg -> fg
+              | None -> Alcotest.failf "n=%d: no solution" n
+            in
+            let k =
+              Array.init n (fun _ ->
+                  Z.add
+                    (Z.shift_left (Z.of_int (Ctg_prng.Splitmix64.next_int r 255 + 1)) 3000)
+                    (Z.of_int (Ctg_prng.Splitmix64.next_int r (1 lsl 30))))
+            in
+            let big_f' = F.Polyz.add big_f (F.Polyz.mul k f) in
+            let big_g' = F.Polyz.add big_g (F.Polyz.mul k g) in
+            let rf, rg = F.Ntru_solve.reduce ~f ~g big_f' big_g' in
+            let fg_bits = max (F.Polyz.max_bits f) (F.Polyz.max_bits g) in
+            let bits = max (F.Polyz.max_bits rf) (F.Polyz.max_bits rg) in
+            Alcotest.(check bool)
+              (Printf.sprintf "n=%d: %d bits against (f, g)'s %d" n bits fg_bits)
+              true
+              (bits <= fg_bits + 4);
+            let lhs = F.Polyz.sub (F.Polyz.mul f rg) (F.Polyz.mul g rf) in
+            let expected =
+              Array.init n (fun i -> if i = 0 then Z.of_int F.Zq.q else Z.zero)
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "n=%d: fG - gF = q still" n)
+              true (F.Polyz.equal lhs expected);
+            descend (F.Polyz.field_norm f) (F.Polyz.field_norm g)
+          end
+        in
+        descend
+          (F.Polyz.of_int_array kp.F.Keygen.secret.F.Keygen.f)
+          (F.Polyz.of_int_array kp.F.Keygen.secret.F.Keygen.g));
   ]
 
 let signing_tests =

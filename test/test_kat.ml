@@ -58,6 +58,34 @@ let tests =
         Alcotest.(check int) "s2[0]" 104 sg.Ctg_falcon.Sign.s2.(0);
         Alcotest.(check int) "s2[1]" (-61) sg.Ctg_falcon.Sign.s2.(1);
         Alcotest.(check (float 0.5)) "norm^2" 6666281.0 sg.Ctg_falcon.Sign.norm_sq);
+    Alcotest.test_case "falcon keys at n = 256, 512, 1024" `Quick (fun () ->
+        (* MD5 of f, g, F, G and h, each printed as comma-separated
+           decimals and joined with ';'. *)
+        let digest (kp : Ctg_falcon.Keygen.keypair) =
+          let s = kp.Ctg_falcon.Keygen.secret in
+          [ s.f; s.g; s.big_f; s.big_g; kp.h ]
+          |> List.map (fun a ->
+                 String.concat "," (Array.to_list (Array.map string_of_int a)))
+          |> String.concat ";" |> Digest.string |> Digest.to_hex
+        in
+        List.iter
+          (fun (params, seed, expected) ->
+            let rng =
+              Ctg_prng.Bitstream.of_chacha (Ctg_prng.Chacha20.of_seed seed)
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "%s, seed %s" (Ctg_falcon.Params.name params) seed)
+              expected
+              (digest (Ctg_falcon.Keygen.generate params rng)))
+          Ctg_falcon.Params.
+            [
+              (level1, "kat-key-1", "e99382fcc7eaf06305e89ecccd4a2f20");
+              (level1, "kat-key-2", "8927d60381b7f0bb68e09eecdc7ca8cc");
+              (level2, "kat-key-1", "e64f4126e6f0fd8203d12b6b26b1614f");
+              (level2, "kat-key-2", "b3d7b05470ade55355f1e04372b07073");
+              (level3, "kat-key-1", "1045adaf7f4047601a0f2939bdf42935");
+              (level3, "kat-key-2", "fa685010e9df30be502ffc4f06315879");
+            ]);
   ]
 
 let () = Alcotest.run "kat" [ ("known-answer", tests) ]
