@@ -634,14 +634,18 @@ let cmd_history ?(tolerance_pct = 25.0) () =
       end;
       if regs = [] then `Ok else `Regressed regs
   in
-  Ctg_assure.Trend.append ~path record;
-  printf "appended to %s (%d records)@." path (List.length history + 1);
+  (* Append only on a pass: a failing record must not become the next
+     run's baseline. *)
   match verdict with
-  | `Ok -> printf "OK: no _ns metric regressed past %.0f%%@." tolerance_pct
+  | `Ok ->
+    Ctg_assure.Trend.append ~path record;
+    printf "appended to %s (%d records)@." path (List.length history + 1);
+    printf "OK: no _ns metric regressed past %.0f%%@." tolerance_pct
   | `Regressed regs ->
     List.iter
       (fun d -> printf "FAIL: %a@." Ctg_assure.Trend.pp_delta d)
       regs;
+    printf "not appended to %s@." path;
     exit 1
 
 (* -------------------------------------------------------------------- *)

@@ -144,19 +144,12 @@ let gc_capture = Atomic.make false
 
 type gc_observer =
   name:string -> minor:float -> promoted:float -> major:float ->
-  pause_ns:int -> dur_ns:int -> unit
+  start_ns:int -> dur_ns:int -> unit
 
 let gc_observer : gc_observer option Atomic.t = Atomic.make None
 
 let set_gc_capture on = Atomic.set gc_capture on
 let set_gc_observer obs = Atomic.set gc_observer obs
-
-(* Cumulative process-wide GC pause counter, installed by Ctg_rtev.  When
-   present (and gc capture is on), spans sample it on entry/exit and charge
-   the delta as [gc_pause_ns] — obs cannot depend on rtev, so the wiring is
-   inverted through this hook. *)
-let pause_source : (unit -> int) option Atomic.t = Atomic.make None
-let set_pause_source src = Atomic.set pause_source src
 
 let words w = Printf.sprintf "%.0f" w
 
@@ -164,9 +157,7 @@ let with_span ?(cat = "ctg") ?args name f =
   if not (Atomic.get enabled) then f ()
   else begin
     let gc = Atomic.get gc_capture in
-    let psrc = if gc then Atomic.get pause_source else None in
     let m0, p0, j0 = if gc then Gc.counters () else (0.0, 0.0, 0.0) in
-    let z0 = match psrc with Some f -> f () | None -> 0 in
     let t0 = Clock.now_ns () in
     let finish () =
       let dur_ns = Clock.now_ns () - t0 in
@@ -175,21 +166,14 @@ let with_span ?(cat = "ctg") ?args name f =
         else begin
           let m1, p1, j1 = Gc.counters () in
           let minor = m1 -. m0 and promoted = p1 -. p0 and major = j1 -. j0 in
-          let pause_ns =
-            match psrc with Some f -> max 0 (f () - z0) | None -> 0
-          in
           (match Atomic.get gc_observer with
-          | Some obs -> obs ~name ~minor ~promoted ~major ~pause_ns ~dur_ns
+          | Some obs -> obs ~name ~minor ~promoted ~major ~start_ns:t0 ~dur_ns
           | None -> ());
-          let pause_arg =
-            match psrc with
-            | Some _ -> [ ("gc_pause_ns", string_of_int pause_ns) ]
-            | None -> []
-          in
-          ("alloc_minor_words", words minor)
-          :: ("alloc_promoted_words", words promoted)
-          :: ("alloc_major_words", words major)
-          :: pause_arg
+          [
+            ("alloc_minor_words", words minor);
+            ("alloc_promoted_words", words promoted);
+            ("alloc_major_words", words major);
+          ]
         end
       in
       record

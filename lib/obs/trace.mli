@@ -104,21 +104,13 @@ val set_gc_capture : bool -> unit
 
 type gc_observer =
   name:string -> minor:float -> promoted:float -> major:float ->
-  pause_ns:int -> dur_ns:int -> unit
+  start_ns:int -> dur_ns:int -> unit
 
 val set_gc_observer : gc_observer option -> unit
 (** Hook fed every gc-captured span completion (on the recording domain;
     implementations must be thread-safe).  Installed by [Ctg_prof].
-    [pause_ns] is the GC pause time charged to the span by the
-    {!set_pause_source} hook, or [0] when no source is installed. *)
-
-val set_pause_source : (unit -> int) option -> unit
-(** Install a cumulative process-wide GC-pause counter (nanoseconds ever
-    spent paused).  While gc capture is on, every span samples it on
-    entry and exit, appends the delta as a [gc_pause_ns] arg, and passes
-    it to the {!gc_observer} — wall time minus that delta approximates
-    the span's mutator work time.  Installed by [Ctg_rtev] (obs cannot
-    depend on rtev, so the dependency is inverted through this hook). *)
+    The span covers \[[start_ns], [start_ns + dur_ns]) on {!Clock}, the
+    window [Ctg_prof] has [Ctg_rtev] charge GC pause time to. *)
 
 val inject : event -> unit
 (** Push a fully-specified event into the calling domain's ring (no-op

@@ -392,18 +392,13 @@ let pauses_case (s : H.sizes) ~sigma ~precision =
   let fill_lane lane = fill sampler out (rng lane) in
   fill_lane 1000;
   let min_pauses = if s.smoke then 5 else 30 in
-  let h = Obs.Histo.create () and minors = ref 0 in
   Rtev.resume_collection ();
   ignore (Rtev.poll ());
-  (* Drained: from here the observer sees only this window's pauses. *)
-  Rtev.set_pause_observer
-    (Some
-       (fun (p : Rtev.Decode.pause) ->
-         if p.minor then incr minors;
-         Obs.Histo.add h p.dur_ns));
+  (* Drained: from here the counters hold only this window's pauses. *)
+  Rtev.reset_stats ();
   let t0 = Obs.Clock.now_ns () in
   let reps = ref 0 in
-  while Obs.Histo.count h < min_pauses && !reps < 60 do
+  while Rtev.pause_count () < min_pauses && !reps < 60 do
     fill_lane !reps;
     ignore (Rtev.poll ());
     incr reps
@@ -411,8 +406,7 @@ let pauses_case (s : H.sizes) ~sigma ~precision =
   Gc.compact ();
   ignore (Rtev.poll ());
   let wall = max 1 (Obs.Clock.now_ns () - t0) in
-  Rtev.set_pause_observer None;
-  let p = Obs.Histo.summary h in
+  let total = Rtev.total_pause_ns () in
   {
     H.head =
       [
@@ -420,11 +414,11 @@ let pauses_case (s : H.sizes) ~sigma ~precision =
         ("precision", int precision);
         ("samples", int s.samples);
         ("reps", int !reps);
-        ("pauses", int p.count);
-        ("minor_pauses", int !minors);
-        ("pause_max", int p.max);
-        ("total_pause", int p.sum);
-        ("pause_pct", Num (100.0 *. float_of_int p.sum /. float_of_int wall));
+        ("pauses", int (Rtev.pause_count ()));
+        ("minor_pauses", int (Rtev.minor_pause_count ()));
+        ("pause_max", int (Rtev.max_pause_ns ()));
+        ("total_pause", int total);
+        ("pause_pct", Num (100.0 *. float_of_int total /. float_of_int wall));
       ];
     ops = s.samples;
     base =

@@ -1,7 +1,8 @@
 (* The allocation/GC profiling layer: glue between the tracer's per-span
    Gc.counters capture (Trace.set_gc_capture / set_gc_observer) and a
    human-usable report — span labels ranked by words allocated.  GC
-   pauses come from the Runtime_events consumer (Ctg_rtev).
+   pauses come from the Runtime_events consumer (Ctg_rtev): each span's
+   window is charged from its pause ledger once a poll has passed it.
 
    All state is one process-global singleton under a mutex: the observer
    runs on whichever domain completes a span, and the report runs on the
@@ -39,7 +40,7 @@ type state = {
 
 let st = { mu = Mutex.create (); table = Hashtbl.create 16; active = false }
 
-let observer ~name ~minor ~promoted ~major ~pause_ns ~dur_ns =
+let observer ~name ~minor ~promoted ~major ~start_ns ~dur_ns =
   Mutex.lock st.mu;
   let a =
     match Hashtbl.find_opt st.table name with
@@ -63,8 +64,13 @@ let observer ~name ~minor ~promoted ~major ~pause_ns ~dur_ns =
   a.a_promoted <- a.a_promoted +. promoted;
   a.a_major <- a.a_major +. major;
   a.a_ns <- a.a_ns + dur_ns;
-  a.a_pause <- a.a_pause + pause_ns;
-  Mutex.unlock st.mu
+  Mutex.unlock st.mu;
+  (* The charge lands on this record even after a [reset] has dropped it
+     from the table, so a row never holds more pause than span time. *)
+  Rtev.charge ~start_ns ~end_ns:(start_ns + dur_ns) (fun ns ->
+      Mutex.lock st.mu;
+      a.a_pause <- a.a_pause + ns;
+      Mutex.unlock st.mu)
 
 let enable ?registry ?(rtev = false) () =
   Mutex.lock st.mu;
@@ -75,8 +81,7 @@ let enable ?registry ?(rtev = false) () =
     Obs.Trace.enable ();
     Obs.Trace.set_gc_capture true;
     Obs.Trace.set_gc_observer (Some observer);
-    if rtev && Rtev.start ?registry ~trace:true () then
-      Rtev.install_trace_pause_source ()
+    if rtev then ignore (Rtev.start ?registry ~trace:true () : bool)
   end
 
 let disable () =
@@ -86,10 +91,7 @@ let disable () =
     st.active <- false;
     Mutex.unlock st.mu;
     Obs.Trace.set_gc_capture false;
-    Obs.Trace.set_gc_observer None;
-    (* Unhook the per-span pause charging; the rtev consumer itself stays
-       in whatever state its owner (daemon, CLI) put it. *)
-    Obs.Trace.set_pause_source None
+    Obs.Trace.set_gc_observer None
   end
 
 let active () =
@@ -138,7 +140,7 @@ let row_to_json r =
       ("major_words", Jsonx.Num r.major_words);
       ("total_ns", Jsonx.Num (float_of_int r.total_ns));
       ("pause_ns", Jsonx.Num (float_of_int r.pause_ns));
-      ("work_ns", Jsonx.Num (float_of_int (max 0 (r.total_ns - r.pause_ns))));
+      ("work_ns", Jsonx.Num (float_of_int (r.total_ns - r.pause_ns)));
       ( "words_per_span",
         Jsonx.Num
           (if r.spans = 0 then 0.0

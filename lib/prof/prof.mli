@@ -13,12 +13,14 @@
     [Gc.counters] calls and one mutex-guarded table update; the
     [bench alloc] gate bounds the measured end-to-end overhead at < 3%.
 
-    GC pause accounting: with [enable ~rtev:true], the {!Ctg_rtev}
-    consumer is started and installed as the tracer's pause source, so
-    every span is charged the real GC pause nanoseconds that landed
-    inside it ([pause_ns]; [total_ns - pause_ns] ≈ mutator work time).
-    Runtime_events is the only GC signal: if its ring cannot start,
-    [pause_ns] stays 0. *)
+    GC pause accounting: while the {!Ctg_rtev} consumer is active
+    ([enable ~rtev:true] starts it), every span's window goes to
+    {!Ctg_rtev.Rtev.charge}, and the GC pause time that fell inside it
+    is added to its row's [pause_ns] when a consumer poll passes the
+    span's end: poll (or stop) the consumer before {!report}.  A charge
+    never exceeds its span, so [pause_ns <= total_ns] and
+    [total_ns - pause_ns] ≈ mutator work time.  Runtime_events is the
+    only GC signal: if its ring cannot start, [pause_ns] stays 0. *)
 
 type row = {
   label : string;  (** Span name ([with_span]'s first argument). *)
@@ -28,13 +30,13 @@ type row = {
   major_words : float;
   total_ns : int;
   pause_ns : int;
-      (** GC pause time charged to the label's spans (0 without [rtev]). *)
+      (** GC pause time charged to the label's spans so far (0 without
+          [rtev]); at most [total_ns]. *)
 }
 
 val enable : ?registry:Ctg_obs.Registry.t -> ?rtev:bool -> unit -> unit
 (** Idempotent.  With [rtev] (default false), starts the {!Ctg_rtev}
-    consumer against [registry] and charges per-span pause time via
-    {!Ctg_obs.Trace.set_pause_source}. *)
+    consumer against [registry], so spans are charged pause time. *)
 
 val disable : unit -> unit
 (** Stop capturing (observer unhooked).  Leaves span

@@ -109,6 +109,11 @@ type agg_handles = {
   g_max : Obs.Registry.gauge;
 }
 
+(* A window registered by [charge], on the Obs clock. *)
+type window = { w_start : int; w_end : int; k : int -> unit }
+
+let ledger_cap = 16384
+
 type state = {
   mu : Mutex.t;
   mutable ring_started : bool;  (* RE.start has succeeded in this process *)
@@ -119,16 +124,27 @@ type state = {
   mutable registry : Obs.Registry.t;
   mutable trace : bool;
   mutable offset_ns : int option;  (* Obs clock - runtime clock *)
+  (* The latest sync event's number and the Obs time it was written. *)
+  mutable sync_seq : int;
+  mutable sync_obs : int;
   mutable decode : Decode.t;
   mutable handles : (int * ring_handles) list;
   mutable agg : agg_handles option;
-  mutable pending_trace : Decode.pause list;  (* pauses awaiting the offset *)
   mutable budget_ns : int option;
-  mutable rid_source : (unit -> string option) option;
-  mutable pause_observer : (Decode.pause -> unit) option;
+  mutable fresh : Decode.pause list;  (* decoded by the running poll *)
+  (* The last [ledger_cap] pause intervals [start, end) on the runtime
+     clock, each poll's merged where they overlap. *)
+  ledger : (int * int) Queue.t;
+  (* Runtime time of the latest poll's start: every pause that ended
+     before it is in the ledger. *)
+  mutable horizon_ns : int;
+  (* Windows waiting for a poll past their end.  [pend_mu] only guards
+     pushes and swaps, so [charge] never waits on a poll's read. *)
+  pend_mu : Mutex.t;
+  mutable pending : window list;
   mutable poller : unit Domain.t option;
   poller_stop : bool Atomic.t;
-  (* Readable without the lock (trace pause source, /metrics glue). *)
+  (* Readable without the lock (/metrics glue). *)
   c_total : int Atomic.t;
   c_count : int Atomic.t;
   c_minor : int Atomic.t;
@@ -147,13 +163,17 @@ let st =
     registry = Obs.Registry.default;
     trace = false;
     offset_ns = None;
+    sync_seq = 0;
+    sync_obs = 0;
     decode = Decode.create ();
     handles = [];
     agg = None;
-    pending_trace = [];
     budget_ns = None;
-    rid_source = None;
-    pause_observer = None;
+    fresh = [];
+    ledger = Queue.create ();
+    horizon_ns = min_int;
+    pend_mu = Mutex.create ();
+    pending = [];
     poller = None;
     poller_stop = Atomic.make false;
     c_total = Atomic.make 0;
@@ -163,8 +183,15 @@ let st =
     c_breach = Atomic.make 0;
   }
 
-(* Custom-event tag: [Ctg_clock_sync] carries an Obs.Clock timestamp to
-   solve the monotonic-vs-epoch clock offset. *)
+let locked f =
+  Mutex.lock st.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock st.mu) f
+
+(* Custom-event tag: [Ctg_clock_sync] marks the runtime time at which a
+   poll read the Obs clock, to solve the monotonic-vs-epoch offset.  Its
+   payload is the poll's number, not the Obs time: the ring keeps only
+   32 bits of an int payload, and Obs time passes 2^31 ns 2.1 s after
+   start. *)
 type RE.User.tag += Ctg_clock_sync
 
 let sync_event = lazy (RE.User.register "ctg.sync" Ctg_clock_sync RE.Type.int)
@@ -230,14 +257,10 @@ let handle_pause (p : Decode.pause) =
   Atomic.set st.c_count (Atomic.get st.c_count + 1);
   if p.minor then Atomic.set st.c_minor (Atomic.get st.c_minor + 1);
   if p.dur_ns > Atomic.get st.c_max then Atomic.set st.c_max p.dur_ns;
+  st.fresh <- p :: st.fresh;
   let agg = agg_handles () in
   let h = ring_handles p.ring in
-  let rid =
-    match st.rid_source with
-    | None -> ""
-    | Some f -> ( match f () with Some rid -> rid | None -> "")
-  in
-  Obs.Registry.observe_exemplar agg.g_pause p.dur_ns rid;
+  Obs.Registry.observe agg.g_pause p.dur_ns;
   Obs.Registry.observe h.h_pause p.dur_ns;
   Obs.Registry.incr h.h_count;
   if p.minor then begin
@@ -249,13 +272,7 @@ let handle_pause (p : Decode.pause) =
   | Some b when p.dur_ns > b ->
     Atomic.set st.c_breach (Atomic.get st.c_breach + 1);
     Obs.Registry.incr agg.g_breach
-  | _ -> ());
-  if st.trace then begin
-    match st.offset_ns with
-    | Some off -> inject_pause p off
-    | None -> st.pending_trace <- p :: st.pending_trace
-  end;
-  match st.pause_observer with Some f -> f p | None -> ()
+  | _ -> ())
 
 let make_callbacks () =
   let cb =
@@ -273,130 +290,183 @@ let make_callbacks () =
         Obs.Registry.add (agg_handles ()).g_lost n)
       ()
   in
-  (* Clock sync: payload is Obs.Clock.now_ns at write time; the event's
-     own timestamp is the runtime clock — their difference is the offset
-     trace injection needs. *)
+  (* Clock sync: the poll read Obs.Clock just before writing the event;
+     the event's own timestamp is the runtime clock — their difference is
+     the offset trace injection and [charge] need.  The poll wrote the
+     event before reading any ring, so its timestamp is also the ledger's
+     horizon. *)
   RE.Callbacks.add_user_event RE.Type.int
     (fun _ring ts user v ->
       match RE.User.tag user with
-      | Ctg_clock_sync -> st.offset_ns <- Some (v - ts_to_ns ts)
+      | Ctg_clock_sync when v = st.sync_seq ->
+        let ts = ts_to_ns ts in
+        st.offset_ns <- Some (st.sync_obs - ts);
+        st.horizon_ns <- max st.horizon_ns ts
       | _ -> ())
     cb
 
-(* ---------------- polling ------------------------------------------ *)
+(* ---------------- polling and charging (under st.mu) -------------- *)
 
-(* Requires st.mu.  [max] caps the events read; by default a poll reads
-   until it has caught up with every ring. *)
-let poll_locked ?max () =
+(* Reads until it has caught up with every ring, then moves the pauses
+   it decoded to the trace (once the clock offset is known) and, merged
+   where they overlap, to the ledger. *)
+let poll_locked () =
   match (st.cursor, st.callbacks) with
   | Some cursor, Some cb ->
-    (try RE.User.write (Lazy.force sync_event) (Obs.Clock.now_ns ())
-     with _ -> ());
-    let n = try RE.read_poll cursor cb max with _ -> 0 in
-    (match (st.offset_ns, st.pending_trace) with
-    | Some off, (_ :: _ as pending) ->
-      List.iter (fun p -> inject_pause p off) (List.rev pending);
-      st.pending_trace <- []
+    st.sync_seq <- (st.sync_seq + 1) land 0xffff;
+    st.sync_obs <- Obs.Clock.now_ns ();
+    (try RE.User.write (Lazy.force sync_event) st.sync_seq with _ -> ());
+    let n = try RE.read_poll cursor cb None with _ -> 0 in
+    let fresh = List.rev st.fresh in
+    st.fresh <- [];
+    (match st.offset_ns with
+    | Some off when st.trace -> List.iter (fun p -> inject_pause p off) fresh
     | _ -> ());
+    let merged =
+      List.fold_left
+        (fun acc (s, e) ->
+          match acc with
+          | (s0, e0) :: tl when s <= e0 -> (s0, max e e0) :: tl
+          | _ -> (s, e) :: acc)
+        []
+        (List.sort compare
+           (List.map
+              (fun (p : Decode.pause) -> (p.start_ns, p.start_ns + p.dur_ns))
+              fresh))
+    in
+    List.iter
+      (fun iv ->
+        Queue.push iv st.ledger;
+        if Queue.length st.ledger > ledger_cap then
+          ignore (Queue.pop st.ledger))
+      (List.rev merged);
     n
   | _ -> 0
 
-let poll () =
-  if not st.active then 0
-  else begin
-    Mutex.lock st.mu;
-    let n = poll_locked () in
-    Mutex.unlock st.mu;
-    n
+(* The length of the union of the ledger's intervals clipped to [lo, hi):
+   intervals that overlap, as those of two polls can, count once.
+   [near] holds the candidates, sorted by start. *)
+let covered near ~lo ~hi =
+  snd
+    (List.fold_left
+       (fun (reach, acc) (s, e) ->
+         let s = max s reach and e = min e hi in
+         if e > s then (e, acc + e - s) else (reach, acc))
+       (lo, 0) near)
+
+(* Charge the windows the horizon has passed ([all]: every window),
+   oldest first.  Running [k] under st.mu means a poll that returns has
+   charged every window it passed.  Without a clock offset no window can
+   be placed on the ledger: it gets 0. *)
+let settle ~all =
+  let off = Option.value st.offset_ns ~default:0 in
+  Mutex.lock st.pend_mu;
+  let ready, waiting =
+    List.partition
+      (fun w -> all || (st.offset_ns <> None && w.w_end - off <= st.horizon_ns))
+      st.pending
+  in
+  st.pending <- waiting;
+  Mutex.unlock st.pend_mu;
+  (* One ledger scan for the span of every ready window. *)
+  let lo = List.fold_left (fun m w -> min m (w.w_start - off)) max_int ready
+  and hi = List.fold_left (fun m w -> max m (w.w_end - off)) min_int ready in
+  let near =
+    if ready = [] || st.offset_ns = None then []
+    else
+      Queue.fold
+        (fun acc (s, e) -> if s < hi && e > lo then (s, e) :: acc else acc)
+        [] st.ledger
+      |> List.sort compare
+  in
+  List.iter
+    (fun w ->
+      try w.k (covered near ~lo:(w.w_start - off) ~hi:(w.w_end - off))
+      with _ -> ())
+    (List.rev ready)
+
+(* The unlocked read keeps an inactive consumer free for every profiled
+   span.  [stop] clears [active] before its last take of [pending], so a
+   window pushed after that take is refused, not stranded. *)
+let charge ~start_ns ~end_ns k =
+  if st.active then begin
+    Mutex.lock st.pend_mu;
+    if st.active then
+      st.pending <- { w_start = start_ns; w_end = end_ns; k } :: st.pending;
+    Mutex.unlock st.pend_mu
   end
 
-(* The opportunistic poll runs on the caller's domain (a serving batch,
-   a traced span), so it reads a bounded slice and leaves the rest to the
-   poller.  Read unbounded, it keeps reading while the rings refill: in
-   a daemon of a dozen-plus domains on 2 CPUs one batch was held
-   100-360 ms. *)
-let opportunistic_max = 1024
-
-let pause_source_value () =
-  if st.active && Mutex.try_lock st.mu then begin
-    ignore (poll_locked ~max:opportunistic_max ());
-    Mutex.unlock st.mu
-  end;
-  Atomic.get st.c_total
-
-let install_trace_pause_source () =
-  Obs.Trace.set_pause_source (Some pause_source_value)
+let poll () =
+  if not st.active then 0
+  else
+    locked (fun () ->
+        let n = poll_locked () in
+        settle ~all:false;
+        n)
 
 (* ---------------- lifecycle ---------------------------------------- *)
+
+(* [Runtime_events.pause]/[resume]: whether the runtime writes to the
+   ring (the overhead bench's "off" arm; [stop] pauses it too). *)
+let set_suspended on =
+  if st.ring_started && st.suspended <> on then begin
+    (try if on then RE.pause () else RE.resume () with _ -> ());
+    st.suspended <- on
+  end
 
 let ensure_ring_started () =
   if not st.ring_started then begin
     RE.start ();
     st.ring_started <- true
   end
-  else if st.suspended then begin
-    (try RE.resume () with _ -> ());
-    st.suspended <- false
-  end
+  else set_suspended false
 
 let start ?registry ?(trace = false) () =
-  Mutex.lock st.mu;
-  let ok =
-    try
-      ensure_ring_started ();
-      (match st.cursor with
-      | Some _ -> ()
-      | None -> st.cursor <- Some (RE.create_cursor None));
-      (match registry with
-      | Some r ->
-        if r != st.registry then begin
+  locked (fun () ->
+      try
+        ensure_ring_started ();
+        if Option.is_none st.cursor then
+          st.cursor <- Some (RE.create_cursor None);
+        (match registry with
+        | Some r when r != st.registry ->
           (* Rebinding registries (a fresh daemon in the same process)
              invalidates the cached metric handles. *)
           st.registry <- r;
           st.agg <- None;
           st.handles <- []
-        end
-      | None -> ());
-      st.trace <- trace;
-      (match st.callbacks with
-      | Some _ -> ()
-      | None ->
-        st.callbacks <- Some (make_callbacks ()));
-      ignore (agg_handles ());
-      st.active <- true;
-      ignore (poll_locked ());
-      true
-    with _ -> false
-  in
-  Mutex.unlock st.mu;
-  ok
+        | _ -> ());
+        st.trace <- trace;
+        if Option.is_none st.callbacks then
+          st.callbacks <- Some (make_callbacks ());
+        ignore (agg_handles ());
+        st.active <- true;
+        ignore (poll_locked ());
+        true
+      with _ -> false)
 
 let active () = st.active
 
 let start_poller ?(interval_s = 0.05) () =
-  Mutex.lock st.mu;
-  (match st.poller with
-  | Some _ -> ()
-  | None ->
-    Atomic.set st.poller_stop false;
-    st.poller <-
-      Some
-        (Domain.spawn (fun () ->
-             while not (Atomic.get st.poller_stop) do
-               ignore (poll ());
-               Unix.sleepf interval_s
-             done)));
-  Mutex.unlock st.mu
+  locked (fun () ->
+      if Option.is_none st.poller then begin
+        Atomic.set st.poller_stop false;
+        st.poller <-
+          Some
+            (Domain.spawn (fun () ->
+                 while not (Atomic.get st.poller_stop) do
+                   ignore (poll ());
+                   Unix.sleepf interval_s
+                 done))
+      end)
 
 let stop () =
   (* Join the poller before taking the lock for teardown: its poll loop
      needs st.mu. *)
   let poller =
-    Mutex.lock st.mu;
-    let p = st.poller in
-    st.poller <- None;
-    Mutex.unlock st.mu;
-    p
+    locked (fun () ->
+        let p = st.poller in
+        st.poller <- None;
+        p)
   in
   (match poller with
   | Some d ->
@@ -405,17 +475,15 @@ let stop () =
   | None -> ());
   Mutex.lock st.mu;
   ignore (poll_locked ());
+  st.active <- false;
+  settle ~all:true;
   (match st.cursor with
   | Some c ->
     (try RE.free_cursor c with _ -> ());
     st.cursor <- None
   | None -> ());
   st.callbacks <- None;
-  st.active <- false;
-  if st.ring_started && not st.suspended then begin
-    (try RE.pause () with _ -> ());
-    st.suspended <- true
-  end;
+  set_suspended true;
   Mutex.unlock st.mu
 
 (* ---------------- accessors ---------------------------------------- *)
@@ -427,43 +495,12 @@ let max_pause_ns () = Atomic.get st.c_max
 let budget_breaches () = Atomic.get st.c_breach
 
 let reset_stats () =
-  Mutex.lock st.mu;
-  Atomic.set st.c_total 0;
-  Atomic.set st.c_count 0;
-  Atomic.set st.c_minor 0;
-  Atomic.set st.c_max 0;
-  Atomic.set st.c_breach 0;
-  Mutex.unlock st.mu
+  locked (fun () ->
+      List.iter
+        (fun c -> Atomic.set c 0)
+        [ st.c_total; st.c_count; st.c_minor; st.c_max; st.c_breach ])
 
-let set_rid_source src =
-  Mutex.lock st.mu;
-  st.rid_source <- src;
-  Mutex.unlock st.mu
+let set_pause_budget_ns b = locked (fun () -> st.budget_ns <- b)
 
-let set_pause_budget_ns b =
-  Mutex.lock st.mu;
-  st.budget_ns <- b;
-  Mutex.unlock st.mu
-
-let set_pause_observer obs =
-  Mutex.lock st.mu;
-  st.pause_observer <- obs;
-  Mutex.unlock st.mu
-
-(* ---------------- overhead-bench toggles --------------------------- *)
-
-let suspend_collection () =
-  Mutex.lock st.mu;
-  if st.ring_started && not st.suspended then begin
-    (try RE.pause () with _ -> ());
-    st.suspended <- true
-  end;
-  Mutex.unlock st.mu
-
-let resume_collection () =
-  Mutex.lock st.mu;
-  if st.ring_started && st.suspended then begin
-    (try RE.resume () with _ -> ());
-    st.suspended <- false
-  end;
-  Mutex.unlock st.mu
+let suspend_collection () = locked (fun () -> set_suspended true)
+let resume_collection () = locked (fun () -> set_suspended false)

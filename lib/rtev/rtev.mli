@@ -3,18 +3,19 @@
     OCaml 5's runtime writes phase begin/end events — minor collections,
     major slices, stop-the-world barriers — into a per-domain ring
     buffer.  This layer makes the process consume {e its own} ring
-    ([Runtime_events.create_cursor None]) and folds matched begin/end
-    pairs into the observability stack the rest of the repo already
-    speaks:
+    ([Runtime_events.create_cursor None]).  Only {!poll} reads it (the
+    poller domain, {!stop} and explicit calls); no span and no serving
+    batch does.  Each poll decodes matched begin/end pairs into pauses
+    and feeds:
 
-    - real per-domain [gc_pause_ns] / [gc_minor_pause_ns] histograms in
-      an {!Obs.Registry} (plus unlabeled aggregates carrying request-id
-      exemplars on the largest pauses),
+    - per-domain [gc_pause_ns] / [gc_minor_pause_ns] histograms in an
+      {!Obs.Registry}, plus unlabeled aggregates,
     - Chrome-trace GC spans injected into the {!Obs.Trace} stream on a
       dedicated synthetic track per domain ([tid = 1000 + ring]), so a
       request's timeline visibly contains the pauses that hit it,
-    - a cumulative pause counter that {!Obs.Trace.set_pause_source} uses
-      to charge pause time to spans (wall − pause ≈ work), and
+    - a bounded ledger of the last pauses on the runtime clock, from
+      which {!charge} gives a time window the pause time that fell
+      inside it, by event time, and
     - a pause budget whose breaches feed the daemon's health monitors.
 
     {b Pause decoding.}  Runtime phases nest (a stop-the-world section
@@ -30,10 +31,12 @@
     word count is surfaced as [rtev_lost_events_total].
 
     {b Clocks.}  Runtime_events timestamps are monotonic nanoseconds;
-    {!Obs.Clock} is epoch-offset [gettimeofday].  Every poll writes a
-    [ctg.sync] custom event carrying [Clock.now_ns] as payload and
-    derives the offset when it comes back — trace injection waits (in a
-    pending list) until the first sync event lands.
+    {!Obs.Clock} is epoch-offset [gettimeofday].  Every poll reads
+    [Clock.now_ns], writes a numbered [ctg.sync] custom event and derives
+    the offset when that event comes back; the poll's pauses reach the
+    trace after it.  The event's timestamp is also the poll's horizon:
+    the poll reads every ring after writing it, so every pause that
+    ended before it is in the ledger.
 
     {b Attribution.}  The ring index passed to callbacks is the runtime's
     domain {e slot}, not [Domain.self ()] — slots are reused as domains
@@ -43,7 +46,7 @@
 
     All public functions are thread-safe; a single process-wide consumer
     state sits behind one mutex (polling is naturally serialized — the
-    cursor is not thread-safe). *)
+    cursor is not thread-safe), and {!charge} takes only a second one. *)
 
 (** The pure event→pause decoder, separated from the cursor plumbing so
     tests can drive it with a synthetic feed ([Runtime_events.Timestamp]
@@ -90,9 +93,10 @@ val start : ?registry:Ctg_obs.Registry.t -> ?trace:bool -> unit -> bool
 val active : unit -> bool
 
 val poll : unit -> int
-(** Drain the ring through the decoder; returns the number of runtime
-    events consumed.  Cheap when nothing happened.  No-op ([0]) while
-    inactive. *)
+(** Drain the ring through the decoder, then run the {!charge}
+    continuations whose windows the new horizon has passed; returns the
+    number of runtime events consumed.  Cheap when nothing happened.
+    No-op ([0]) while inactive. *)
 
 val start_poller : ?interval_s:float -> unit -> unit
 (** Spawn a background domain polling every [interval_s] (default 0.05).
@@ -100,26 +104,36 @@ val start_poller : ?interval_s:float -> unit -> unit
     path polls. *)
 
 val stop : unit -> unit
-(** Join the poller (if any) after a final poll, free the cursor and
+(** Join the poller (if any) after a final poll, settle every window
+    still waiting (from the ledger as it stands), free the cursor and
     pause ring collection.  {!start} can be called again afterwards. *)
+
+val charge : start_ns:int -> end_ns:int -> (int -> unit) -> unit
+(** [charge ~start_ns ~end_ns k] registers the window \[[start_ns],
+    [end_ns]) on the {!Obs.Clock} timeline and never waits on a poll's
+    read.  [k] receives the length of the union of the ledger's pauses
+    clipped to the window: between 0 and [end_ns - start_ns], with a
+    stop-the-world pause that every ring reports counted once.  [k]
+    runs once, on the polling domain under the consumer lock, in the
+    first {!poll} whose horizon has passed [end_ns] (before that poll
+    returns) or in {!stop}; the window is held in memory until then.
+    It must not call {!poll} or {!stop}; an
+    exception it raises is dropped.  Not charged: a pause still open
+    when that poll starts, one lost to a ring overrun, and one older
+    than the ledger's last 16384 intervals.  While the consumer is
+    inactive the call does nothing. *)
 
 val pause_count : unit -> int
 val minor_pause_count : unit -> int
 val total_pause_ns : unit -> int
-(** Cumulative pause nanoseconds across all domains since {!start} (or
-    the last {!reset_stats}) — the value behind the trace pause source. *)
+(** Cumulative pause nanoseconds summed over the rings since {!start}
+    (or the last {!reset_stats}).  A stop-the-world pause that k
+    domains report counts k times; {!charge} counts it once. *)
 
 val max_pause_ns : unit -> int
 val reset_stats : unit -> unit
 (** Zero the counters (registry metrics and the decoder state are
     untouched) — used by bench to window per-σ runs. *)
-
-val set_rid_source : (unit -> string option) option -> unit
-(** Ask the embedding layer (the daemon) which request id is currently
-    in flight; sampled when a pause is observed and attached as the
-    exemplar on the aggregate [gc_pause_ns] histogram.  Attribution is
-    by poll time, i.e. approximate — the daemon polls at batch
-    boundaries to keep the window tight. *)
 
 val set_pause_budget_ns : int option -> unit
 (** Any single pause longer than the budget bumps
@@ -127,20 +141,6 @@ val set_pause_budget_ns : int option -> unit
     wires this into a [/healthz] monitor check. *)
 
 val budget_breaches : unit -> int
-
-val set_pause_observer : (Decode.pause -> unit) option -> unit
-(** Extra per-pause tap (called under the consumer lock, after internal
-    accounting) — bench uses it to histogram pauses per σ window. *)
-
-val install_trace_pause_source : unit -> unit
-(** [Obs.Trace.set_pause_source (Some total-pause-counter)]: make spans
-    charge GC pause time (the counter opportunistically polls, so pause
-    deltas are visible even without the background poller). *)
-
-val pause_source_value : unit -> int
-(** Total pause ns so far.  When the consumer lock is free it first
-    reads at most 1024 pending events, so a caller on a hot path waits
-    for a bounded slice and the poller reads the rest. *)
 
 val suspend_collection : unit -> unit
 (** [Runtime_events.pause]: stop the runtime writing to the ring (the

@@ -86,9 +86,8 @@ type t = {
   master : Ctgauss.Sampler.t;
   batcher : (sign_request, sign_result) Batcher.t;
   lane_counter : int Atomic.t;
-  rtev_on : bool;  (* config.rtev and the runtime ring actually started *)
   serve_gc_pause : Obs.Registry.histo option;
-  last_rid : string Atomic.t;  (* pause-exemplar attribution window *)
+      (* Some when config.rtev and the runtime ring actually started *)
   mutable server : Http.server option;
   mutable stopped : bool;
   stop_mu : Mutex.t;
@@ -199,30 +198,22 @@ let run_batch_traced t (reqs : sign_request array) : sign_result array =
 
 (* Pause-charged latency split: alongside the batcher's queue-wait and
    service histograms, [serve_gc_pause_ns] records the GC pause time that
-   landed during each batch run (the rtev cumulative counter sampled
-   around it, with an opportunistic consumer poll on each read), carrying
-   the batch's first request id as exemplar — a pause outlier names a
-   real request's trace slice (through Registry.exemplars; /metrics
-   prints no exemplars). *)
+   fell inside each batch run, by event time.  The batch only registers
+   its window; the rtev poller settles it from its pause ledger, with the
+   batch's first request id as exemplar — a pause outlier names a real
+   request's trace slice (through Registry.exemplars; /metrics prints no
+   exemplars). *)
 let run_batch t (reqs : sign_request array) : sign_result array =
   match t.serve_gc_pause with
   | None -> run_batch_traced t reqs
   | Some h ->
     let rid0 = if Array.length reqs > 0 then reqs.(0).rid else "" in
-    Atomic.set t.last_rid rid0;
-    let p0 = Rtev.pause_source_value () in
-    let finish () =
-      let dp = max 0 (Rtev.pause_source_value () - p0) in
-      Obs.Registry.observe_exemplar h dp rid0;
-      Atomic.set t.last_rid ""
-    in
-    (match run_batch_traced t reqs with
-    | res ->
-      finish ();
-      res
-    | exception e ->
-      finish ();
-      raise e)
+    let start_ns = Obs.Clock.now_ns () in
+    Fun.protect
+      ~finally:(fun () ->
+        Rtev.charge ~start_ns ~end_ns:(Obs.Clock.now_ns ()) (fun ns ->
+            Obs.Registry.observe_exemplar h ns rid0))
+      (fun () -> run_batch_traced t reqs)
 
 (* ------------------------------------------------------------------ *)
 (* Per-tenant metrics                                                  *)
@@ -495,22 +486,15 @@ let create ?(listen = true) config =
       server = None;
       stopped = false;
       stop_mu = Mutex.create ();
-      rtev_on;
       serve_gc_pause =
         (if rtev_on then Some (Obs.Registry.histo registry "serve_gc_pause_ns")
          else None);
-      last_rid = Atomic.make "";
       requests_histo_mu = Mutex.create ();
       tenant_handles = [];
     }
   in
   self := Some t;
   if rtev_on then begin
-    Rtev.set_rid_source
-      (Some
-         (fun () ->
-           match Atomic.get t.last_rid with "" -> None | rid -> Some rid));
-    Rtev.install_trace_pause_source ();
     (if config.pause_budget_ms > 0.0 then begin
        Rtev.set_pause_budget_ns
          (Some (int_of_float (config.pause_budget_ms *. 1e6)));
@@ -536,7 +520,7 @@ let port t =
 
 let registry t = t.registry
 let monitor t = t.monitor
-let rtev_active t = t.rtev_on
+let rtev_active t = Option.is_some t.serve_gc_pause
 let keyring t = t.keyring
 let batcher_shed t = Batcher.shed_count t.batcher
 let batches t = Batcher.batches t.batcher
@@ -561,8 +545,7 @@ let stop t =
       t.server <- None
     | None -> ());
     Batcher.shutdown t.batcher;
-    if t.rtev_on then begin
-      Rtev.set_rid_source None;
+    if rtev_active t then begin
       if t.config.pause_budget_ms > 0.0 then Rtev.set_pause_budget_ns None;
       Rtev.stop ()
     end;

@@ -507,10 +507,10 @@ let test_trace_gc_capture_args () =
       let observed = ref 0 in
       Trace.set_gc_observer
         (Some
-           (fun ~name:_ ~minor ~promoted ~major ~pause_ns ~dur_ns ->
+           (fun ~name:_ ~minor ~promoted ~major ~start_ns ~dur_ns ->
              Alcotest.(check bool) "observer deltas non-negative" true
                (minor >= 0.0 && promoted >= 0.0 && major >= 0.0
-              && pause_ns >= 0 && dur_ns >= 0);
+              && start_ns >= 0 && dur_ns >= 0);
              incr observed));
       Fun.protect
         ~finally:(fun () ->

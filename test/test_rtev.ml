@@ -1,8 +1,8 @@
 (* Tests for the ctg_rtev Runtime_events consumer: the pure pause decoder
    (driven by a synthetic feed — runtime timestamps cannot be fabricated),
    live forced-GC capture from the process's own ring, per-domain
-   attribution, trace injection on the synthetic per-domain tracks and
-   the pause budget. *)
+   attribution, trace injection on the synthetic per-domain tracks, the
+   pause budget and the pause ledger's charges by event time. *)
 
 module Obs = Ctg_obs
 module Registry = Ctg_obs.Registry
@@ -267,17 +267,73 @@ let test_live_pause_budget () =
   Alcotest.(check int) "breaches reset" 0 (Rtev.budget_breaches ());
   Alcotest.(check int) "pauses reset" 0 (Rtev.pause_count ())
 
-let test_pause_source_counts_up () =
+(* [k] domains parked in short sleeps while [f] runs.  Each one joins
+   every stop-the-world collection, so each one's ring reports it. *)
+let with_idle_domains k f =
+  let stop = Atomic.make false in
+  let ds =
+    List.init k (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get stop) do
+              Unix.sleepf 0.001
+            done))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      List.iter Domain.join ds)
+    f
+
+(* Register [start_ns, end_ns) and return every charge [k] received
+   after one more poll (a second poll must not charge it again). *)
+let charges ~start_ns ~end_ns =
+  let got = ref [] in
+  Rtev.charge ~start_ns ~end_ns (fun ns -> got := ns :: !got);
+  ignore (Rtev.poll ());
+  ignore (Rtev.poll ());
+  !got
+
+let test_charge_forced_gc_once () =
   let registry = Registry.create () in
   Alcotest.(check bool) "consumer starts" true (Rtev.start ~registry ());
-  Rtev.reset_stats ();
-  let before = Rtev.pause_source_value () in
-  churn ();
-  let after = Rtev.pause_source_value () in
-  (* pause_source_value polls opportunistically, so the compaction in
-     [churn] must be visible without an explicit poll. *)
-  Alcotest.(check bool) "pause time advanced across a compaction" true
-    (after > before)
+  with_idle_domains 3 (fun () ->
+      ignore (Rtev.poll ());
+      Rtev.reset_stats ();
+      let t0 = Obs.Clock.now_ns () in
+      Gc.minor ();
+      let t1 = Obs.Clock.now_ns () in
+      match charges ~start_ns:t0 ~end_ns:t1 with
+      | [ ns ] ->
+        Alcotest.(check bool) "the collection was decoded" true
+          (Rtev.pause_count () > 0);
+        Alcotest.(check bool)
+          (Printf.sprintf "charged %d ns > 0" ns)
+          true (ns > 0);
+        Alcotest.(check bool)
+          (Printf.sprintf "charged %d ns <= window %d ns" ns (t1 - t0))
+          true
+          (ns <= t1 - t0)
+      | l -> Alcotest.failf "window charged %d times" (List.length l))
+
+let test_charge_pause_polled_late () =
+  let registry = Registry.create () in
+  Alcotest.(check bool) "consumer starts" true (Rtev.start ~registry ());
+  with_idle_domains 3 (fun () ->
+      ignore (Rtev.poll ());
+      Rtev.reset_stats ();
+      Gc.minor ();
+      (* The parked domains leave the collection up to ~10 us after this
+         one does; the sleep puts every ring's part of it before the
+         window, and the window's poll is the first to read it. *)
+      Unix.sleepf 0.005;
+      let t0 = Obs.Clock.now_ns () in
+      ignore (Rtev.poll ());
+      let t1 = Obs.Clock.now_ns () in
+      Alcotest.(check bool) "the pause was first read inside the window"
+        true
+        (Rtev.pause_count () > 0);
+      Alcotest.(check (list int)) "charged 0, once" [ 0 ]
+        (charges ~start_ns:t0 ~end_ns:t1))
 
 (* --------------------------------------------------------------------- *)
 
@@ -303,6 +359,8 @@ let () =
           live "multi-domain attribution" test_live_multi_domain_attribution;
           live "trace injection" test_live_trace_injection;
           live "pause budget" test_live_pause_budget;
-          live "opportunistic pause source" test_pause_source_counts_up;
+          live "charge: collection in the window, once" test_charge_forced_gc_once;
+          live "charge: pause polled late is not charged"
+            test_charge_pause_polled_late;
         ] );
     ]

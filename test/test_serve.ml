@@ -804,6 +804,69 @@ let test_daemon_pause_budget_flips_healthz () =
   Alcotest.(check int) "healthz 503 on budget breach" 503 health.Client.status;
   Serve.Daemon.stop d
 
+(* Forced compactions under load: each batch's [serve_gc_pause_ns]
+   charge lies inside its own run, so none exceeds the longest service
+   time.  A charge that summed every ring's report of one stop-the-world
+   pause (one per live domain) could. *)
+let test_daemon_pause_charge_within_service () =
+  let d = Serve.Daemon.create { test_config with rtev = true } in
+  Alcotest.(check bool) "runtime ring started" true
+    (Serve.Daemon.rtev_active d);
+  let port = Serve.Daemon.port d in
+  (* Key generation and the first signing batch run long, with or without
+     a pause: settle their charges and leave them out of the registry. *)
+  List.iter
+    (fun tenant ->
+      let r =
+        Client.one_shot ~port ~meth:"POST" ~path:("/v1/sign?tenant=" ^ tenant)
+          ~body:"warm-up" ()
+      in
+      Alcotest.(check int) "warm-up 200" 200 r.Client.status)
+    [ "alice"; "bob" ];
+  ignore (Rtev.poll ());
+  Registry.reset (Serve.Daemon.registry d);
+  let batches0 = Serve.Daemon.batches d in
+  let finished = Atomic.make 0 in
+  let clients =
+    Array.map
+      (fun tenant ->
+        Domain.spawn (fun () ->
+            let c = Client.connect ~port () in
+            let statuses =
+              List.init 12 (fun i ->
+                  (Client.request c ~meth:"POST"
+                     ~path:("/v1/sign?tenant=" ^ tenant)
+                     ~body:(Printf.sprintf "%s load %d" tenant i) ())
+                    .Client.status)
+            in
+            Client.close c;
+            Atomic.incr finished;
+            statuses))
+      [| "alice"; "bob" |]
+  in
+  let rec compact () =
+    Gc.compact ();
+    if Atomic.get finished < 2 then compact ()
+  in
+  compact ();
+  let statuses = Array.map Domain.join clients in
+  (* Stopping settles every batch window still waiting for a poll. *)
+  Serve.Daemon.stop d;
+  Array.iter (List.iter (Alcotest.(check int) "sign 200" 200)) statuses;
+  let summary name =
+    Registry.histo_summary (Registry.histo (Serve.Daemon.registry d) name)
+  in
+  let pause = summary "serve_gc_pause_ns"
+  and service = summary "serve_service_ns" in
+  Alcotest.(check int) "every batch charged once"
+    (Serve.Daemon.batches d - batches0)
+    pause.Obs.Histo.count;
+  Alcotest.(check bool)
+    (Printf.sprintf "largest charge %d ns <= largest service %d ns"
+       pause.Obs.Histo.max service.Obs.Histo.max)
+    true
+    (pause.Obs.Histo.max <= service.Obs.Histo.max)
+
 let test_trace_slice_includes_gc_spans () =
   (* Pure unit test of the slice filter: the request/batch events are
      kept by arg matching, and exactly the GC pause spans overlapping the
@@ -1004,6 +1067,8 @@ let () =
             `Quick test_daemon_rtev_e2e;
           Alcotest.test_case "pause budget flips healthz" `Quick
             test_daemon_pause_budget_flips_healthz;
+          Alcotest.test_case "pause charge within service under compaction"
+            `Quick test_daemon_pause_charge_within_service;
           Alcotest.test_case "trace slice carries overlapping gc spans"
             `Quick test_trace_slice_includes_gc_spans;
         ] );
